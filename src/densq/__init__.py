@@ -26,6 +26,7 @@ from .multiscale import (
     find_thin_boundary_radius,
     local_energy_ratio,
     smoothed_density_difference,
+    square_function_and_wolff_energy,
     square_function_energy,
     verify_convolution_identity,
     wolff_energy,

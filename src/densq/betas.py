@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .measures import WeightedPointMeasure, _min_enclosing_ball
+from .measures import WeightedPointMeasure, _min_enclosing_ball, _shell_sums
 from .multiscale import DEFAULT_KAPPA, EnergyReport, ScaleGrid, as_atom_indices
 
 
@@ -267,27 +267,28 @@ def beta_inf(measure: WeightedPointMeasure, x, r: float) -> tuple[float, LineFit
     return best[0] / r, fit
 
 
-def _beta2_profile(measure, center, radii):
-    """beta_2(center, r)^2 for every r in radii via prefix moments in distance
-    order (single sort per center)."""
-    dy = measure.points - center
-    d2 = (dy ** 2).sum(axis=1)
-    order = np.argsort(d2, kind="stable")
-    d2s = d2[order]
-    dys = dy[order]
-    ws = measure.weights[order]
-    d = measure.dim
-    S0 = np.cumsum(ws)
-    S1 = np.cumsum(ws[:, None] * dys, axis=0)
-    S2 = np.cumsum(ws[:, None, None] * dys[:, :, None] * dys[:, None, :], axis=0)
-    pos = np.searchsorted(d2s, np.asarray(radii) ** 2, side="right")
-    pos = np.maximum(pos, 1) - 1
-    s0 = S0[pos]
-    mean = S1[pos] / s0[:, None]
-    scatter = S2[pos] - s0[:, None, None] * mean[:, :, None] * mean[:, None, :]
+def _beta2_profile(measure, centers, radii):
+    """beta_2(c, r)^2 for every center c and radius r, from the weighted
+    zeroth, first and second moments of dy = x - c summed over closed balls in
+    one radial-shell pass. Shape (n_centers, n_radii)."""
+    radii = np.asarray(radii, dtype=float)
+    w, d = measure.weights, measure.dim
+    lower = [(a, b) for a in range(d) for b in range(a + 1)]
+
+    def moments(dy, d2):
+        wdy = [w * v for v in dy]
+        return [w] + wdy + [wdy[a] * dy[b] for a, b in lower]
+
+    sums = _shell_sums(measure.points, centers, radii, moments, 1 + d + len(lower))
+    s0 = sums[0]
+    mean = sums[1:1 + d] / s0
+    scatter = np.empty(s0.shape + (d, d))
+    for k, (a, b) in enumerate(lower):
+        scatter[..., a, b] = scatter[..., b, a] = (sums[1 + d + k]
+                                                   - s0 * mean[a] * mean[b])
     lam = np.linalg.eigvalsh(scatter)
-    moment = np.clip(lam[:, :-1].sum(axis=1), 0.0, None)
-    return moment / np.asarray(radii) ** 3
+    moment = np.clip(lam[..., :-1].sum(axis=-1), 0.0, None)
+    return moment / radii ** 3
 
 
 def beta_energy(measure: WeightedPointMeasure, grid: ScaleGrid, p: float = 2.0,
@@ -310,14 +311,12 @@ def beta_energy(measure: WeightedPointMeasure, grid: ScaleGrid, p: float = 2.0,
     wc = measure.weights[eval_indices]
 
     def beta_sq_matrix(rs):
-        out = np.empty((len(eval_indices), len(rs)))
         if p == 2.0:
-            for i, ei in enumerate(eval_indices):
-                out[i] = _beta2_profile(measure, measure.points[ei], rs)
-        else:
-            for i, ei in enumerate(eval_indices):
-                for j, rr in enumerate(rs):
-                    out[i, j] = beta_p(measure, measure.points[ei], rr, p)[0] ** 2
+            return _beta2_profile(measure, measure.points[eval_indices], rs)
+        out = np.empty((len(eval_indices), len(rs)))
+        for i, ei in enumerate(eval_indices):
+            for j, rr in enumerate(rs):
+                out[i, j] = beta_p(measure, measure.points[ei], rr, p)[0] ** 2
         return out
 
     b2 = beta_sq_matrix(sample)

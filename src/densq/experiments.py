@@ -240,16 +240,16 @@ def run_comparability(config: dict | None = None, threads: int = 1) -> SweepResu
                                   point_budget=int(cfg["point_budget"]))
         grid = msc.ScaleGrid.default_for(deep, q=float(cfg["q"]),
                                          kappa=float(cfg["kappa"]))
-        sf = msc.square_function_energy(deep, s, grid, kappa=float(cfg["kappa"]))
-        wf = msc.wolff_energy(deep, s, grid, kappa=float(cfg["kappa"]))
+        sf, wf = msc.square_function_and_wolff_energy(deep, s, grid,
+                                                      kappa=float(cfg["kappa"]))
         # drift check on a window resolved at both depths: discrete sums only,
         # so tails (identical functionals of the total mass) do not mask it
         common = msc.ScaleGrid(float(cfg["kappa"]) * shallow.min_spacing,
                                8.0 * deep.support_radius, float(cfg["q"]))
         ratios = []
         for m in (shallow, deep):
-            sf_c = msc.square_function_energy(m, s, common, kappa=float(cfg["kappa"]))
-            wf_c = msc.wolff_energy(m, s, common, kappa=float(cfg["kappa"]))
+            sf_c, wf_c = msc.square_function_and_wolff_energy(
+                m, s, common, kappa=float(cfg["kappa"]))
             ratios.append(sf_c.discrete_total / wf_c.discrete_total)
         return {"s": s, "sf": sf.total, "wolff": wf.total,
                 "ratio": sf.total / wf.total,
@@ -337,8 +337,8 @@ def run_integer_degeneracy(config: dict | None = None, threads: int = 1) -> Swee
             if r_hi <= r_lo * q:
                 continue    # range unresolvable at this lattice spacing
             grid = msc.ScaleGrid(r_lo, r_hi, q)
-            sf = msc.square_function_energy(m, s, grid, eval_indices=mask)
-            wf = msc.wolff_energy(m, s, grid, eval_indices=mask)
+            sf, wf = msc.square_function_and_wolff_energy(m, s, grid,
+                                                          eval_indices=mask)
             model = 4.0 * eval_mass * math.log(r_hi / r_lo)
             out.append({"n": n_points, "h": h, "widen": wfac,
                         "r_lo": r_lo, "r_hi": r_hi,
@@ -586,11 +586,11 @@ def run_small_s_comparability(config: dict | None = None,
                             point_budget=int(cfg["point_budget"]))
         grid = msc.ScaleGrid.default_for(m, q=float(cfg["q"]),
                                          kappa=float(cfg["kappa"]))
-        sf = msc.square_function_energy(m, s, grid, kappa=float(cfg["kappa"])).total
-        wf = msc.wolff_energy(m, s, grid, kappa=float(cfg["kappa"])).total
+        sf, wf = msc.square_function_and_wolff_energy(m, s, grid,
+                                                      kappa=float(cfg["kappa"]))
         rz_rep = rz.sup_riesz_energy(m, s, grid, max_radii=int(cfg["max_radii"]),
                                      kappa=float(cfg["kappa"]))
-        return {"depth": int(depth), "sf": sf, "wolff": wf,
+        return {"depth": int(depth), "sf": sf.total, "wolff": wf.total,
                 "riesz": rz_rep.energy_at_best}
 
     shallow, deep = _map_ordered(one, [cfg["drift_depth"], cfg["depth"]], threads)

@@ -13,9 +13,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 DEFAULT_POINT_BUDGET = 2_000_000
+
+# (center, atom) elements per chunk, summed over the arrays of values binned
+# together: bounds the temporaries of one shell pass
+_CHUNK_CELLS = 2 ** 21
 
 MEASURE_KINDS = ("cantor", "flat", "dirac", "polyline", "gamma_curve", "mu_alpha")
 
@@ -111,17 +115,22 @@ class WeightedPointMeasure:
 
     def farthest_distances(self) -> np.ndarray:
         """Per atom i, max_j |x_j - x_i|: the radius beyond which a ball at x_i
-        contains the whole support."""
+        contains the whole support.
+
+        The farthest atom is a vertex of the convex hull, so only hull vertices
+        are scanned; flat or degenerate sets scan every atom.
+        """
         if self._farthest is None:
             if self.segments is not None:
                 self._farthest = _segment_farthest(self.segments, self.points)
             else:
+                cand = _hull_vertices(self.points)
                 n = self.n_atoms
                 out = np.empty(n)
-                step = max(1, min(n, 2 ** 22 // max(n, 1)))
+                step = max(1, min(n, 2 ** 22 // len(cand)))
                 for a in range(0, n, step):
                     d2 = ((self.points[a:a + step, None, :]
-                           - self.points[None, :, :]) ** 2).sum(-1)
+                           - cand[None, :, :]) ** 2).sum(-1)
                     out[a:a + step] = d2.max(axis=1)
                 self._farthest = np.sqrt(out)
         return self._farthest
@@ -159,19 +168,33 @@ class WeightedPointMeasure:
 
 
 def _merge_duplicates(points, weights):
-    """Merge exactly-equal points (first-occurrence order), summing weights."""
-    uniq, inverse = np.unique(points, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    if uniq.shape[0] == points.shape[0]:
+    """Merge exactly-equal points (first-occurrence order), summing weights in
+    index order."""
+    order = np.lexsort(points.T)
+    ps = points[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ps[1:] != ps[:-1]).any(axis=1)
+    if new.all():
         return points, weights, False
-    first = np.full(uniq.shape[0], points.shape[0])
-    np.minimum.at(first, inverse, np.arange(points.shape[0]))
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    merged_w = np.zeros(uniq.shape[0])
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    first = order[new]       # lexsort is stable: each group's lowest index
+    by_first = np.argsort(first)
+    merged_w = np.zeros(len(first))
     np.add.at(merged_w, inverse, weights)
-    return uniq[order], merged_w[order], True
+    return points[first[by_first]], merged_w[by_first], True
+
+
+def _hull_vertices(points):
+    """Convex-hull vertices of a full-dimensional 2-d or 3-d set; every point
+    when the hull is degenerate (flat, collinear), for 1-d sets, and above 3-d,
+    where the hull's facet count can grow like N^(d/2)."""
+    if points.shape[1] in (2, 3):
+        try:
+            return points[ConvexHull(points).vertices]
+        except (QhullError, ValueError):
+            pass
+    return points
 
 
 class BallIndex:
@@ -232,7 +255,8 @@ def ball_masses(measure: WeightedPointMeasure, centers: np.ndarray,
     """(n_centers, n_radii) matrix of closed-ball masses.
 
     Dispatches to interval counting for segment-lattice measures, otherwise to
-    a chunked sorted-distance scan. Both use the |x-c|^2 <= r^2 predicate.
+    a chunked radial-shell pass (`_shell_sums`) that sums the weights shell by
+    shell. Both use the |x-c|^2 <= r^2 predicate.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     radii = np.asarray(radii, dtype=float)
@@ -244,19 +268,46 @@ def ball_masses(measure: WeightedPointMeasure, centers: np.ndarray,
 
 
 def _generic_ball_masses(measure, centers, radii):
-    n = centers.shape[0]
-    out = np.empty((n, len(radii)))
+    w = measure.weights
+    return _shell_sums(measure.points, centers, radii, lambda diff, d2: [w], 1)[0]
+
+
+def _shell_sums(points, centers, radii, values, n_values):
+    """Sums of per-(center, atom) values over closed balls, from one pass.
+
+    `values(diff, d2)` gets one chunk of centers: `diff[k]` holds the k-th
+    coordinate of x_atom - center and `d2` the squared distances, each of shape
+    (chunk, n_atoms); it returns `n_values` arrays of that shape (or
+    broadcastable to it). The result has shape (n_values, n_centers, n_radii):
+    entry [v, i, j] sums values[v][i, a] over the atoms a with d2 <= r_j^2.
+
+    Each atom falls in the shell of the first sorted radius it lies within
+    (`searchsorted(r2, d2, side="left")`, exactly the predicate d2 <= r^2, ties
+    included); the values are binned per shell and summed outward.
+    """
+    radii = np.asarray(radii, dtype=float)
     r2 = radii * radii
-    pts, w = measure.points, measure.weights
-    step = max(1, min(n, 2 ** 21 // max(measure.n_atoms, 1)))
+    order = np.argsort(r2, kind="stable")
+    r2s = r2[order]
+    m, (n, dim) = len(radii), centers.shape
+    out = np.empty((n_values, n, m))
+    step = max(1, min(n, _CHUNK_CELLS // (points.shape[0] * n_values)))
     for a in range(0, n, step):
-        d2 = ((centers[a:a + step, None, :] - pts[None, :, :]) ** 2).sum(-1)
-        order = np.argsort(d2, axis=1, kind="stable")
-        d2s = np.take_along_axis(d2, order, axis=1)
-        cw = np.cumsum(w[order], axis=1)
-        for i in range(d2s.shape[0]):
-            pos = np.searchsorted(d2s[i], r2, side="right")
-            out[a + i] = np.where(pos > 0, cw[i, np.maximum(pos, 1) - 1], 0.0)
+        c = centers[a:a + step]
+        rows = len(c)
+        diff = [points[None, :, k] - c[:, k, None] for k in range(dim)]
+        # one coordinate at a time rounds exactly as .sum(-1) does, which the
+        # ball index and brute-force scans use, without its slow strided reduce
+        d2 = diff[0] ** 2
+        for dk in diff[1:]:
+            d2 += dk ** 2
+        shell = np.searchsorted(r2s, d2, side="left")
+        shell += (np.arange(rows) * (m + 1))[:, None]
+        shell = shell.ravel()
+        for v, val in enumerate(values(diff, d2)):
+            bins = np.bincount(shell, weights=np.broadcast_to(val, d2.shape).ravel(),
+                               minlength=rows * (m + 1)).reshape(rows, m + 1)
+            out[v, a:a + rows][:, order] = np.cumsum(bins[:, :m], axis=1)
     return out
 
 

@@ -18,6 +18,11 @@ from .measures import WeightedPointMeasure, ball_masses
 
 DEFAULT_KAPPA = 4.0
 
+# absolute floor of the identity residual's denominator, in units of
+# total_mass / R^s: when both sides are ~0 (no atom where phi' lives) the
+# relative residual would otherwise compare rounding noise with itself
+IDENTITY_RESIDUAL_FLOOR = 1e-12
+
 
 def as_atom_indices(eval_indices, n_atoms: int) -> np.ndarray:
     """Normalize an atom-subset argument: None -> all, bool mask -> indices."""
@@ -142,7 +147,16 @@ def _tail_start(farthest: np.ndarray, r_min: float) -> np.ndarray:
     return np.maximum(farthest, r_min)
 
 
-def _energy(measure, s, grid, p, kind, eval_indices, kappa, include_per_point):
+def _check_s(s: float) -> None:
+    if not s > 0:
+        raise ValueError(f"s must be positive; got {s}")
+
+
+def _energies(measure, s, grid, p, kinds, eval_indices, kappa, include_per_point):
+    """Reports of the given kinds, all read from one ball-mass profile at the
+    sample radii and their doubles, so each report is the same whichever
+    others are asked for with it."""
+    _check_s(s)
     if p < 1:
         raise ValueError("p must be >= 1")
     if measure.n_atoms < 1:
@@ -163,44 +177,41 @@ def _energy(measure, s, grid, p, kind, eval_indices, kappa, include_per_point):
         width = np.log(hi / lo)
     width = np.where(hi > lo, width, 0.0)
 
-    if kind == "square_function":
-        # one distance pass serves both radii families
-        m_all = ball_masses(measure, centers, np.concatenate([sample, 2.0 * sample]))
-        th_r = m_all[:, :len(sample)] / sample[None, :] ** s
-        th_2r = m_all[:, len(sample):] / (2.0 * sample[None, :]) ** s
-        integrand = np.abs(th_r - th_2r) ** p
-        tail_coeff = (measure.total_mass * (1.0 - 2.0 ** (-s))) ** p
-    elif kind == "wolff":
-        m_r = ball_masses(measure, centers, sample)
-        integrand = np.abs(m_r / sample[None, :] ** s) ** p
-        tail_coeff = measure.total_mass ** p
-    else:
-        raise ValueError(f"unknown energy kind {kind!r}")
-
-    contrib = integrand * width * wc[:, None]
-    per_scale_vals = contrib.sum(axis=0)
-    tail_i = wc * tail_coeff / (p * s * T ** (p * s))
-    tail = float(tail_i.sum())
-    total = math.fsum(per_scale_vals.tolist() + [tail])
-
+    m_all = ball_masses(measure, centers, np.concatenate([sample, 2.0 * sample]))
+    th_r = m_all[:, :len(sample)] / sample[None, :] ** s
     clipped = {
         "r_below": float(max(floor, grid.r_min)),
         "note": ("scales below r_below omitted: unresolved below kappa*min_spacing"
                  if floor > grid.r_min else "no low-r clipping"),
     }
-    echo = {
-        "kind": kind, "s": s, "p": p, "grid": grid.summary(), "kappa": kappa,
-        "n_atoms": measure.n_atoms, "eval_count": int(len(wc)),
-        "total_mass": measure.total_mass, "sample_rule": "geometric cell midpoint",
-    }
-    per_point = None
-    if include_per_point:
-        per_point = contrib.sum(axis=1) + tail_i
-    return EnergyReport(kind=kind, s=s, p=p, grid=grid.summary(), total=total,
-                        tail=tail,
-                        per_scale=list(zip(sample.tolist(), per_scale_vals.tolist())),
-                        clipped_low_r=clipped, params_echo=echo,
-                        per_point=per_point)
+    reports = []
+    for kind in kinds:
+        if kind == "square_function":
+            th_2r = m_all[:, len(sample):] / (2.0 * sample[None, :]) ** s
+            integrand = np.abs(th_r - th_2r) ** p
+            tail_coeff = (measure.total_mass * (1.0 - 2.0 ** (-s))) ** p
+        elif kind == "wolff":
+            integrand = np.abs(th_r) ** p
+            tail_coeff = measure.total_mass ** p
+        else:
+            raise ValueError(f"unknown energy kind {kind!r}")
+
+        contrib = integrand * width * wc[:, None]
+        per_scale_vals = contrib.sum(axis=0)
+        tail_i = wc * tail_coeff / (p * s * T ** (p * s))
+        tail = float(tail_i.sum())
+        total = math.fsum(per_scale_vals.tolist() + [tail])
+        echo = {
+            "kind": kind, "s": s, "p": p, "grid": grid.summary(), "kappa": kappa,
+            "n_atoms": measure.n_atoms, "eval_count": int(len(wc)),
+            "total_mass": measure.total_mass, "sample_rule": "geometric cell midpoint",
+        }
+        per_point = contrib.sum(axis=1) + tail_i if include_per_point else None
+        reports.append(EnergyReport(
+            kind=kind, s=s, p=p, grid=grid.summary(), total=total, tail=tail,
+            per_scale=list(zip(sample.tolist(), per_scale_vals.tolist())),
+            clipped_low_r=dict(clipped), params_echo=echo, per_point=per_point))
+    return reports
 
 
 def square_function_energy(measure: WeightedPointMeasure, s: float, grid: ScaleGrid,
@@ -214,16 +225,27 @@ def square_function_energy(measure: WeightedPointMeasure, s: float, grid: ScaleG
     the per-atom support-covering radius, beyond which the integrand is the
     exact power law integrated in closed form (the tail).
     """
-    return _energy(measure, s, grid, p, "square_function", eval_indices, kappa,
-                   include_per_point)
+    return _energies(measure, s, grid, p, ("square_function",), eval_indices, kappa,
+                     include_per_point)[0]
 
 
 def wolff_energy(measure: WeightedPointMeasure, s: float, grid: ScaleGrid,
                  p: float = 2.0, eval_indices=None, kappa: float = DEFAULT_KAPPA,
                  include_per_point: bool = False) -> EnergyReport:
     """Integral of theta(x,r)^p d(mu) dr/r plus analytic tail."""
-    return _energy(measure, s, grid, p, "wolff", eval_indices, kappa,
-                   include_per_point)
+    return _energies(measure, s, grid, p, ("wolff",), eval_indices, kappa,
+                     include_per_point)[0]
+
+
+def square_function_and_wolff_energy(
+        measure: WeightedPointMeasure, s: float, grid: ScaleGrid, p: float = 2.0,
+        eval_indices=None, kappa: float = DEFAULT_KAPPA,
+        include_per_point: bool = False) -> tuple[EnergyReport, EnergyReport]:
+    """(square_function_energy, wolff_energy) from one ball-mass pass; each
+    report is bit-identical to the one the single function returns."""
+    sf, wolff = _energies(measure, s, grid, p, ("square_function", "wolff"),
+                          eval_indices, kappa, include_per_point)
+    return sf, wolff
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +372,11 @@ def verify_convolution_identity(measure: WeightedPointMeasure, phi: RadialProfil
 
         smoothed difference at scale R  ==  -int_0^inf t^s phi'(t) D(x, tR) dt,
 
-    where D is the sharp density difference. The integral runs over a log grid
-    of `quad_points` base nodes covering where phi' is non-negligible, refined
-    at the integrand's jump radii (atom distances), with Gauss-Legendre panels.
+    where D is the sharp density difference, as |lhs - rhs| divided by
+    max(|lhs|, |rhs|, IDENTITY_RESIDUAL_FLOOR * total_mass / R^s). The
+    integral runs over a log grid of `quad_points` base nodes covering where
+    phi' is non-negligible, refined at the integrand's jump radii (atom
+    distances), with Gauss-Legendre panels.
     """
     if quad_points < 16:
         raise ValueError("quad_points must be >= 16")
@@ -385,9 +409,8 @@ def verify_convolution_identity(measure: WeightedPointMeasure, phi: RadialProfil
     rhs = -float(((g.reshape(tt.shape) * _GL_WEIGHTS[None, :]).sum(axis=1)
                   * half).sum())
     lhs = smoothed_density_difference(measure, phi, x, R, s)
-    denom = max(abs(lhs), abs(rhs))
-    if denom == 0.0:
-        return 0.0
+    denom = max(abs(lhs), abs(rhs),
+                IDENTITY_RESIDUAL_FLOOR * measure.total_mass / R ** s)
     return abs(lhs - rhs) / denom
 
 
@@ -494,8 +517,9 @@ def local_energy_ratio(measure: WeightedPointMeasure, ball_center, r0: float,
     radii = grid.radii
     sample = radii * math.sqrt(q)
     widths = np.log(np.minimum(radii * q, hi_r) / radii)
-    m_r = ball_masses(measure, measure.points[idx], sample)
-    m_2r = ball_masses(measure, measure.points[idx], 2.0 * sample)
+    m_all = ball_masses(measure, measure.points[idx],
+                        np.concatenate([sample, 2.0 * sample]))
+    m_r, m_2r = m_all[:, :len(sample)], m_all[:, len(sample):]
     dl = m_r / sample[None, :] ** s - m_2r / (2.0 * sample[None, :]) ** s
     lhs = float((dl ** 2 * widths[None, :] * measure.weights[idx][:, None]).sum())
     rhs = (m0 / r0 ** s) ** 2 * m0

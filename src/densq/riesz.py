@@ -2,8 +2,9 @@
 
 The kernel K(v) = v / |v|^(1+s) is odd; the doubly truncated transform sums it
 over the annulus eps1 < |y - x| <= eps2. Energies over many truncation pairs
-share per-atom prefix sums of the kernel in distance order, so the full pair
-grid costs one O(N^2) pass.
+share per-atom sums of the kernel over the closed balls at every grid radius,
+taken shell by shell in one radial pass, so the full pair grid costs one
+O(N^2) pass.
 """
 from __future__ import annotations
 
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import WeightedPointMeasure
-from .multiscale import DEFAULT_KAPPA, ScaleGrid, as_atom_indices
+from .measures import WeightedPointMeasure, _shell_sums
+from .multiscale import DEFAULT_KAPPA, ScaleGrid, _check_s, as_atom_indices
 
 
 @dataclass(frozen=True)
@@ -79,31 +80,22 @@ def truncated_riesz(measure: WeightedPointMeasure, x, pair: TruncationPair,
 
 
 def _pair_energy_matrix(measure, s, radii, eval_indices):
-    """E[a, b] = sum_i w_i |R_(r_a, r_b)(x_i)|^2 for all a < b, via prefix sums
-    of the kernel in (stable) ascending-distance order."""
+    """E[a, b] = sum_i w_i |R_(r_a, r_b)(x_i)|^2 for all a < b, from the
+    kernel sums over the closed balls B(x_i, r_a)."""
     radii = np.asarray(radii, dtype=float)
     pts, w = measure.points, measure.weights
     eval_indices = as_atom_indices(eval_indices, measure.n_atoms)
     m = len(radii)
-    dim = measure.dim
-    r2 = radii * radii
-    S = np.zeros((len(eval_indices), m, dim))
-    chunk = max(1, min(len(eval_indices), 2 ** 21 // max(measure.n_atoms, 1)))
-    for a in range(0, len(eval_indices), chunk):
-        idx = eval_indices[a:a + chunk]
-        diff = pts[None, :, :] - pts[idx, None, :]
-        d2 = (diff ** 2).sum(-1)
-        order = np.argsort(d2, axis=1, kind="stable")
-        d2s = np.take_along_axis(d2, order, axis=1)
-        norm = d2 ** ((1.0 + s) / 2.0)
+    expo = (1.0 + s) / 2.0
+
+    def kernel(diff, d2):
+        norm = d2 ** expo
         norm[d2 == 0.0] = np.inf     # self term (and exact duplicates) excluded
-        k = diff / norm[..., None] * w[None, :, None]
-        ks = np.take_along_axis(k, order[..., None], axis=1)
-        cs = np.cumsum(ks, axis=1)
-        for i in range(len(idx)):
-            pos = np.searchsorted(d2s[i], r2, side="right")
-            valid = pos > 0
-            S[a + i][valid] = cs[i, pos[valid] - 1, :]
+        return [dk / norm * w for dk in diff]
+
+    # S[i, a] = sum of w K(x - x_i) over the closed ball B(x_i, r_a)
+    S = np.moveaxis(_shell_sums(pts, pts[eval_indices], radii, kernel, measure.dim),
+                    0, -1)
     we = w[eval_indices]
     E = np.zeros((m, m))
     for ai in range(m):
@@ -115,6 +107,7 @@ def _pair_energy_matrix(measure, s, radii, eval_indices):
 def riesz_energy(measure: WeightedPointMeasure, pair: TruncationPair, s: float,
                  eval_indices=None) -> float:
     """Sum_i w_i |R_(eps1,eps2)(x_i)|^2 over the evaluation atoms."""
+    _check_s(s)
     E = _pair_energy_matrix(measure, s, [pair.eps1, pair.eps2], eval_indices)
     return float(E[0, 1])
 
@@ -128,6 +121,7 @@ def sup_riesz_energy(measure: WeightedPointMeasure, s: float,
     The grid is coarsened to at most `max_radii` radii. The reported maximum is
     a lower bound for the continuum supremum (flagged in the report).
     """
+    _check_s(s)
     radii = scale_grid.radii
     floor = kappa * measure.min_spacing
     if enforce_floor and scale_grid.r_min < floor * (1.0 - 1e-12):

@@ -14,7 +14,10 @@ from densq import (
     build_gamma_curve,
 )
 
+from densq.betas import _beta2_profile
+
 from conftest import random_measure
+from test_measures import tie_radii
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +235,20 @@ def test_beta_invariance(rng):
     b1 = beta_p(m, x, r, 1.0)[0]
     b1d = beta_p(md, x * lam, r * lam, 1.0)[0]
     assert b1d == pytest.approx(b1 * lam ** -1.0, rel=1e-6)
+
+
+def test_beta2_profile_matches_beta2_at_tie_radii(rng):
+    # radii equal to atom distances (and 1 ulp either side) decide membership
+    # exactly as the closed-ball query behind beta2 does
+    pts = rng.integers(0, 6, size=(80, 2)).astype(float) * 0.25
+    m = WeightedPointMeasure(pts, rng.integers(1, 5, size=80).astype(float))
+    centers = m.points[:6]
+    radii = tie_radii(m.points, centers)
+    prof = _beta2_profile(m, centers, radii)
+    for i, c in enumerate(centers):
+        for j, r in enumerate(radii):
+            val, _ = beta2(m, c, r)
+            assert prof[i, j] == pytest.approx(val ** 2, rel=1e-9, abs=1e-15)
 
 
 def test_beta_energy_flat_negligible():

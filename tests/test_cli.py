@@ -96,6 +96,16 @@ def test_energy_integer_s_warns_but_computes(dirac_csv, tmp_path, capsys):
     assert out.exists()
 
 
+def test_energy_nonpositive_s_usage_error(dirac_csv, tmp_path, capsys):
+    for kind in ("sf", "wolff", "riesz-sup"):
+        out = tmp_path / f"{kind}.json"
+        rc = run_cli("energy", str(dirac_csv), "--kind", kind, "--s", "0",
+                     "--r-min", "1.0", "--r-max", "10.0", "--out", str(out))
+        assert rc == 2
+        assert "s must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_energy_riesz_sup_two_atoms(tmp_path, capsys):
     csv_path = tmp_path / "two.csv"
     WeightedPointMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]),

@@ -88,6 +88,15 @@ def test_identity_suite_quick(tmp_path):
     assert svg.startswith("<svg") and "residual" in svg
 
 
+def test_identity_suite_seed_with_edge_atom_passes():
+    # at seed 92 the only atom in one bump-profile query's reach sits at the
+    # edge of its support: both sides are ~1e-180 and only the absolute floor
+    # of the residual's denominator keeps rounding noise from failing the band
+    res = run_identity_suite({"seed": 92})
+    assert res.passed
+    assert res.totals["max_residual"][0] < 1e-12
+
+
 def test_identity_suite_band_failure():
     res = run_identity_suite({**QUICK_IDENTITY, "tol": 1e-30})
     assert not res.passed

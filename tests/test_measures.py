@@ -18,7 +18,7 @@ from densq import (
     build_polyline,
     mass_in_ball,
 )
-from densq.measures import _min_enclosing_ball
+from densq.measures import _merge_duplicates, _min_enclosing_ball
 
 from conftest import brute_ball_atoms, brute_mass, random_measure
 
@@ -154,6 +154,22 @@ def test_dirac_and_duplicate_merge():
     assert mixed.weights[0] == 4.0
 
 
+def test_duplicate_merge_first_occurrence_and_index_order_sums(rng):
+    pts = rng.integers(0, 4, size=(300, 2)).astype(float)
+    w = rng.uniform(0.5, 1.5, size=300) / 3.0
+    groups: dict = {}
+    for p, wi in zip(map(tuple, pts), w):
+        groups[p] = groups.get(p, 0.0) + wi     # insertion order, index order
+    got_pts, got_w, merged = _merge_duplicates(pts, w)
+    assert merged
+    np.testing.assert_array_equal(got_pts, np.array(list(groups)))
+    np.testing.assert_array_equal(got_w, np.array(list(groups.values())))
+    distinct = np.array(list(groups))
+    same_pts, same_w, merged = _merge_duplicates(distinct, w[:len(distinct)])
+    assert not merged
+    assert same_pts is distinct and same_w.shape == (len(distinct),)
+
+
 def test_polyline_mass_conservation():
     verts = [[0, 0], [1, 0], [1, 2], [3, 2]]
     m = build_polyline(verts, 0.03)
@@ -251,6 +267,32 @@ def test_ball_masses_engines_agree(rng):
                                               rel=1e-12)
 
 
+def tie_radii(points, centers):
+    """Radii r with r*r equal to a squared center-atom distance (so atoms sit
+    exactly on the sphere), and their neighbours 1 ulp either side."""
+    d2 = np.unique(((centers[:, None, :] - points[None, :, :]) ** 2).sum(-1))
+    r = np.sqrt(d2)
+    r = r[(r * r == d2) & (r > 0)]
+    assert r.size >= 5
+    return np.concatenate([r, np.nextafter(r, 0.0), np.nextafter(r, np.inf)])
+
+
+def test_generic_ball_masses_exact_at_tie_radii(rng):
+    # integer weights make every sum exact, so the shell sums must equal the
+    # brute-force scan bit for bit, at radii equal to atom distances and one
+    # ulp either side of them
+    for dim in (1, 2, 3):
+        pts = rng.integers(0, 7, size=(200, dim)).astype(float) * 0.25
+        m = WeightedPointMeasure(pts, rng.integers(1, 10, size=200).astype(float))
+        centers = np.concatenate([m.points[:25], rng.uniform(0, 2, size=(5, dim))])
+        radii = tie_radii(m.points, centers)
+        got = ball_masses(m, centers, radii)
+        d2 = ((centers[:, None, :] - m.points[None, :, :]) ** 2).sum(-1)
+        expect = np.array([[m.weights[d2[i] <= r * r].sum() for r in radii]
+                           for i in range(len(centers))])
+        np.testing.assert_array_equal(got, expect)
+
+
 def test_farthest_distances(rng):
     g = build_gamma_curve(math.pi / 8, 2.0, 1 / 16)
     d2 = ((g.points[:, None, :] - g.points[None, :, :]) ** 2).sum(-1)
@@ -260,6 +302,18 @@ def test_farthest_distances(rng):
     d2 = ((m.points[:, None, :] - m.points[None, :, :]) ** 2).sum(-1)
     np.testing.assert_allclose(m.farthest_distances(),
                                np.sqrt(d2.max(axis=1)), rtol=1e-12)
+    # generic sets scan hull vertices only, or every atom when there is no
+    # full-dimensional hull: a flat line rebuilt without its segment layout
+    # (collinear) and a 1-d set; all equal brute force exactly
+    line = build_flat(2, 1, 1.0, 1 / 64)
+    generic = WeightedPointMeasure(line.points, line.weights)
+    assert generic.segments is None
+    one_d = WeightedPointMeasure(np.linspace(-1.0, 2.0, 97)[:, None] ** 3,
+                                 np.ones(97))
+    for m in (generic, one_d, m, build_cantor(3, 1.2, 3), build_cantor(2, 0.7, 4)):
+        d2 = ((m.points[:, None, :] - m.points[None, :, :]) ** 2).sum(-1)
+        np.testing.assert_array_equal(m.farthest_distances(),
+                                      np.sqrt(d2.max(axis=1)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from densq import (
     find_thin_boundary_radius,
     local_energy_ratio,
     smoothed_density_difference,
+    square_function_and_wolff_energy,
     square_function_energy,
     verify_convolution_identity,
     wolff_energy,
@@ -284,6 +285,36 @@ def test_energy_rejects_bad_p(rng):
     m = random_measure(rng, n=10)
     with pytest.raises(ValueError):
         square_function_energy(m, 0.5, ScaleGrid(0.1, 1.0, 1.2), p=0.5)
+
+
+def test_energy_rejects_nonpositive_s():
+    # s = 0 used to give total = nan and s < 0 a negative tail
+    m = build_cantor(2, 0.5, 3)
+    grid = ScaleGrid.default_for(m)
+    for fn in (square_function_energy, wolff_energy, square_function_and_wolff_energy):
+        for s in (0.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="s must be positive"):
+                fn(m, s, grid)
+
+
+def test_pair_reports_equal_single_functionals(rng):
+    # generic engine with non-dyadic weights, a windowed segment curve, and
+    # per-point breakdowns: each half of the pair is the single function's
+    # report bit for bit
+    g = build_gamma_curve(math.pi / 6, 3.0, 1 / 64)
+    cases = [(random_measure(rng, n=120), 0.7, ScaleGrid(0.02, 4.0, 1.1), None),
+             (g, 1.0, ScaleGrid(0.1, 1.0, 1.1),
+              np.flatnonzero(np.abs(g.points[:, 0]) <= 1.5))]
+    for m, s, grid, ev in cases:
+        sf, wf = square_function_and_wolff_energy(m, s, grid, eval_indices=ev,
+                                                  include_per_point=True)
+        sf1 = square_function_energy(m, s, grid, eval_indices=ev,
+                                     include_per_point=True)
+        wf1 = wolff_energy(m, s, grid, eval_indices=ev, include_per_point=True)
+        for pair_rep, single in ((sf, sf1), (wf, wf1)):
+            assert pair_rep.to_json_dict() == single.to_json_dict()
+            assert pair_rep.total == single.total
+            np.testing.assert_array_equal(pair_rep.per_point, single.per_point)
 
 
 # ---------------------------------------------------------------------------

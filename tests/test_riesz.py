@@ -18,6 +18,7 @@ from densq import (
 )
 
 from conftest import random_measure
+from test_measures import tie_radii
 
 
 def test_kernel_examples():
@@ -97,6 +98,35 @@ def test_riesz_energy_matches_direct_sum(rng):
         v = truncated_riesz(m, m.points[i], pair, s)
         direct += m.weights[i] * float((v ** 2).sum())
     assert riesz_energy(m, pair, s) == pytest.approx(direct, rel=1e-10)
+
+
+def test_riesz_energy_matches_direct_sum_at_tie_radii(rng):
+    # truncation radii equal to atom distances: the annulus is half-open,
+    # eps1 < |x_i - x| <= eps2, so atoms at eps2 count and atoms at eps1 do not
+    pts = rng.integers(0, 6, size=(60, 2)).astype(float) * 0.25
+    m = WeightedPointMeasure(pts, rng.uniform(0.5, 1.5, size=60))
+    d = tie_radii(m.points, m.points)
+    d = d[:len(d) // 3]
+    for eps1, eps2 in [(d[0], d[3]), (d[1], d[4]), (np.nextafter(d[2], 0.0), d[4])]:
+        pair = TruncationPair(float(eps1), float(eps2))
+        direct = 0.0
+        for i in range(m.n_atoms):
+            diff = m.points - m.points[i]
+            n2 = (diff ** 2).sum(1)
+            sel = (n2 > eps1 * eps1) & (n2 <= eps2 * eps2)
+            v = (m.weights[sel, None] * diff[sel]
+                 / n2[sel, None] ** ((1.0 + 0.7) / 2.0)).sum(0)
+            direct += m.weights[i] * float((v ** 2).sum())
+        assert riesz_energy(m, pair, 0.7) == pytest.approx(direct, rel=1e-12)
+
+
+def test_riesz_rejects_nonpositive_s(rng):
+    m = random_measure(rng, n=10)
+    for s in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="s must be positive"):
+            riesz_energy(m, TruncationPair(0.1, 1.0), s)
+        with pytest.raises(ValueError, match="s must be positive"):
+            sup_riesz_energy(m, s, ScaleGrid(0.1, 1.0, 1.2), enforce_floor=False)
 
 
 def test_riesz_energy_flat_interior_vanishes():

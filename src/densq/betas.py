@@ -14,8 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .measures import WeightedPointMeasure, _min_enclosing_ball, _shell_sums
+from .measures import (WeightedPointMeasure, _hull_vertices, _min_enclosing_ball,
+                       _shell_sums)
 from .multiscale import DEFAULT_KAPPA, EnergyReport, ScaleGrid, as_atom_indices
+
+# beta_energy extends its grid upward until one octave adds less than this
+# share of the running total, or this many octaves have been added
+BETA_EXTEND_TOL = 1e-4
+BETA_MAX_EXTRA_OCTAVES = 120
 
 
 @dataclass
@@ -30,6 +36,8 @@ class LineFit:
 
 
 def _ball_atoms(measure, x, r):
+    if r <= 0:
+        raise ValueError("r must be positive")
     idx = measure.ball_index().ball_atoms(x, r)
     if idx.size == 0:
         raise ValueError("empty ball: no atoms within r")
@@ -51,8 +59,6 @@ def _scatter(measure, idx, x):
 def beta2(measure: WeightedPointMeasure, x, r: float) -> tuple[float, LineFit]:
     """Exact beta_2 from weighted second moments: the minimizing line passes
     through the weighted centroid along the leading principal axis."""
-    if r <= 0:
-        raise ValueError("r must be positive")
     x = np.asarray(x, dtype=float)
     idx = _ball_atoms(measure, x, r)
     m0, centroid, S = _scatter(measure, idx, x)
@@ -172,61 +178,35 @@ def beta_p(measure: WeightedPointMeasure, x, r: float,
     return val, fit
 
 
-def _hull_2d(pts: np.ndarray) -> np.ndarray:
-    """Monotone-chain convex hull, counterclockwise, no repeated endpoint."""
-    uniq = np.unique(pts, axis=0)
-    if uniq.shape[0] <= 2:
-        return uniq
-    order = np.lexsort((uniq[:, 1], uniq[:, 0]))
-    P = uniq[order]
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[np.ndarray] = []
-    for q in P:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], q) <= 0:
-            lower.pop()
-        lower.append(q)
-    upper: list[np.ndarray] = []
-    for q in P[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], q) <= 0:
-            upper.pop()
-        upper.append(q)
-    return np.array(lower[:-1] + upper[:-1])
-
-
 def _min_width_strip_2d(pts: np.ndarray):
     """(width, direction, centerline point): thinnest strip containing pts.
 
-    The optimal strip is flush with a hull edge, so it suffices to scan edges.
+    The optimal strip is flush with a hull edge, so it suffices to score the
+    edges. A set without a 2-d hull (collinear, or fewer than three distinct
+    points) has width 0 along the line through its two extreme points.
     """
-    hull = _hull_2d(pts)
-    if hull.shape[0] <= 2:
-        if hull.shape[0] == 2:
-            d = hull[1] - hull[0]
-            n = np.linalg.norm(d)
-            direction = d / n if n > 0 else np.array([1.0, 0.0])
-        else:
-            direction = np.array([1.0, 0.0])
-        return 0.0, direction, hull[0].copy()
-    best = (math.inf, None, None)
-    m = hull.shape[0]
-    for i in range(m):
-        a, b = hull[i], hull[(i + 1) % m]
-        e = b - a
-        ln = np.linalg.norm(e)
-        if ln == 0:
-            continue
-        e = e / ln
-        n_vec = np.array([-e[1], e[0]])
-        h = (hull - a) @ n_vec
-        wmax, wmin = float(h.max()), float(h.min())
-        width = wmax - wmin
-        if width < best[0]:
-            center = a + n_vec * (0.5 * (wmax + wmin))
-            best = (width, e.copy(), center)
-    return best
+    hull = _hull_vertices(pts)
+    if hull is None:
+        a = pts[np.argmax(((pts - pts[0]) ** 2).sum(axis=1))]
+        d = pts[np.argmax(((pts - a) ** 2).sum(axis=1))] - a
+        n = np.linalg.norm(d)
+        return 0.0, (d / n if n > 0 else np.array([1.0, 0.0])), a
+    # dot products as matmuls, which round as np.linalg.norm and `@` do on
+    # one edge at a time
+    e = np.roll(hull, -1, axis=0) - hull
+    e /= np.sqrt((e[:, None, :] @ e[:, :, None]).ravel())[:, None]
+    normal = np.stack([-e[:, 1], e[:, 0]], axis=1)
+    m = len(hull)
+    hmax, hmin = np.empty(m), np.empty(m)
+    step = max(1, 2 ** 20 // m)     # bounds the (edges, vertices) temporaries
+    for a in range(0, m, step):
+        # h[i, k]: offset of vertex k from edge a + i along that edge's normal
+        h = ((hull[None, :, :] - hull[a:a + step, None, :])
+             @ normal[a:a + step, :, None])[..., 0]
+        hmax[a:a + step], hmin[a:a + step] = h.max(axis=1), h.min(axis=1)
+    i = int(np.argmin(hmax - hmin))
+    return (float(hmax[i] - hmin[i]), e[i],
+            hull[i] + normal[i] * (0.5 * (hmax[i] + hmin[i])))
 
 
 def beta_inf(measure: WeightedPointMeasure, x, r: float) -> tuple[float, LineFit]:
@@ -236,8 +216,6 @@ def beta_inf(measure: WeightedPointMeasure, x, r: float) -> tuple[float, LineFit
     from a principal-axis direction scan (minimum enclosing ball of the
     orthogonal projections gives the best sup-offset per direction).
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
     x = np.asarray(x, dtype=float)
     idx = _ball_atoms(measure, x, r)
     pts = measure.points[idx]
@@ -292,19 +270,19 @@ def _beta2_profile(measure, centers, radii):
 
 
 def beta_energy(measure: WeightedPointMeasure, grid: ScaleGrid, p: float = 2.0,
-                eval_indices=None, kappa: float = DEFAULT_KAPPA,
-                extend_tol: float = 1e-4, max_extra_octaves: int = 120) -> EnergyReport:
+                eval_indices=None, kappa: float = DEFAULT_KAPPA) -> EnergyReport:
     """Sum_i w_i beta_p(x_i, r_j)^2 over resolved scales, dr/r log-midpoint rule.
 
     No closed-form tail exists (beta decays like 1/r once balls swallow the
     support but with a geometry-dependent constant), so the grid is extended
-    upward octave by octave until an octave contributes less than `extend_tol`
-    of the running total.
+    upward octave by octave until an octave contributes less than
+    `BETA_EXTEND_TOL` of the running total (at most `BETA_MAX_EXTRA_OCTAVES`
+    octaves).
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     radii = grid.radii
-    sample = radii * math.sqrt(grid.q)
+    sample = grid.samples
     floor = kappa * measure.min_spacing
     widths = np.clip(np.log(radii * grid.q / np.maximum(radii, floor)), 0.0, None)
     eval_indices = as_atom_indices(eval_indices, measure.n_atoms)
@@ -329,7 +307,7 @@ def beta_energy(measure: WeightedPointMeasure, grid: ScaleGrid, p: float = 2.0,
     steps_per_octave = max(1, int(math.ceil(math.log(2.0) / lnq)))
     r_next = radii[-1] * grid.q
     extended = 0
-    while extended < max_extra_octaves:
+    while extended < BETA_MAX_EXTRA_OCTAVES:
         rs = r_next * grid.q ** np.arange(steps_per_octave)
         svals = rs * math.sqrt(grid.q)
         b2e = beta_sq_matrix(svals)
@@ -339,15 +317,10 @@ def beta_energy(measure: WeightedPointMeasure, grid: ScaleGrid, p: float = 2.0,
         per_scale.extend(zip(svals.tolist(), vals.tolist()))
         r_next = rs[-1] * grid.q
         extended += 1
-        if running > 0 and add < extend_tol * running:
+        if running > 0 and add < BETA_EXTEND_TOL * running:
             break
 
     total = math.fsum(v for _, v in per_scale)
-    clipped = {
-        "r_below": float(max(floor, grid.r_min)),
-        "note": ("scales below r_below omitted: unresolved below kappa*min_spacing"
-                 if floor > grid.r_min else "no low-r clipping"),
-    }
     echo = {"kind": "beta", "s": None, "p": p, "grid": grid.summary(),
             "kappa": kappa, "n_atoms": measure.n_atoms,
             "eval_count": int(len(wc)), "extended_octaves": extended,
@@ -355,4 +328,4 @@ def beta_energy(measure: WeightedPointMeasure, grid: ScaleGrid, p: float = 2.0,
             "sample_rule": "geometric cell midpoint"}
     return EnergyReport(kind="beta", s=None, p=p, grid=grid.summary(),
                         total=total, tail=0.0, per_scale=per_scale,
-                        clipped_low_r=clipped, params_echo=echo)
+                        clipped_low_r=grid.low_r_clip(floor), params_echo=echo)

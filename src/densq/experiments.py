@@ -64,11 +64,15 @@ class SweepResult:
     totals: dict
     fits: dict
     checks: list
-    passed: bool
     raw_columns: list
     raw_rows: list
     notes: list = field(default_factory=list)
     plot: dict | None = None
+
+    @property
+    def passed(self) -> bool:
+        """No check failed; informational checks (passed None) never fail."""
+        return all(c["passed"] is not False for c in self.checks)
 
     def to_json_dict(self) -> dict:
         return {
@@ -265,7 +269,6 @@ def run_comparability(config: dict | None = None, threads: int = 1) -> SweepResu
         checks.append(_check(f"depth_drift_s={r['s']:g}",
                              r["drift"] <= float(cfg["drift_band"]), r["drift"],
                              f"<= {cfg['drift_band']}"))
-    passed = all(c["passed"] is not False for c in checks)
     return SweepResult(
         name="comparability",
         config=cfg,
@@ -275,7 +278,6 @@ def run_comparability(config: dict | None = None, threads: int = 1) -> SweepResu
                 "ratio": ratios},
         fits={},
         checks=checks,
-        passed=passed,
         raw_columns=["s", "sf_total", "wolff_total", "ratio",
                      "ratio_common_shallow", "ratio_common_deep", "drift"],
         raw_rows=[[r["s"], r["sf"], r["wolff"], r["ratio"], r["ratio_shallow"],
@@ -371,7 +373,6 @@ def run_integer_degeneracy(config: dict | None = None, threads: int = 1) -> Swee
     collapse = all(fixed_sf[i] > fixed_sf[i + 1] for i in range(len(fixed_sf) - 1))
     checks.append(_check("sf_fixed_range_decreases_with_h", collapse, fixed_sf,
                          "decreasing in resolution"))
-    passed = all(c["passed"] is not False for c in checks)
     return SweepResult(
         name="integer-degeneracy",
         config=cfg,
@@ -380,7 +381,6 @@ def run_integer_degeneracy(config: dict | None = None, threads: int = 1) -> Swee
         totals={"sf_fixed_range": fixed_sf},
         fits={},
         checks=checks,
-        passed=passed,
         raw_columns=["n_points", "h", "widen", "r_lo", "r_hi", "sf_discrete",
                      "wolff_discrete", "sf_wolff_ratio", "wolff_over_model"],
         raw_rows=[[r["n"], r["h"], r["widen"], r["r_lo"], r["r_hi"], r["sf"],
@@ -517,7 +517,6 @@ def run_tent_counterexample(config: dict | None = None, threads: int = 1) -> Swe
         checks.append(_check(f"l_stability_{key}", worst < band,
                              {"max_rel_change": worst, "worst_case": detail},
                              f"< {band}"))
-    passed = all(c["passed"] is not False for c in checks)
 
     return SweepResult(
         name="tent-counterexample",
@@ -530,7 +529,6 @@ def run_tent_counterexample(config: dict | None = None, threads: int = 1) -> Swe
                 "beta2": [r["beta"] for r in base]},
         fits=fits,
         checks=checks,
-        passed=passed,
         raw_columns=["alpha", "sin_alpha", "half_extent", "sf", "sf_mu",
                      "sup_riesz", "beta2", "riesz_eps1", "riesz_eps2"],
         raw_rows=[[r["alpha"], math.sin(r["alpha"]), r["L"], r["sf"], r["sf_mu"],
@@ -608,7 +606,6 @@ def run_small_s_comparability(config: dict | None = None,
         ok_d = None if near_integer else drift <= float(cfg["drift_band"])
         checks.append(_check(f"drift_{a}_over_{b}", ok_d, drift,
                              f"<= {cfg['drift_band']}"))
-    passed = all(c["passed"] is not False for c in checks)
     return SweepResult(
         name="small-s",
         config=cfg,
@@ -618,7 +615,6 @@ def run_small_s_comparability(config: dict | None = None,
                 "sup_riesz": [shallow["riesz"], deep["riesz"]]},
         fits={},
         checks=checks,
-        passed=passed,
         raw_columns=["depth", "sf_total", "wolff_total", "sup_riesz"],
         raw_rows=[[r["depth"], r["sf"], r["wolff"], r["riesz"]]
                   for r in (shallow, deep)],
@@ -700,7 +696,6 @@ def run_identity_suite(config: dict | None = None, threads: int = 1) -> SweepRes
     max_resid = max(row[-1] for row in all_rows)
     checks = [_check("max_relative_residual", max_resid < float(cfg["tol"]),
                      max_resid, f"< {cfg['tol']}")]
-    passed = all(c["passed"] is not False for c in checks)
     return SweepResult(
         name="identity",
         config=cfg,
@@ -710,7 +705,6 @@ def run_identity_suite(config: dict | None = None, threads: int = 1) -> SweepRes
         totals={"max_residual": [max_resid]},
         fits={},
         checks=checks,
-        passed=passed,
         raw_columns=["measure", "query", "profile", "s", "R", "residual"],
         raw_rows=all_rows,
         plot={"series": [{"label": name,

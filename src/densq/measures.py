@@ -125,6 +125,8 @@ class WeightedPointMeasure:
                 self._farthest = _segment_farthest(self.segments, self.points)
             else:
                 cand = _hull_vertices(self.points)
+                if cand is None:
+                    cand = self.points
                 n = self.n_atoms
                 out = np.empty(n)
                 step = max(1, min(n, 2 ** 22 // len(cand)))
@@ -149,6 +151,13 @@ class WeightedPointMeasure:
 
     @classmethod
     def load_csv(cls, path: str | Path) -> "WeightedPointMeasure":
+        """Read a measure written by `save_csv`.
+
+        The file holds atoms only, so a generated curve comes back without its
+        segment layout: its ball masses run on the radial-shell engine instead
+        of interval counting, which counts the same atoms but sums the weights
+        in another order, so energy totals can differ in the last bits.
+        """
         path = Path(path)
         with path.open(newline="") as fh:
             rd = csv.reader(fh)
@@ -186,62 +195,59 @@ def _merge_duplicates(points, weights):
 
 
 def _hull_vertices(points):
-    """Convex-hull vertices of a full-dimensional 2-d or 3-d set; every point
-    when the hull is degenerate (flat, collinear), for 1-d sets, and above 3-d,
-    where the hull's facet count can grow like N^(d/2)."""
-    if points.shape[1] in (2, 3):
-        try:
-            return points[ConvexHull(points).vertices]
-        except (QhullError, ValueError):
-            pass
-    return points
+    """Convex-hull vertices of a full-dimensional 2-d or 3-d set, counterclockwise
+    in 2-d; None when the hull is degenerate (flat, collinear, too few points),
+    for 1-d sets, and above 3-d, where the hull's facet count can grow like
+    N^(d/2)."""
+    if points.shape[1] not in (2, 3):
+        return None
+    try:
+        return points[ConvexHull(points).vertices]
+    except (QhullError, ValueError):
+        return None
 
 
 class BallIndex:
     """KD-tree accelerated, exactness-preserving closed-ball queries.
 
     The tree only prunes; membership is always decided by the same
-    squared-distance comparison a brute-force scan would use.
+    squared-distance comparison a brute-force scan would use. The index holds
+    the measure's arrays, not the measure, so the two form no reference cycle.
     """
 
     def __init__(self, measure: WeightedPointMeasure):
-        self.measure = measure
+        self.points = measure.points
+        self.weights = measure.weights
         self.tree = cKDTree(measure.points)
 
-    def _check_center(self, center) -> np.ndarray:
+    def _candidates(self, center, r_outer: float):
+        """(ascending indices, squared distances) of the atoms the tree finds
+        within a slightly padded r_outer of center."""
         center = np.asarray(center, dtype=float).reshape(-1)
-        if center.shape[0] != self.measure.dim:
-            raise ValueError(f"center has dim {center.shape[0]}, measure dim {self.measure.dim}")
-        return center
+        if center.shape[0] != self.points.shape[1]:
+            raise ValueError(f"center has dim {center.shape[0]}, "
+                             f"measure dim {self.points.shape[1]}")
+        cand = np.array(self.tree.query_ball_point(center, r_outer * (1.0 + 1e-9)),
+                        dtype=np.intp)
+        cand.sort()
+        return cand, ((self.points[cand] - center) ** 2).sum(axis=1)
 
     def ball_atoms(self, center, r: float) -> np.ndarray:
         """Indices of atoms with |x_i - center| <= r (closed ball)."""
-        center = self._check_center(center)
         if r < 0:
             raise ValueError("radius must be nonnegative")
-        cand = np.array(self.tree.query_ball_point(center, r * (1.0 + 1e-9)),
-                        dtype=np.intp)
-        if cand.size == 0:
-            return cand
-        cand.sort()
-        d2 = ((self.measure.points[cand] - center) ** 2).sum(axis=1)
+        cand, d2 = self._candidates(center, r)
         return cand[d2 <= r * r]
 
     def mass_in_ball(self, center, r: float) -> float:
         idx = self.ball_atoms(center, r)
-        return float(self.measure.weights[idx].sum())
+        return float(self.weights[idx].sum())
 
     def annulus_atoms(self, center, r_inner: float, r_outer: float) -> np.ndarray:
         """Atoms with r_inner < |x_i - center| <= r_outer."""
-        center = self._check_center(center)
         if r_inner < 0 or r_outer < r_inner:
             raise ValueError("need 0 <= r_inner <= r_outer")
-        cand = np.array(self.tree.query_ball_point(center, r_outer * (1.0 + 1e-9)),
-                        dtype=np.intp)
-        if cand.size == 0:
-            return cand
-        cand.sort()
-        d2 = ((self.measure.points[cand] - center) ** 2).sum(axis=1)
+        cand, d2 = self._candidates(center, r_outer)
         return cand[(d2 > r_inner * r_inner) & (d2 <= r_outer * r_outer)]
 
 
@@ -311,12 +317,18 @@ def _shell_sums(points, centers, radii, values, n_values):
     return out
 
 
+def _segment_foot(sg, centers):
+    """(t0, p2) per center: the arc offset of its foot on the segment's line,
+    and its squared distance from that line."""
+    rel = centers - sg.origin[None, :]
+    t0 = rel @ sg.direction
+    return t0, np.clip((rel ** 2).sum(axis=1) - t0 ** 2, 0.0, None)
+
+
 def _segment_ball_masses(segments, centers, radii):
     out = np.zeros((centers.shape[0], len(radii)))
     for sg in segments:
-        rel = centers - sg.origin[None, :]
-        t0 = rel @ sg.direction
-        p2 = np.clip((rel ** 2).sum(axis=1) - t0 ** 2, 0.0, None)
+        t0, p2 = _segment_foot(sg, centers)
         for j, r in enumerate(radii):
             u2 = r * r - p2
             hit = u2 >= 0.0
@@ -334,9 +346,7 @@ def _segment_farthest(segments, centers):
     first or last one."""
     best = np.zeros(centers.shape[0])
     for sg in segments:
-        rel = centers - sg.origin[None, :]
-        t0 = rel @ sg.direction
-        p2 = np.clip((rel ** 2).sum(axis=1) - t0 ** 2, 0.0, None)
+        t0, p2 = _segment_foot(sg, centers)
         for t_end in (sg.arcs[0], sg.arcs[-1]):
             d2 = (t_end - t0) ** 2 + p2
             np.maximum(best, d2, out=best)

@@ -23,6 +23,9 @@ DEFAULT_KAPPA = 4.0
 # relative residual would otherwise compare rounding noise with itself
 IDENTITY_RESIDUAL_FLOOR = 1e-12
 
+# equispaced candidate radii in [r, 2r] tried by find_thin_boundary_radius
+THIN_BOUNDARY_CANDIDATES = 64
+
 
 def as_atom_indices(eval_indices, n_atoms: int) -> np.ndarray:
     """Normalize an atom-subset argument: None -> all, bool mask -> indices."""
@@ -61,8 +64,22 @@ class ScaleGrid:
         return self.r_min * self.q ** np.arange(j + 1)
 
     @property
+    def samples(self) -> np.ndarray:
+        """Geometric midpoint r_j * sqrt(q) of each cell [r_j, r_j q)."""
+        return self.radii * math.sqrt(self.q)
+
+    @property
     def log_step(self) -> float:
         return math.log(self.q)
+
+    def low_r_clip(self, floor: float) -> dict:
+        """A report's `clipped_low_r` record for the resolution floor
+        kappa * min_spacing: scales below max(floor, r_min) are omitted."""
+        return {
+            "r_below": float(max(floor, self.r_min)),
+            "note": ("scales below r_below omitted: unresolved below kappa*min_spacing"
+                     if floor > self.r_min else "no low-r clipping"),
+        }
 
     def summary(self) -> dict:
         return {"r_min": self.r_min, "r_max": self.r_max, "q": self.q}
@@ -162,7 +179,7 @@ def _energies(measure, s, grid, p, kinds, eval_indices, kappa, include_per_point
     if measure.n_atoms < 1:
         raise ValueError("measure is empty")
     radii = grid.radii
-    sample = radii * math.sqrt(grid.q)
+    sample = grid.samples
     floor = kappa * measure.min_spacing
     eval_indices = as_atom_indices(eval_indices, measure.n_atoms)
     centers = measure.points[eval_indices]
@@ -179,11 +196,6 @@ def _energies(measure, s, grid, p, kinds, eval_indices, kappa, include_per_point
 
     m_all = ball_masses(measure, centers, np.concatenate([sample, 2.0 * sample]))
     th_r = m_all[:, :len(sample)] / sample[None, :] ** s
-    clipped = {
-        "r_below": float(max(floor, grid.r_min)),
-        "note": ("scales below r_below omitted: unresolved below kappa*min_spacing"
-                 if floor > grid.r_min else "no low-r clipping"),
-    }
     reports = []
     for kind in kinds:
         if kind == "square_function":
@@ -210,7 +222,7 @@ def _energies(measure, s, grid, p, kinds, eval_indices, kappa, include_per_point
         reports.append(EnergyReport(
             kind=kind, s=s, p=p, grid=grid.summary(), total=total, tail=tail,
             per_scale=list(zip(sample.tolist(), per_scale_vals.tolist())),
-            clipped_low_r=dict(clipped), params_echo=echo, per_point=per_point))
+            clipped_low_r=grid.low_r_clip(floor), params_echo=echo, per_point=per_point))
     return reports
 
 
@@ -382,11 +394,7 @@ def verify_convolution_identity(measure: WeightedPointMeasure, phi: RadialProfil
         raise ValueError("quad_points must be >= 16")
     if R <= 0:
         raise ValueError("R must be positive")
-    x = np.asarray(x, dtype=float)
-    d2 = ((measure.points - x) ** 2).sum(axis=1)
-    order = np.argsort(d2, kind="stable")
-    d2s = d2[order]
-    cumw = np.cumsum(measure.weights[order])
+    d2s, cumw = _sorted_masses(measure.points, measure.weights, x)
     d = np.sqrt(d2s)
 
     lo, hi = phi.deriv_range()
@@ -402,8 +410,8 @@ def verify_convolution_identity(measure: WeightedPointMeasure, phi: RadialProfil
     tt = mid[:, None] + half[:, None] * _GL_NODES[None, :]   # (panels, 8)
     flat = tt.reshape(-1)
     u1, u2 = flat * R, 2.0 * flat * R
-    m1 = _cummass(d2s, cumw, u1)
-    m2 = _cummass(d2s, cumw, u2)
+    m1 = _mass_within(d2s, cumw, u1)
+    m2 = _mass_within(d2s, cumw, u2)
     delta = m1 / u1 ** s - m2 / u2 ** s
     g = flat ** s * phi.derivative(flat) * delta
     rhs = -float(((g.reshape(tt.shape) * _GL_WEIGHTS[None, :]).sum(axis=1)
@@ -414,9 +422,18 @@ def verify_convolution_identity(measure: WeightedPointMeasure, phi: RadialProfil
     return abs(lhs - rhs) / denom
 
 
-def _cummass(sorted_d2, cumw, radii):
-    pos = np.searchsorted(sorted_d2, np.asarray(radii) ** 2, side="right")
-    return np.where(pos > 0, cumw[np.maximum(pos, 1) - 1], 0.0)
+def _sorted_masses(points, weights, x):
+    """(d2s, cumw): squared distances from x in ascending order, and
+    cumw[k] = weight of the k nearest atoms (cumw[0] = 0)."""
+    d2 = ((points - np.asarray(x, dtype=float)) ** 2).sum(axis=1)
+    order = np.argsort(d2, kind="stable")
+    return d2[order], np.concatenate([[0.0], np.cumsum(weights[order])])
+
+
+def _mass_within(d2s, cumw, r, side="right"):
+    """Weight of the atoms with d2 <= r^2 (side="right", the closed ball) or
+    d2 < r^2 (side="left", the open ball), from `_sorted_masses`."""
+    return cumw[np.searchsorted(d2s, r * r, side=side)]
 
 
 # ---------------------------------------------------------------------------
@@ -436,13 +453,13 @@ class ThinBoundaryNotFound(RuntimeError):
 
 def find_thin_boundary_radius(measure: WeightedPointMeasure, x, r: float,
                               t_thin: float | None = None,
-                              lambda_grid: Sequence[float] | None = None,
-                              n_candidates: int = 64) -> float:
+                              lambda_grid: Sequence[float] | None = None) -> float:
     """First radius r' in [r, 2r] whose boundary sphere is mass-thin:
 
         mass{y in B(x,2r'): |dist(y,x) - r'| <= lam*r'}  <=  t_thin * lam * mass(B(x,2r'))
 
-    for every lam in the grid. Candidates are equispaced in [r, 2r].
+    for every lam in the grid. THIN_BOUNDARY_CANDIDATES candidates are equispaced
+    in [r, 2r].
     """
     if r <= 0:
         raise ValueError("r must be positive")
@@ -457,26 +474,17 @@ def find_thin_boundary_radius(measure: WeightedPointMeasure, x, r: float,
     idx = measure.ball_index().ball_atoms(x, 4.0 * r)
     if measure.weights[idx].sum() <= 0 or idx.size == 0:
         raise ValueError("mass(x, 4r) must be positive")
-    d2 = ((measure.points[idx] - x) ** 2).sum(axis=1)
-    order = np.argsort(d2, kind="stable")
-    d2s = d2[order]
-    cumw = np.cumsum(measure.weights[idx][order])
+    d2s, cumw = _sorted_masses(measure.points[idx], measure.weights[idx], x)
 
-    def cmass_right(rad):
-        pos = np.searchsorted(d2s, rad * rad, side="right")
-        return cumw[pos - 1] if pos > 0 else 0.0
-
-    def cmass_left(rad):
-        pos = np.searchsorted(d2s, rad * rad, side="left")
-        return cumw[pos - 1] if pos > 0 else 0.0
-
-    candidates = r + (r / (n_candidates - 1)) * np.arange(n_candidates)
+    n = THIN_BOUNDARY_CANDIDATES
+    candidates = r + (r / (n - 1)) * np.arange(n)
     best = (math.inf, candidates[0], lams[0])
     for rp in candidates:
-        m2 = cmass_right(2.0 * rp)
+        m2 = _mass_within(d2s, cumw, 2.0 * rp)
         ok = True
         for lam in lams:
-            band = cmass_right((1.0 + lam) * rp) - cmass_left((1.0 - lam) * rp)
+            band = (_mass_within(d2s, cumw, (1.0 + lam) * rp)
+                    - _mass_within(d2s, cumw, (1.0 - lam) * rp, side="left"))
             bound = t_thin * lam * m2
             if band > bound:
                 ok = False
@@ -515,7 +523,7 @@ def local_energy_ratio(measure: WeightedPointMeasure, ball_center, r0: float,
     lo_r, hi_r = delta_param * r0, r0 / delta_param
     grid = ScaleGrid(lo_r, hi_r, q)
     radii = grid.radii
-    sample = radii * math.sqrt(q)
+    sample = grid.samples
     widths = np.log(np.minimum(radii * q, hi_r) / radii)
     m_all = ball_masses(measure, measure.points[idx],
                         np.concatenate([sample, 2.0 * sample]))

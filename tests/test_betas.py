@@ -16,7 +16,7 @@ from densq import (
 
 from densq.betas import _beta2_profile
 
-from conftest import random_measure
+from conftest import brute_ball_atoms, random_measure
 from test_measures import tie_radii
 
 
@@ -174,6 +174,42 @@ def test_beta_inf_random_vs_scan(rng):
             continue
         assert beta_inf(m, x, r)[0] == pytest.approx(scan_beta_inf(m, x, r),
                                                      rel=1e-9, abs=1e-12)
+
+
+def test_beta_inf_strip_holds_every_ball_atom(rng):
+    # hull-edge strips and the degenerate sets without a 2-d hull: the line
+    # through fit.point along fit.direction is within val * r of every atom
+    a = 0.5 * math.tan(math.pi / 8)
+    tent = build_gamma_curve(math.pi / 8, 2.0, 1 / 64)
+    flank = tent.points[(tent.points[:, 0] > 0.05) & (tent.points[:, 0] < 0.45)]
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    cases = [(WeightedPointMeasure(square, np.ones(4)), [0.5, 0.5], 1.0, 0.5),
+             (build_flat(2, 1, 1.0, 1 / 16), [0.1, 0.0], 0.6, 0.0),
+             (WeightedPointMeasure([[0.0, 0.0], [0.3, 0.4]], np.ones(2)),
+              [0.0, 0.0], 1.0, 0.0),
+             (WeightedPointMeasure([[0.2, -0.1]], np.ones(1)), [0.0, 0.0], 1.0, 0.0),
+             (tent, [0.25, a / 2], 0.15, None),
+             (WeightedPointMeasure(flank, np.ones(len(flank))), flank[7], 0.5, None)]
+    for _ in range(20):
+        m = random_measure(rng, n=rng.integers(3, 40))
+        cases.append((m, m.points[0], rng.uniform(0.3, 2.0), None))
+    for m, x, r, expected in cases:
+        val, fit = beta_inf(m, x, r)
+        if expected is not None:
+            assert val == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert fit.method == "hull_width"
+        assert abs(np.linalg.norm(fit.direction) - 1.0) <= 1e-12
+        rel = m.points[brute_ball_atoms(m, x, r)] - fit.point
+        off = rel - np.outer(rel @ fit.direction, fit.direction)
+        assert np.sqrt((off ** 2).sum(axis=1)).max() <= val * r + 1e-12
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0])
+@pytest.mark.parametrize("r", [0.0, -1.0])
+def test_beta_p_rejects_nonpositive_radius(p, r):
+    m = build_flat(2, 1, 1.0, 0.25)
+    with pytest.raises(ValueError, match="r must be positive"):
+        beta_p(m, [0.0, 0.0], r, p)
 
 
 def test_beta2_apex_scales_linearly_in_alpha():

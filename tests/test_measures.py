@@ -1,6 +1,8 @@
+import gc
 import itertools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -374,6 +376,40 @@ def test_csv_round_trip(tmp_path, rng):
     back = WeightedPointMeasure.load_csv(path)
     np.testing.assert_array_equal(back.points, m.points)
     np.testing.assert_array_equal(back.weights, m.weights)
+
+
+def test_csv_reload_drops_segments_but_keeps_ball_atoms(tmp_path):
+    # a CSV holds atoms only: the curve read back runs the generic engine,
+    # which counts the same atoms as the segment engine at untied radii
+    tent = build_gamma_curve(0.4, 2.0, 1 / 128)
+    path = tmp_path / "tent.csv"
+    tent.save_csv(path)
+    back = WeightedPointMeasure.load_csv(path)
+    assert tent.segments is not None and back.segments is None
+    centers = back.points[::23]
+    radii = np.geomspace(0.0123, 1.7, 9)
+    d2 = ((centers[:, None, :] - back.points[None, :, :]) ** 2).sum(-1)
+    assert np.abs(d2[:, :, None] - radii ** 2).min() > 1e-9   # no ties
+    mem, csv_ = ball_masses(tent, centers, radii), ball_masses(back, centers, radii)
+    ref = np.array([[brute_mass(back, c, r) for r in radii] for c in centers])
+    half = 0.5 * back.weights.min()
+    assert np.abs(mem - ref).max() < half and np.abs(csv_ - ref).max() < half
+
+
+def test_measure_with_index_freed_without_cycle_collector():
+    # the ball index holds the measure's arrays, not the measure: reading
+    # min_spacing (which builds the index) leaves no reference cycle
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        curve = build_gamma_curve(math.pi / 8, 2.0, 1 / 64)
+        assert curve.min_spacing > 0
+        ref = weakref.ref(curve)
+        del curve
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_csv_rejects_bad_header(tmp_path):

@@ -25,6 +25,7 @@ from .multiscale import (
     density_difference,
     find_thin_boundary_radius,
     local_energy_ratio,
+    resolved_floor,
     smoothed_density_difference,
     square_function_and_wolff_energy,
     square_function_energy,

@@ -16,7 +16,8 @@ from scipy.optimize import minimize_scalar
 
 from .measures import (WeightedPointMeasure, _hull_vertices, _min_enclosing_ball,
                        _shell_sums)
-from .multiscale import DEFAULT_KAPPA, EnergyReport, ScaleGrid, as_atom_indices
+from .multiscale import (DEFAULT_KAPPA, EnergyReport, ScaleGrid, as_atom_indices,
+                         resolved_floor)
 
 # beta_energy extends its grid upward until one octave adds less than this
 # share of the running total, or this many octaves have been added
@@ -87,11 +88,6 @@ def _offset_objective(proj, w, p):
     return float(res.fun)
 
 
-def _scan_directions_2d(n: int) -> np.ndarray:
-    th = np.linspace(0.0, math.pi, n, endpoint=False)
-    return np.stack([np.cos(th), np.sin(th)], axis=1)
-
-
 def beta_p(measure: WeightedPointMeasure, x, r: float,
            p: float = 2.0) -> tuple[float, LineFit]:
     """beta_p via a direction/offset scan seeded at the principal axis.
@@ -141,7 +137,8 @@ def beta_p(measure: WeightedPointMeasure, x, r: float,
                       ** (p / 2.0)).sum())
 
     if d == 2:
-        cands = list(_scan_directions_2d(128))
+        th = np.linspace(0.0, math.pi, 128, endpoint=False)
+        cands = list(np.stack([np.cos(th), np.sin(th)], axis=1))
     else:
         rng = np.random.default_rng(12345)
         cands = [vec[:, -1]]
@@ -281,10 +278,9 @@ def beta_energy(measure: WeightedPointMeasure, grid: ScaleGrid, p: float = 2.0,
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    radii = grid.radii
     sample = grid.samples
-    floor = kappa * measure.min_spacing
-    widths = np.clip(np.log(radii * grid.q / np.maximum(radii, floor)), 0.0, None)
+    floor = resolved_floor(measure, kappa)
+    widths = grid.cell_widths(floor)
     eval_indices = as_atom_indices(eval_indices, measure.n_atoms)
     wc = measure.weights[eval_indices]
 
@@ -305,7 +301,7 @@ def beta_energy(measure: WeightedPointMeasure, grid: ScaleGrid, p: float = 2.0,
     # upward octave extension
     lnq = grid.log_step
     steps_per_octave = max(1, int(math.ceil(math.log(2.0) / lnq)))
-    r_next = radii[-1] * grid.q
+    r_next = grid.radii[-1] * grid.q
     extended = 0
     while extended < BETA_MAX_EXTRA_OCTAVES:
         rs = r_next * grid.q ** np.arange(steps_per_octave)
@@ -320,12 +316,5 @@ def beta_energy(measure: WeightedPointMeasure, grid: ScaleGrid, p: float = 2.0,
         if running > 0 and add < BETA_EXTEND_TOL * running:
             break
 
-    total = math.fsum(v for _, v in per_scale)
-    echo = {"kind": "beta", "s": None, "p": p, "grid": grid.summary(),
-            "kappa": kappa, "n_atoms": measure.n_atoms,
-            "eval_count": int(len(wc)), "extended_octaves": extended,
-            "total_mass": measure.total_mass,
-            "sample_rule": "geometric cell midpoint"}
-    return EnergyReport(kind="beta", s=None, p=p, grid=grid.summary(),
-                        total=total, tail=0.0, per_scale=per_scale,
-                        clipped_low_r=grid.low_r_clip(floor), params_echo=echo)
+    return EnergyReport.assemble("beta", None, p, grid, measure, kappa, floor,
+                                 int(len(wc)), per_scale, extended_octaves=extended)

@@ -164,18 +164,16 @@ def write_scatter_svg(path, series, xlabel: str, ylabel: str, title: str = "",
     xt = _ticks_log(10 ** x0, 10 ** x1) if logx else np.linspace(x0, x1, 5)
     yt = _ticks_log(10 ** y0, 10 ** y1) if logy else np.linspace(y0, y1, 5)
     for t in xt:
-        xp = px(t) if logx else ml + (t - x0) / (x1 - x0) * (W - ml - mr)
         label = f"1e{int(round(math.log10(t)))}" if logx else f"{t:.3g}"
-        out.append(f'<line x1="{xp:.1f}" y1="{H-mb}" x2="{xp:.1f}" y2="{H-mb+5}" '
+        out.append(f'<line x1="{px(t):.1f}" y1="{H-mb}" x2="{px(t):.1f}" y2="{H-mb+5}" '
                    f'stroke="black"/>')
-        out.append(f'<text x="{xp:.1f}" y="{H-mb+18}" text-anchor="middle">'
+        out.append(f'<text x="{px(t):.1f}" y="{H-mb+18}" text-anchor="middle">'
                    f'{label}</text>')
     for t in yt:
-        yp = py(t) if logy else H - mb - (t - y0) / (y1 - y0) * (H - mt - mb)
         label = f"1e{int(round(math.log10(t)))}" if logy else f"{t:.3g}"
-        out.append(f'<line x1="{ml-5}" y1="{yp:.1f}" x2="{ml}" y2="{yp:.1f}" '
+        out.append(f'<line x1="{ml-5}" y1="{py(t):.1f}" x2="{ml}" y2="{py(t):.1f}" '
                    f'stroke="black"/>')
-        out.append(f'<text x="{ml-8}" y="{yp+4:.1f}" text-anchor="end">{label}</text>')
+        out.append(f'<text x="{ml-8}" y="{py(t)+4:.1f}" text-anchor="end">{label}</text>')
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         xs = np.asarray(s["xs"], float)
@@ -248,7 +246,7 @@ def run_comparability(config: dict | None = None, threads: int = 1) -> SweepResu
                                                       kappa=float(cfg["kappa"]))
         # drift check on a window resolved at both depths: discrete sums only,
         # so tails (identical functionals of the total mass) do not mask it
-        common = msc.ScaleGrid(float(cfg["kappa"]) * shallow.min_spacing,
+        common = msc.ScaleGrid(msc.resolved_floor(shallow, float(cfg["kappa"])),
                                8.0 * deep.support_radius, float(cfg["q"]))
         ratios = []
         for m in (shallow, deep):

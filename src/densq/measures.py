@@ -21,6 +21,9 @@ DEFAULT_POINT_BUDGET = 2_000_000
 # together: bounds the temporaries of one shell pass
 _CHUNK_CELLS = 2 ** 21
 
+# relative and absolute slack of the smallest enclosing ball's containment test
+_ENCLOSING_TOL = 1e-12
+
 MEASURE_KINDS = ("cantor", "flat", "dirac", "polyline", "gamma_curve", "mu_alpha")
 
 
@@ -266,14 +269,10 @@ def ball_masses(measure: WeightedPointMeasure, centers: np.ndarray,
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     radii = np.asarray(radii, dtype=float)
-    if np.any(radii < 0):
-        raise ValueError("radii must be nonnegative")
+    if not np.all(radii >= 0):
+        raise ValueError("radii must be nonnegative (and not nan)")
     if measure.segments is not None:
         return _segment_ball_masses(measure.segments, centers, radii)
-    return _generic_ball_masses(measure, centers, radii)
-
-
-def _generic_ball_masses(measure, centers, radii):
     w = measure.weights
     return _shell_sums(measure.points, centers, radii, lambda diff, d2: [w], 1)[0]
 
@@ -330,14 +329,12 @@ def _segment_ball_masses(segments, centers, radii):
     for sg in segments:
         t0, p2 = _segment_foot(sg, centers)
         for j, r in enumerate(radii):
+            # u2 < 0: the ball misses the line (u = 0 only keeps the root real)
             u2 = r * r - p2
-            hit = u2 >= 0.0
-            if not hit.any():
-                continue
-            u = np.sqrt(u2[hit])
-            lo = np.searchsorted(sg.arcs, t0[hit] - u, side="left")
-            hi = np.searchsorted(sg.arcs, t0[hit] + u, side="right")
-            out[hit, j] += sg.weight * (hi - lo)
+            u = np.sqrt(np.maximum(u2, 0.0))
+            lo = np.searchsorted(sg.arcs, t0 - u, side="left")
+            hi = np.searchsorted(sg.arcs, t0 + u, side="right")
+            out[:, j] += np.where(u2 >= 0.0, sg.weight * (hi - lo), 0.0)
     return out
 
 
@@ -368,7 +365,7 @@ def _circumsphere(support):
     return center, r
 
 
-def _min_enclosing_ball(points, tol: float = 1e-12):
+def _min_enclosing_ball(points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = pts.shape
     if n == 1:
@@ -386,7 +383,7 @@ def _min_enclosing_ball(points, tol: float = 1e-12):
         i = 0
         while i < upto:
             d2 = ((pts[i:upto] - c) ** 2).sum(axis=1)
-            viol = np.flatnonzero(d2 > (r * (1.0 + tol)) ** 2 + tol)
+            viol = np.flatnonzero(d2 > (r * (1.0 + _ENCLOSING_TOL)) ** 2 + _ENCLOSING_TOL)
             if viol.size == 0:
                 return c, r
             j = i + int(viol[0])

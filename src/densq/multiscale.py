@@ -26,9 +26,15 @@ IDENTITY_RESIDUAL_FLOOR = 1e-12
 # equispaced candidate radii in [r, 2r] tried by find_thin_boundary_radius
 THIN_BOUNDARY_CANDIDATES = 64
 
+# where a profile without a flat zero core starts to matter for quadrature, and
+# the largest finite-difference error check_derivative accepts
+PROFILE_DERIV_LO = 1e-6
+PROFILE_DERIV_TOL = 1e-6
+
 
 def as_atom_indices(eval_indices, n_atoms: int) -> np.ndarray:
-    """Normalize an atom-subset argument: None -> all, bool mask -> indices."""
+    """Normalize an atom-subset argument: None -> all, bool mask -> indices.
+    Every index must lie in [0, n_atoms)."""
     if eval_indices is None:
         return np.arange(n_atoms)
     arr = np.asarray(eval_indices)
@@ -36,7 +42,17 @@ def as_atom_indices(eval_indices, n_atoms: int) -> np.ndarray:
         if arr.shape != (n_atoms,):
             raise ValueError("boolean eval mask must have one entry per atom")
         return np.flatnonzero(arr)
-    return arr.astype(np.intp)
+    arr = arr.astype(np.intp)
+    if not np.all((arr >= 0) & (arr < n_atoms)):
+        raise ValueError(f"atom indices must lie in [0, {n_atoms})")
+    return arr
+
+
+def resolved_floor(measure: WeightedPointMeasure, kappa: float) -> float:
+    """kappa * min_spacing: the smallest scale the atoms resolve."""
+    if not 0.0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and >= 0; got {kappa}")
+    return kappa * measure.min_spacing
 
 
 @dataclass(frozen=True)
@@ -72,6 +88,14 @@ class ScaleGrid:
     def log_step(self) -> float:
         return math.log(self.q)
 
+    def cell_widths(self, floor: float, top=math.inf) -> np.ndarray:
+        """Log width of each cell [r_j, r_j q) clipped to [floor, top):
+        log(min(top, r_j q) / max(r_j, floor)), or 0 for an empty cell. A
+        column of per-row tops gives one row of widths per top."""
+        lo = np.maximum(self.radii, floor)
+        hi = np.minimum(top, self.radii * self.q)
+        return np.where(hi > lo, np.log(hi / lo), 0.0)
+
     def low_r_clip(self, floor: float) -> dict:
         """A report's `clipped_low_r` record for the resolution floor
         kappa * min_spacing: scales below max(floor, r_min) are omitted."""
@@ -88,7 +112,7 @@ class ScaleGrid:
     def default_for(cls, measure: WeightedPointMeasure, q: float = 1.1,
                     kappa: float = DEFAULT_KAPPA) -> "ScaleGrid":
         """r_min = kappa * min_spacing, r_max = 8 * support_radius."""
-        r_min = kappa * measure.min_spacing
+        r_min = resolved_floor(measure, kappa)
         r_max = 8.0 * measure.support_radius
         if r_min <= 0 or r_max <= r_min:
             raise ValueError(
@@ -111,6 +135,21 @@ class EnergyReport:
     clipped_low_r: dict
     params_echo: dict
     per_point: np.ndarray | None = None
+
+    @classmethod
+    def assemble(cls, kind, s, p, grid, measure, kappa, floor, eval_count,
+                 per_scale, tail=0.0, per_point=None, **echo) -> "EnergyReport":
+        """The report of per-scale values and a tail: the total is their
+        exactly rounded sum, and `echo` adds entries to `params_echo`."""
+        params_echo = {"kind": kind, "s": s, "p": p, "grid": grid.summary(),
+                       "kappa": kappa, "n_atoms": measure.n_atoms,
+                       "eval_count": eval_count, **echo,
+                       "total_mass": measure.total_mass,
+                       "sample_rule": "geometric cell midpoint"}
+        return cls(kind=kind, s=s, p=p, grid=grid.summary(),
+                   total=math.fsum([v for _, v in per_scale] + [tail]), tail=tail,
+                   per_scale=per_scale, clipped_low_r=grid.low_r_clip(floor),
+                   params_echo=params_echo, per_point=per_point)
 
     @property
     def discrete_total(self) -> float:
@@ -158,12 +197,6 @@ def density_difference(measure: WeightedPointMeasure, x, r: float, s: float) -> 
 # ---------------------------------------------------------------------------
 # energies
 
-def _tail_start(farthest: np.ndarray, r_min: float) -> np.ndarray:
-    # analytic tail begins where the ball is guaranteed to hold the support,
-    # but never before the grid starts
-    return np.maximum(farthest, r_min)
-
-
 def _check_s(s: float) -> None:
     if not s > 0:
         raise ValueError(f"s must be positive; got {s}")
@@ -176,23 +209,16 @@ def _energies(measure, s, grid, p, kinds, eval_indices, kappa, include_per_point
     _check_s(s)
     if p < 1:
         raise ValueError("p must be >= 1")
-    if measure.n_atoms < 1:
-        raise ValueError("measure is empty")
-    radii = grid.radii
     sample = grid.samples
-    floor = kappa * measure.min_spacing
+    floor = resolved_floor(measure, kappa)
     eval_indices = as_atom_indices(eval_indices, measure.n_atoms)
     centers = measure.points[eval_indices]
     wc = measure.weights[eval_indices]
-    far = measure.farthest_distances()[eval_indices]
 
-    T = _tail_start(far, grid.r_min)
-    # exact per-cell log widths: cell [r_j, r_j q) clipped to [floor, T_i)
-    lo = np.maximum(radii[None, :], floor)
-    hi = np.minimum(T[:, None], radii[None, :] * grid.q)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        width = np.log(hi / lo)
-    width = np.where(hi > lo, width, 0.0)
+    # analytic tail begins where the ball is guaranteed to hold the support,
+    # but never before the grid starts
+    T = np.maximum(measure.farthest_distances()[eval_indices], grid.r_min)
+    width = grid.cell_widths(floor, T[:, None])
 
     m_all = ball_masses(measure, centers, np.concatenate([sample, 2.0 * sample]))
     th_r = m_all[:, :len(sample)] / sample[None, :] ** s
@@ -209,20 +235,12 @@ def _energies(measure, s, grid, p, kinds, eval_indices, kappa, include_per_point
             raise ValueError(f"unknown energy kind {kind!r}")
 
         contrib = integrand * width * wc[:, None]
-        per_scale_vals = contrib.sum(axis=0)
         tail_i = wc * tail_coeff / (p * s * T ** (p * s))
-        tail = float(tail_i.sum())
-        total = math.fsum(per_scale_vals.tolist() + [tail])
-        echo = {
-            "kind": kind, "s": s, "p": p, "grid": grid.summary(), "kappa": kappa,
-            "n_atoms": measure.n_atoms, "eval_count": int(len(wc)),
-            "total_mass": measure.total_mass, "sample_rule": "geometric cell midpoint",
-        }
-        per_point = contrib.sum(axis=1) + tail_i if include_per_point else None
-        reports.append(EnergyReport(
-            kind=kind, s=s, p=p, grid=grid.summary(), total=total, tail=tail,
-            per_scale=list(zip(sample.tolist(), per_scale_vals.tolist())),
-            clipped_low_r=grid.low_r_clip(floor), params_echo=echo, per_point=per_point))
+        reports.append(EnergyReport.assemble(
+            kind, s, p, grid, measure, kappa, floor, int(len(wc)),
+            list(zip(sample.tolist(), contrib.sum(axis=0).tolist())),
+            tail=float(tail_i.sum()),
+            per_point=contrib.sum(axis=1) + tail_i if include_per_point else None))
     return reports
 
 
@@ -255,9 +273,8 @@ def square_function_and_wolff_energy(
         include_per_point: bool = False) -> tuple[EnergyReport, EnergyReport]:
     """(square_function_energy, wolff_energy) from one ball-mass pass; each
     report is bit-identical to the one the single function returns."""
-    sf, wolff = _energies(measure, s, grid, p, ("square_function", "wolff"),
-                          eval_indices, kappa, include_per_point)
-    return sf, wolff
+    return tuple(_energies(measure, s, grid, p, ("square_function", "wolff"),
+                           eval_indices, kappa, include_per_point))
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +285,8 @@ class RadialProfile:
     """Smooth radial profile phi with an explicit derivative evaluator.
 
     `support` bounds where phi is non-negligible; `flat_zero_radius` is a
-    radius below which phi' vanishes identically (0.0 if none); `deriv_lo` is
-    where the derivative starts to matter for quadrature.
+    radius below which phi' vanishes identically (0.0 if none, and then
+    quadrature starts at PROFILE_DERIV_LO).
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -277,19 +294,19 @@ class RadialProfile:
     support: float
     name: str
     flat_zero_radius: float = 0.0
-    deriv_lo: float = 1e-6
 
     def deriv_range(self) -> tuple[float, float]:
-        lo = self.flat_zero_radius if self.flat_zero_radius > 0 else self.deriv_lo
+        lo = self.flat_zero_radius if self.flat_zero_radius > 0 else PROFILE_DERIV_LO
         return lo, self.support
 
-    def check_derivative(self, grid: np.ndarray, tol: float = 1e-6) -> float:
-        """Max |central difference - derivative| over the grid; must be <= tol."""
+    def check_derivative(self, grid: np.ndarray) -> float:
+        """Max |central difference - derivative| over the grid; must be
+        <= PROFILE_DERIV_TOL."""
         grid = np.asarray(grid, dtype=float)
         h = 1e-6
         fd = (self.value(grid + h) - self.value(grid - h)) / (2 * h)
         err = float(np.abs(fd - self.derivative(grid)).max())
-        if err > tol:
+        if err > PROFILE_DERIV_TOL:
             raise ValueError(f"profile {self.name}: derivative inconsistent ({err:.2e})")
         return err
 
@@ -410,8 +427,8 @@ def verify_convolution_identity(measure: WeightedPointMeasure, phi: RadialProfil
     tt = mid[:, None] + half[:, None] * _GL_NODES[None, :]   # (panels, 8)
     flat = tt.reshape(-1)
     u1, u2 = flat * R, 2.0 * flat * R
-    m1 = _mass_within(d2s, cumw, u1)
-    m2 = _mass_within(d2s, cumw, u2)
+    m1 = _mass_within(d2s, cumw, u1 * u1)
+    m2 = _mass_within(d2s, cumw, u2 * u2)
     delta = m1 / u1 ** s - m2 / u2 ** s
     g = flat ** s * phi.derivative(flat) * delta
     rhs = -float(((g.reshape(tt.shape) * _GL_WEIGHTS[None, :]).sum(axis=1)
@@ -430,10 +447,9 @@ def _sorted_masses(points, weights, x):
     return d2[order], np.concatenate([[0.0], np.cumsum(weights[order])])
 
 
-def _mass_within(d2s, cumw, r, side="right"):
-    """Weight of the atoms with d2 <= r^2 (side="right", the closed ball) or
-    d2 < r^2 (side="left", the open ball), from `_sorted_masses`."""
-    return cumw[np.searchsorted(d2s, r * r, side=side)]
+def _mass_within(d2s, cumw, r2):
+    """Weight of the atoms with d2 <= r2, from `_sorted_masses`."""
+    return cumw[np.searchsorted(d2s, r2, side="right")]
 
 
 # ---------------------------------------------------------------------------
@@ -476,26 +492,28 @@ def find_thin_boundary_radius(measure: WeightedPointMeasure, x, r: float,
         raise ValueError("mass(x, 4r) must be positive")
     d2s, cumw = _sorted_masses(measure.points[idx], measure.weights[idx], x)
 
-    n = THIN_BOUNDARY_CANDIDATES
+    n, k = THIN_BOUNDARY_CANDIDATES, len(lams)
     candidates = r + (r / (n - 1)) * np.arange(n)
-    best = (math.inf, candidates[0], lams[0])
-    for rp in candidates:
-        m2 = _mass_within(d2s, cumw, 2.0 * rp)
-        ok = True
-        for lam in lams:
-            band = (_mass_within(d2s, cumw, (1.0 + lam) * rp)
-                    - _mass_within(d2s, cumw, (1.0 - lam) * rp, side="left"))
-            bound = t_thin * lam * m2
-            if band > bound:
-                ok = False
-                ratio = band / bound if bound > 0 else math.inf
-                if ratio < best[0]:
-                    best = (ratio, rp, lam)
-                break
-        if ok:
-            return float(rp)
-    raise ThinBoundaryNotFound(best_radius=float(best[1]), worst_ratio=float(best[0]),
-                               worst_lambda=float(best[2]))
+    rp = candidates[:, None]
+    # per candidate, the closed balls of radii 2r' and (1 + lam) r' and the open
+    # balls of radii (1 - lam) r' (d2 < R^2 is d2 <= the float below R^2)
+    outer = np.concatenate([2.0 * rp, (1.0 + lams) * rp], axis=1)
+    inner = (1.0 - lams) * rp
+    mass = _mass_within(d2s, cumw, np.concatenate(
+        [outer * outer, np.nextafter(inner * inner, -np.inf)], axis=1))
+    band = mass[:, 1:k + 1] - mass[:, k + 1:]
+    bound = t_thin * lams * mass[:, :1]
+    fails = band > bound
+    passing = np.flatnonzero(~fails.any(axis=1))
+    if passing.size:
+        return float(candidates[passing[0]])
+    first = fails.argmax(axis=1)     # each candidate's largest violating lam
+    band, bound = band[np.arange(n), first], bound[np.arange(n), first]
+    ratio = np.divide(band, bound, out=np.full(n, math.inf), where=bound > 0)
+    i = int(np.argmin(ratio))        # the mildest first violation
+    raise ThinBoundaryNotFound(best_radius=float(candidates[i]),
+                               worst_ratio=float(ratio[i]),
+                               worst_lambda=float(lams[first[i]]))
 
 
 # ---------------------------------------------------------------------------
@@ -519,12 +537,11 @@ def local_energy_ratio(measure: WeightedPointMeasure, ball_center, r0: float,
     m0 = index.mass_in_ball(center, r0)
     if m0 <= 0:
         raise ValueError("degenerate ball: mass(B0) = 0")
-    idx = index.ball_atoms(center, r0 / delta_param)
-    lo_r, hi_r = delta_param * r0, r0 / delta_param
-    grid = ScaleGrid(lo_r, hi_r, q)
-    radii = grid.radii
+    hi_r = r0 / delta_param
+    idx = index.ball_atoms(center, hi_r)
+    grid = ScaleGrid(delta_param * r0, hi_r, q)
     sample = grid.samples
-    widths = np.log(np.minimum(radii * q, hi_r) / radii)
+    widths = grid.cell_widths(0.0, hi_r)
     m_all = ball_masses(measure, measure.points[idx],
                         np.concatenate([sample, 2.0 * sample]))
     m_r, m_2r = m_all[:, :len(sample)], m_all[:, len(sample):]
@@ -545,7 +562,7 @@ def ad_regularity_diagnostic(measure: WeightedPointMeasure, s: float,
     blows up like r^-s).
     """
     radii = grid.radii
-    lo = kappa * measure.min_spacing
+    lo = resolved_floor(measure, kappa)
     hi = measure.support_diameter if measure.support_diameter > 0 else math.inf
     radii = radii[(radii >= lo) & (radii <= hi)]
     if radii.size == 0:

@@ -8,13 +8,13 @@ O(N^2) pass.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import WeightedPointMeasure, _shell_sums
-from .multiscale import DEFAULT_KAPPA, ScaleGrid, _check_s, as_atom_indices
+from .multiscale import (DEFAULT_KAPPA, ScaleGrid, _check_s, as_atom_indices,
+                         resolved_floor)
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,6 @@ class RieszEnergyReport:
             "grid_radii": list(self.grid_radii),
             "sup_is_lower_bound": True,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def riesz_kernel(v, s: float) -> np.ndarray:
@@ -123,7 +120,7 @@ def sup_riesz_energy(measure: WeightedPointMeasure, s: float,
     """
     _check_s(s)
     radii = scale_grid.radii
-    floor = kappa * measure.min_spacing
+    floor = resolved_floor(measure, kappa)
     if enforce_floor and scale_grid.r_min < floor * (1.0 - 1e-12):
         raise ValueError(
             f"grid r_min {scale_grid.r_min:.3g} below the resolved floor "

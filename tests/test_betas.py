@@ -326,3 +326,71 @@ def test_beta_empty_ball_errors():
         beta_inf(m, [10.0, 10.0], 0.5)
     with pytest.raises(ValueError):
         beta_p(m, [0.0, 0.0], 0.5, p=0.5)
+
+
+# ---------------------------------------------------------------------------
+# beta_p with p != 2 and beta_inf in three dimensions
+
+def test_betas_vanish_on_collinear_atoms_in_3d(rng):
+    u = rng.standard_normal(3)
+    u /= np.linalg.norm(u)
+    t = np.arange(-6, 7) * 0.1
+    m = WeightedPointMeasure(0.2 + t[:, None] * u[None, :],
+                             rng.uniform(0.5, 1.5, len(t)))
+    x, r = m.points[3], 0.5
+    for p in (1.0, 3.0):
+        val, fit = beta_p(m, x, r, p)
+        assert 0.0 <= val <= 1e-12
+        assert fit.upper_bound
+    val, fit = beta_inf(m, x, r)
+    assert 0.0 <= val <= 1e-12
+    assert fit.method == "direction_scan"
+
+
+def test_beta_p3_zero_offset_spread_on_a_flat_line():
+    # the scan direction along the line projects every atom to one offset
+    m = build_flat(2, 1, 1.0, 0.1)
+    assert beta_p(m, [0.0, 0.0], 0.7, 3.0)[0] == 0.0
+
+
+def test_beta_inf_3d_line_fit_holds_every_ball_atom(rng):
+    for _ in range(5):
+        m = random_measure(rng, n=int(rng.integers(4, 30)), dim=3)
+        x, r = m.points[0], rng.uniform(0.5, 2.0)
+        val, fit = beta_inf(m, x, r)
+        assert fit.upper_bound
+        assert abs(np.linalg.norm(fit.direction) - 1.0) <= 1e-12
+        rel = m.points[brute_ball_atoms(m, x, r)] - fit.point
+        off = rel - np.outer(rel @ fit.direction, fit.direction)
+        assert np.sqrt((off ** 2).sum(axis=1)).max() <= val * r + 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_beta_p3_holder_bound(rng, dim):
+    # for any line L: int dist^2 <= (int dist^3)^(2/3) mass^(1/3), and the
+    # beta_2 line minimizes int dist^2, so
+    # beta_3^3 r^4 >= (beta_2^2 r^3)^(3/2) mass^(-1/2)
+    for _ in range(3):
+        m = random_measure(rng, n=int(rng.integers(10, 20)), dim=dim)
+        x, r = m.points[0], rng.uniform(1.0, 2.0)
+        ball = brute_ball_atoms(m, x, r)
+        assert len(ball) >= 4      # not collinear, so beta_2 is far from rounding
+        mass = float(m.weights[ball].sum())
+        b3 = beta_p(m, x, r, 3.0)[0]
+        b2 = beta2(m, x, r)[0]
+        bound = (b2 ** 2 * r ** 3) ** 1.5 / math.sqrt(mass)
+        assert b3 ** 3 * r ** 4 >= bound * (1 - 1e-12)
+
+
+def test_beta_energy_p3_matches_direct_cells(rng):
+    m = random_measure(rng, n=5)
+    ev = [0, 3]
+    grid = ScaleGrid(0.5, 1.0, 2.0)
+    rep = beta_energy(m, grid, p=3.0, eval_indices=ev, kappa=0.0)
+    assert rep.params_echo["extended_octaves"] >= 1
+    # with no floor, every cell, on the grid and in the extension, is log q wide
+    for r, value in rep.per_scale:
+        direct = math.fsum(m.weights[i] * beta_p(m, m.points[i], r, 3.0)[0] ** 2
+                           for i in ev) * grid.log_step
+        assert value == pytest.approx(direct, rel=1e-12)
+    assert rep.total == math.fsum(v for _, v in rep.per_scale)

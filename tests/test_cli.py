@@ -106,6 +106,23 @@ def test_energy_nonpositive_s_usage_error(dirac_csv, tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("kappa", ["nan", "inf", "-1"])
+def test_energy_invalid_kappa_usage_error(tmp_path, capsys, kappa):
+    # with an explicit grid, nan and inf used to drop every cell and exit 0,
+    # and -1 acted as 0
+    csv_path = tmp_path / "c.csv"
+    from densq import build_cantor
+    build_cantor(2, 0.5, 3).save_csv(csv_path)
+    for kind in ("sf", "wolff", "beta", "riesz-sup"):
+        for grid in (["--r-min", "0.01", "--r-max", "1"], []):
+            out = tmp_path / f"{kind}.json"
+            rc = run_cli("energy", str(csv_path), "--kind", kind, "--s", "0.5",
+                         *grid, "--kappa", kappa, "--out", str(out))
+            assert rc == 2
+            assert "kappa must be finite and >= 0" in capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_energy_riesz_sup_two_atoms(tmp_path, capsys):
     csv_path = tmp_path / "two.csv"
     WeightedPointMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]),

@@ -269,6 +269,29 @@ def test_ball_masses_engines_agree(rng):
                                               rel=1e-12)
 
 
+def test_ball_masses_reject_nan_radius_on_both_engines():
+    # a nan radius used to give the total mass (shell engine) or 0 (segments)
+    tent = build_gamma_curve(math.pi / 8, 2.0, 1 / 32)
+    cantor = build_cantor(2, 0.7, 3)
+    for m in (tent, cantor):
+        assert (m.segments is not None) == (m is tent)
+        with pytest.raises(ValueError, match="nonnegative"):
+            ball_masses(m, m.points[:3], [0.5, float("nan")])
+        # an infinite radius stays valid: every ball holds the whole measure
+        got = ball_masses(m, m.points[:3], [float("inf")])
+        np.testing.assert_allclose(got, m.total_mass, rtol=1e-12)
+
+
+def test_segment_ball_masses_empty_when_ball_misses_the_line():
+    # centers straight above atoms: the foot of each center is an atom, yet a
+    # ball that does not reach the line holds nothing
+    m = build_flat(2, 1, 1.0, 1 / 16)
+    centers = m.points[::5] + np.array([0.0, 0.25])
+    got = ball_masses(m, centers, [0.0, 0.1, 0.25 - 1e-12, 0.25])
+    np.testing.assert_array_equal(got[:, :3], 0.0)
+    np.testing.assert_array_equal(got[:, 3], 1 / 16)
+
+
 def tie_radii(points, centers):
     """Radii r with r*r equal to a squared center-atom distance (so atoms sit
     exactly on the sphere), and their neighbours 1 ulp either side."""

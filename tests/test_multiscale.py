@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from densq import (
+    EnergyReport,
     RadialProfile,
     ScaleGrid,
     ThinBoundaryNotFound,
     WeightedPointMeasure,
     ad_regularity_diagnostic,
+    beta_energy,
     build_cantor,
     build_dirac,
     build_flat,
@@ -17,12 +19,15 @@ from densq import (
     density_difference,
     find_thin_boundary_radius,
     local_energy_ratio,
+    resolved_floor,
     smoothed_density_difference,
     square_function_and_wolff_energy,
     square_function_energy,
+    sup_riesz_energy,
     verify_convolution_identity,
     wolff_energy,
 )
+from densq.multiscale import as_atom_indices
 
 from conftest import brute_mass, random_measure
 
@@ -47,6 +52,19 @@ def test_scale_grid_validation():
         ScaleGrid(1.0, 1.05, 1.1)     # fewer than two radii
     with pytest.raises(ValueError):
         ScaleGrid.default_for(build_dirac(2, [0, 0], 1.0))
+
+
+def test_cell_widths_clip_to_floor_and_top():
+    g = ScaleGrid(1.0, 10.0, 2.0)          # cells [1, 2), [2, 4), [4, 8), [8, 16)
+    np.testing.assert_array_equal(g.cell_widths(0.0), np.full(4, math.log(2.0)))
+    np.testing.assert_array_equal(
+        g.cell_widths(3.0, 6.0), [0.0, math.log(4.0 / 3.0), math.log(6.0 / 4.0), 0.0])
+    # a column of tops gives one row per top; a top below a cell empties it
+    np.testing.assert_array_equal(
+        g.cell_widths(0.0, np.array([[1.5], [20.0]])),
+        [[math.log(1.5), 0.0, 0.0, 0.0], [math.log(2.0)] * 4])
+    # a floor above the whole grid leaves every cell empty
+    np.testing.assert_array_equal(g.cell_widths(16.0), np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +315,61 @@ def test_energy_rejects_nonpositive_s():
                 fn(m, s, grid)
 
 
+@pytest.mark.parametrize("kappa", [float("nan"), float("inf"), -1.0])
+def test_energies_reject_invalid_kappa(kappa):
+    # nan and inf used to drop every grid cell (r_below: NaN, beta total nan)
+    # and -1 acted as 0
+    m = build_cantor(2, 0.5, 3)
+    grid = ScaleGrid(0.01, 1.0, 1.1)
+    calls = [lambda: resolved_floor(m, kappa),
+             lambda: ScaleGrid.default_for(m, kappa=kappa),
+             lambda: square_function_energy(m, 0.5, grid, kappa=kappa),
+             lambda: wolff_energy(m, 0.5, grid, kappa=kappa),
+             lambda: square_function_and_wolff_energy(m, 0.5, grid, kappa=kappa),
+             lambda: beta_energy(m, grid, kappa=kappa),
+             lambda: sup_riesz_energy(m, 0.5, grid, kappa=kappa),
+             lambda: sup_riesz_energy(m, 0.5, grid, kappa=kappa, enforce_floor=False),
+             lambda: ad_regularity_diagnostic(m, 0.5, grid, kappa=kappa)]
+    for call in calls:
+        with pytest.raises(ValueError, match="kappa must be finite and >= 0"):
+            call()
+
+
+def test_kappa_zero_resolves_every_scale():
+    m = build_cantor(2, 0.5, 3)
+    grid = ScaleGrid(1e-4, 1.0, 1.1)
+    assert resolved_floor(m, 0.0) == 0.0
+    assert resolved_floor(m, 4.0) == 4.0 * m.min_spacing
+    for rep in (square_function_energy(m, 0.5, grid, kappa=0.0),
+                beta_energy(m, grid, kappa=0.0)):
+        assert rep.clipped_low_r == {"r_below": 1e-4, "note": "no low-r clipping"}
+
+
+def test_eval_indices_out_of_range_rejected():
+    m = build_cantor(2, 0.5, 3)
+    n = m.n_atoms
+    np.testing.assert_array_equal(as_atom_indices([0, n - 1], n), [0, n - 1])
+    for bad in ([-1], [0, n], [n + 5]):
+        with pytest.raises(ValueError, match="atom indices must lie in"):
+            as_atom_indices(bad, n)
+        with pytest.raises(ValueError, match="atom indices must lie in"):
+            square_function_energy(m, 0.5, ScaleGrid(0.1, 1.0, 1.2), eval_indices=bad)
+
+
+def test_energy_report_assemble_sums_and_echoes():
+    m = build_cantor(2, 0.5, 2)
+    grid = ScaleGrid(0.1, 1.0, 1.2)
+    rep = EnergyReport.assemble("wolff", 0.5, 2.0, grid, m, 4.0, 0.2, 3,
+                                [(0.1, 1e-17), (0.2, 1.0), (0.3, -1.0)], tail=0.5,
+                                extra=7)
+    assert rep.total == 0.5 + 1e-17          # exactly rounded, not 0.5
+    assert rep.tail == 0.5 and rep.per_point is None
+    assert rep.clipped_low_r == grid.low_r_clip(0.2)
+    assert list(rep.params_echo) == ["kind", "s", "p", "grid", "kappa", "n_atoms",
+                                     "eval_count", "extra", "total_mass", "sample_rule"]
+    assert rep.params_echo["eval_count"] == 3 and rep.params_echo["extra"] == 7
+
+
 def test_pair_reports_equal_single_functionals(rng):
     # generic engine with non-dyadic weights, a windowed segment curve, and
     # per-point breakdowns: each half of the pair is the single function's
@@ -435,6 +508,69 @@ def test_thin_boundary_not_found_payload():
         find_thin_boundary_radius(m, [0.0, 0.0], 0.5, t_thin=1e-9)
     assert err.value.best_radius >= 0.5
     assert err.value.worst_ratio > 1.0
+
+
+def test_thin_boundary_zero_bound_reports_largest_lambda():
+    # t_thin = 0 makes every bound 0: each candidate fails at the largest lam
+    # with an infinite ratio, and the first candidate is reported
+    m = build_flat(2, 1, 1.0, 1 / 64)
+    with pytest.raises(ThinBoundaryNotFound) as err:
+        find_thin_boundary_radius(m, [0.0, 0.0], 0.2, t_thin=0.0,
+                                  lambda_grid=[0.25, 0.5])
+    assert err.value.best_radius == 0.2
+    assert err.value.worst_ratio == math.inf
+    assert err.value.worst_lambda == 0.5
+
+
+def test_thin_boundary_shell_includes_its_inner_sphere():
+    # the shell |d - r'| <= lam r' is closed at both ends: at r' = r the atom at
+    # distance (1 - lam) r is in it and the band exceeds the bound, and every
+    # larger candidate leaves it out
+    m = WeightedPointMeasure([[0.0, 0.0], [0.5, 0.0]], [1.0, 1.0])
+    rp = find_thin_boundary_radius(m, [0.0, 0.0], 1.0, t_thin=0.5, lambda_grid=[0.5])
+    assert rp == 1.0 + 1.0 / 63
+
+
+def direct_thin_boundary(m, x, r, t_thin, lams):
+    """Candidate-by-candidate scan with brute-force ball and shell sums:
+    the radius found, or the (ratio, radius, lam) reported on failure."""
+    d2 = ((m.points - x) ** 2).sum(axis=1)
+    w = m.weights
+    lams = sorted(lams, reverse=True)
+    best = (math.inf, r, lams[0])
+    n = 64
+    for rp in r + (r / (n - 1)) * np.arange(n):
+        m2 = w[d2 <= (2.0 * rp) ** 2].sum()
+        for lam in lams:
+            shell = (d2 <= ((1.0 + lam) * rp) ** 2) & (d2 >= ((1.0 - lam) * rp) ** 2)
+            band, bound = w[shell].sum(), t_thin * lam * m2
+            if band > bound:
+                ratio = band / bound if bound > 0 else math.inf
+                if ratio < best[0]:
+                    best = (ratio, rp, lam)
+                break
+        else:
+            return float(rp)
+    return tuple(float(v) for v in best)
+
+
+def test_thin_boundary_matches_direct_scan(rng):
+    # lattice atoms sit on many candidate shells; integer weights keep every
+    # sum exact, so the result must match the direct scan exactly
+    lams = [2.0 ** (-j) for j in range(11)]
+    for trial in range(40):
+        pts = rng.integers(-8, 9, size=(150, 2)).astype(float) / 8.0
+        m = WeightedPointMeasure(pts, rng.integers(1, 6, size=150).astype(float))
+        x = m.points[0]
+        r = int(rng.integers(1, 8)) / 16.0
+        t_thin = [0.5, 2.0, 8.0, 64.0][trial % 4]
+        grid = lams if trial % 2 else list(rng.uniform(0.05, 1.0, size=4))
+        expect = direct_thin_boundary(m, x, r, t_thin, grid)
+        try:
+            got = find_thin_boundary_radius(m, x, r, t_thin=t_thin, lambda_grid=grid)
+        except ThinBoundaryNotFound as err:
+            got = (err.worst_ratio, err.best_radius, err.worst_lambda)
+        assert got == expect
 
 
 def test_thin_boundary_requires_mass():

@@ -17,12 +17,7 @@ from scipy.optimize import minimize_scalar
 from .measures import (WeightedPointMeasure, _hull_vertices, _min_enclosing_ball,
                        _shell_sums)
 from .multiscale import (DEFAULT_KAPPA, EnergyReport, ScaleGrid, as_atom_indices,
-                         resolved_floor)
-
-# beta_energy extends its grid upward until one octave adds less than this
-# share of the running total, or this many octaves have been added
-BETA_EXTEND_TOL = 1e-4
-BETA_MAX_EXTRA_OCTAVES = 120
+                         _check_p, resolved_floor)
 
 
 @dataclass
@@ -95,8 +90,7 @@ def beta_p(measure: WeightedPointMeasure, x, r: float,
     p = 2 routes to the closed form. Other p return the best line found,
     an upper bound on the infimum.
     """
-    if p < 1 or not math.isfinite(p):
-        raise ValueError("p must be finite and >= 1")
+    _check_p(p)
     if p == 2.0:
         return beta2(measure, x, r)
     x = np.asarray(x, dtype=float)
@@ -138,20 +132,21 @@ def beta_p(measure: WeightedPointMeasure, x, r: float,
 
     if d == 2:
         th = np.linspace(0.0, math.pi, 128, endpoint=False)
-        cands = list(np.stack([np.cos(th), np.sin(th)], axis=1))
+        cands = [vec[:, -1]] + list(np.stack([np.cos(th), np.sin(th)], axis=1))
+        span = math.pi / len(th)
     else:
         rng = np.random.default_rng(12345)
         cands = [vec[:, -1]]
         for _ in range(64):
             v = vec[:, -1] + 0.5 * rng.standard_normal(d)
             cands.append(v / np.linalg.norm(v))
+        span = 0.5
     best_u, best_val = None, math.inf
     for u in cands:
         v = objective(u)
         if v < best_val:
             best_val, best_u = v, u
     # local refinement around the best direction
-    span = math.pi / len(cands) if d == 2 else 0.5
     for _ in range(12):
         span /= 2.0
         improved = False
@@ -268,53 +263,33 @@ def _beta2_profile(measure, centers, radii):
 
 def beta_energy(measure: WeightedPointMeasure, grid: ScaleGrid, p: float = 2.0,
                 eval_indices=None, kappa: float = DEFAULT_KAPPA) -> EnergyReport:
-    """Sum_i w_i beta_p(x_i, r_j)^2 over resolved scales, dr/r log-midpoint rule.
+    """Integral of beta_p(x, r)^2 d(mu) dr/r: the grid cells by the log-midpoint
+    rule, plus an analytic tail.
 
-    No closed-form tail exists (beta decays like 1/r once balls swallow the
-    support but with a geometry-dependent constant), so the grid is extended
-    upward octave by octave until an octave contributes less than
-    `BETA_EXTEND_TOL` of the running total (at most `BETA_MAX_EXTRA_OCTAVES`
-    octaves).
+    Past the support-covering radius T_i the ball at x_i holds every atom, so
+    its best line is fixed and beta_p(x_i, r)^2 = c_i r^(-2(p+1)/p) exactly.
+    The grid is continued in whole cells to the first cell end R >= max T_i,
+    and the integral from R on, w_i beta_p(x_i, R)^2 p / (2(p+1)) per atom,
+    is the tail. One profile pass evaluates every cell and R.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    sample = grid.samples
+    _check_p(p)
     floor = resolved_floor(measure, kappa)
-    widths = grid.cell_widths(floor)
     eval_indices = as_atom_indices(eval_indices, measure.n_atoms)
     wc = measure.weights[eval_indices]
-
-    def beta_sq_matrix(rs):
-        if p == 2.0:
-            return _beta2_profile(measure, measure.points[eval_indices], rs)
-        out = np.empty((len(eval_indices), len(rs)))
-        for i, ei in enumerate(eval_indices):
-            for j, rr in enumerate(rs):
-                out[i, j] = beta_p(measure, measure.points[ei], rr, p)[0] ** 2
-        return out
-
-    b2 = beta_sq_matrix(sample)
-    per_scale_vals = (b2 * widths[None, :] * wc[:, None]).sum(axis=0)
-    per_scale = list(zip(sample.tolist(), per_scale_vals.tolist()))
-    running = math.fsum(per_scale_vals.tolist())
-
-    # upward octave extension
-    lnq = grid.log_step
-    steps_per_octave = max(1, int(math.ceil(math.log(2.0) / lnq)))
-    r_next = grid.radii[-1] * grid.q
-    extended = 0
-    while extended < BETA_MAX_EXTRA_OCTAVES:
-        rs = r_next * grid.q ** np.arange(steps_per_octave)
-        svals = rs * math.sqrt(grid.q)
-        b2e = beta_sq_matrix(svals)
-        vals = (b2e * lnq * wc[:, None]).sum(axis=0)
-        add = float(vals.sum())
-        running += add
-        per_scale.extend(zip(svals.tolist(), vals.tolist()))
-        r_next = rs[-1] * grid.q
-        extended += 1
-        if running > 0 and add < BETA_EXTEND_TOL * running:
-            break
-
-    return EnergyReport.assemble("beta", None, p, grid, measure, kappa, floor,
-                                 int(len(wc)), per_scale, extended_octaves=extended)
+    reach = float(measure.farthest_distances()[eval_indices].max(initial=0.0))
+    # the grid continued with its own r_min and q, so its cells come first and
+    # unchanged; the tail starts at the first cell end past every T_i (or floor)
+    cells = ScaleGrid(grid.r_min, max(grid.r_max, reach), grid.q)
+    sample = cells.samples
+    tail_r = max(cells.radii[-1] * grid.q, floor)
+    radii = np.append(sample, tail_r)
+    if p == 2.0:
+        b2 = _beta2_profile(measure, measure.points[eval_indices], radii)
+    else:
+        b2 = np.array([[beta_p(measure, measure.points[i], r, p)[0] ** 2 for r in radii]
+                       for i in eval_indices]).reshape(len(wc), len(radii))
+    per_scale = (b2[:, :-1] * cells.cell_widths(floor) * wc[:, None]).sum(axis=0)
+    tail = float((wc * b2[:, -1]).sum()) * p / (2.0 * (p + 1.0))
+    return EnergyReport.assemble("beta", None, p, grid, measure, kappa, floor, len(wc),
+                                 list(zip(sample.tolist(), per_scale.tolist())),
+                                 tail=tail)

@@ -237,8 +237,8 @@ class BallIndex:
 
     def ball_atoms(self, center, r: float) -> np.ndarray:
         """Indices of atoms with |x_i - center| <= r (closed ball)."""
-        if r < 0:
-            raise ValueError("radius must be nonnegative")
+        if not r >= 0:
+            raise ValueError(f"radius must be nonnegative (and not nan); got {r}")
         cand, d2 = self._candidates(center, r)
         return cand[d2 <= r * r]
 
@@ -248,7 +248,7 @@ class BallIndex:
 
     def annulus_atoms(self, center, r_inner: float, r_outer: float) -> np.ndarray:
         """Atoms with r_inner < |x_i - center| <= r_outer."""
-        if r_inner < 0 or r_outer < r_inner:
+        if not 0 <= r_inner <= r_outer:
             raise ValueError("need 0 <= r_inner <= r_outer")
         cand, d2 = self._candidates(center, r_outer)
         return cand[(d2 > r_inner * r_inner) & (d2 <= r_outer * r_outer)]

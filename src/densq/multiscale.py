@@ -202,13 +202,17 @@ def _check_s(s: float) -> None:
         raise ValueError(f"s must be positive; got {s}")
 
 
+def _check_p(p: float) -> None:
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1; got {p}")
+
+
 def _energies(measure, s, grid, p, kinds, eval_indices, kappa, include_per_point):
     """Reports of the given kinds, all read from one ball-mass profile at the
     sample radii and their doubles, so each report is the same whichever
     others are asked for with it."""
     _check_s(s)
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_p(p)
     sample = grid.samples
     floor = resolved_floor(measure, kappa)
     eval_indices = as_atom_indices(eval_indices, measure.n_atoms)

@@ -109,22 +109,23 @@ def riesz_energy(measure: WeightedPointMeasure, pair: TruncationPair, s: float,
     return float(E[0, 1])
 
 
-def sup_riesz_energy(measure: WeightedPointMeasure, s: float,
-                     scale_grid: ScaleGrid, eval_indices=None,
-                     max_radii: int = 64, kappa: float = DEFAULT_KAPPA,
-                     enforce_floor: bool = True) -> RieszEnergyReport:
+def sup_riesz_energy(measure: WeightedPointMeasure, s: float, scale_grid: ScaleGrid,
+                     eval_indices=None, max_radii: int = 64,
+                     kappa: float = DEFAULT_KAPPA) -> RieszEnergyReport:
     """Max energy over all truncation pairs (r_a, r_b), a < b, from the grid.
 
-    The grid is coarsened to at most `max_radii` radii. The reported maximum is
-    a lower bound for the continuum supremum (flagged in the report).
+    The grid must start at or above the resolved floor kappa * min_spacing
+    (kappa = 0: no floor). It is coarsened to at most `max_radii` radii. The
+    reported maximum is a lower bound for the continuum supremum (flagged in
+    the report).
     """
     _check_s(s)
     radii = scale_grid.radii
     floor = resolved_floor(measure, kappa)
-    if enforce_floor and scale_grid.r_min < floor * (1.0 - 1e-12):
+    if scale_grid.r_min < floor * (1.0 - 1e-12):
         raise ValueError(
             f"grid r_min {scale_grid.r_min:.3g} below the resolved floor "
-            f"{floor:.3g} (= kappa*min_spacing); pass enforce_floor=False to override")
+            f"{floor:.3g} (= kappa*min_spacing); pass kappa=0 to override")
     if len(radii) < 2:
         raise ValueError("need at least two usable radii")
     if len(radii) > max_radii:

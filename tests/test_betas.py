@@ -10,13 +10,14 @@ from densq import (
     beta_energy,
     beta_inf,
     beta_p,
+    build_cantor,
     build_flat,
     build_gamma_curve,
 )
 
 from densq.betas import _beta2_profile
 
-from conftest import brute_ball_atoms, random_measure
+from conftest import brute_ball_atoms, brute_mass, random_measure
 from test_measures import tie_radii
 
 
@@ -295,14 +296,91 @@ def test_beta_energy_flat_negligible():
     assert rep.tail == 0.0
 
 
-def test_beta_energy_extension_recorded(rng):
+def _tail_radius(rep):
+    """R, the end of the report's last cell, where the closed-form tail starts
+    (no floor above it)."""
+    return rep.per_scale[-1][0] * math.sqrt(rep.grid["q"])
+
+
+def test_beta_energy_grid_continues_to_the_support(rng):
     m = random_measure(rng, n=30)
-    rep = beta_energy(m, ScaleGrid(0.2, 1.0, 1.2))
-    assert rep.params_echo["extended_octaves"] >= 1
-    # extension converges: last octave contributes < 1e-4 of the total
-    assert rep.kind == "beta"
-    assert rep.total == pytest.approx(math.fsum(v for _, v in rep.per_scale),
-                                      rel=1e-12)
+    grid = ScaleGrid(0.2, 1.0, 1.2)
+    rep = beta_energy(m, grid)
+    reach = m.farthest_distances().max()
+    R = _tail_radius(rep)
+    # R is the first cell end at or past every support-covering radius, and
+    # every ball at R holds the whole measure
+    assert R >= reach * (1 - 1e-12) and R / grid.q < reach
+    for x in m.points:
+        assert brute_mass(m, x, R) == pytest.approx(m.total_mass, rel=1e-12)
+    assert rep.tail > 0
+    assert rep.total == math.fsum([v for _, v in rep.per_scale] + [rep.tail])
+    # the added cells continue the grid: r_J q^k samples, log q wide
+    n = len(grid.radii)
+    assert len(rep.per_scale) > n
+    for k, (r, value) in enumerate(rep.per_scale[n:]):
+        assert r == pytest.approx(grid.radii[-1] * grid.q ** (k + 1.5), rel=1e-12)
+        direct = math.fsum(w * beta2(m, x, r)[0] ** 2
+                           for x, w in zip(m.points, m.weights)) * grid.log_step
+        assert value == pytest.approx(direct, rel=1e-9)
+
+
+def test_beta_energy_grid_above_the_support_adds_no_cell():
+    m = build_cantor(2, 0.6, 3)
+    grid = ScaleGrid.default_for(m)     # r_max = 8 * support radius
+    rep = beta_energy(m, grid)
+    assert len(rep.per_scale) == len(grid.radii)
+    assert _tail_radius(rep) == pytest.approx(grid.radii[-1] * grid.q, rel=1e-12)
+    assert rep.tail > 0
+
+
+def test_beta_energy_tail_starts_at_a_floor_above_the_support():
+    # kappa * min_spacing = 4 lies past the support (diameter ~1.1): every
+    # cell is unresolved and the tail runs from the floor, not from R
+    m = WeightedPointMeasure(np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.9]]),
+                             np.array([1.0, 2.0, 0.5]))
+    floor = 4.0 * m.min_spacing
+    assert floor > m.farthest_distances().max()
+    rep = beta_energy(m, ScaleGrid(0.5, 1.0, 1.1))
+    assert all(v == 0.0 for _, v in rep.per_scale)
+    direct = math.fsum(w * beta2(m, x, floor)[0] ** 2 for x, w in zip(m.points, m.weights))
+    assert rep.tail == pytest.approx(direct / 3.0, rel=1e-12)
+    assert rep.total == rep.tail > 0
+
+
+def test_beta2_energy_tail_matches_a_fine_quadrature(rng):
+    # past R, beta_2(x, r)^2 = Mom/r^3, whose integral against dr/r is
+    # beta_2(x, R)^2 / 3; a log-midpoint rule on [R, 1e3 R] at q = 1.01 plus
+    # the closed remainder past 1e3 R agrees to the rule's O(log(q)^2) error
+    m = random_measure(rng, n=20)
+    rep = beta_energy(m, ScaleGrid(0.1, 0.5, 1.1))
+    R = _tail_radius(rep)
+    fine = ScaleGrid(R, 1e3 * R, 1.01)
+    top = fine.radii[-1] * fine.q
+    quad = [w * beta2(m, x, r)[0] ** 2 * fine.log_step
+            for x, w in zip(m.points, m.weights) for r in fine.samples]
+    rest = [w * beta2(m, x, top)[0] ** 2 / 3.0 for x, w in zip(m.points, m.weights)]
+    assert rep.tail == pytest.approx(math.fsum(quad + rest), rel=1e-4)
+
+
+@pytest.mark.parametrize("case", ["flat", "single_atom"])
+def test_beta_energy_zero_on_a_line_ends_quickly(case):
+    # the octave extension this replaces never stopped on a zero energy: it
+    # ran all 120 octaves (960 cells at q = 1.1)
+    if case == "flat":
+        m = build_flat(2, 1, 2.0, 1 / 64)
+        ev = np.flatnonzero(np.abs(m.points[:, 0]) <= 0.5)
+    else:
+        m = WeightedPointMeasure(np.array([[0.3, -0.2]]), np.array([2.0]))
+        ev = [0]
+    grid = ScaleGrid(0.125, 0.5, 1.1)
+    rep = beta_energy(m, grid, eval_indices=ev)
+    assert rep.total == 0.0 and rep.tail == 0.0
+    top = grid.radii[-1] * grid.q
+    reach = m.farthest_distances()[ev].max()
+    added = len(rep.per_scale) - len(grid.radii)
+    assert added <= math.ceil(math.log(max(reach, top) / top) / grid.log_step)
+    assert (added == 0) == (case == "single_atom")
 
 
 def test_beta_energy_mu_alpha_quadratic_scaling():
@@ -326,6 +404,20 @@ def test_beta_empty_ball_errors():
         beta_inf(m, [10.0, 10.0], 0.5)
     with pytest.raises(ValueError):
         beta_p(m, [0.0, 0.0], 0.5, p=0.5)
+
+
+def test_beta_p_2d_scan_tries_the_principal_axis(rng):
+    # the 2-d scan used to try only its 128 fixed directions, so atoms on a
+    # line between two of them got beta_1 ~ 1e-5 and beta_3 ~ 2e-6
+    th = rng.uniform(0.0, math.pi)
+    u = np.array([math.cos(th), math.sin(th)])
+    t = np.arange(-6, 7) * 0.1
+    m = WeightedPointMeasure(0.2 + t[:, None] * u[None, :],
+                             rng.uniform(0.5, 1.5, len(t)))
+    for p in (1.0, 3.0):
+        val, fit = beta_p(m, m.points[3], 0.5, p)
+        assert 0.0 <= val <= 1e-12
+        assert abs(abs(fit.direction @ u) - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +479,15 @@ def test_beta_energy_p3_matches_direct_cells(rng):
     ev = [0, 3]
     grid = ScaleGrid(0.5, 1.0, 2.0)
     rep = beta_energy(m, grid, p=3.0, eval_indices=ev, kappa=0.0)
-    assert rep.params_echo["extended_octaves"] >= 1
-    # with no floor, every cell, on the grid and in the extension, is log q wide
+    # with no floor, every cell, on the grid and added up to R, is log q wide
     for r, value in rep.per_scale:
         direct = math.fsum(m.weights[i] * beta_p(m, m.points[i], r, 3.0)[0] ** 2
                            for i in ev) * grid.log_step
         assert value == pytest.approx(direct, rel=1e-12)
-    assert rep.total == math.fsum(v for _, v in rep.per_scale)
+    # past R, beta_3^2 = c r^(-8/3), whose integral against dr/r is 3/8 of it at R
+    R = _tail_radius(rep)
+    assert R >= m.farthest_distances()[ev].max() * (1 - 1e-12)
+    direct = math.fsum(m.weights[i] * beta_p(m, m.points[i], R, 3.0)[0] ** 2
+                       for i in ev) * 3.0 / 8.0
+    assert rep.tail == pytest.approx(direct, rel=1e-12)
+    assert rep.total == math.fsum([v for _, v in rep.per_scale] + [rep.tail])

@@ -123,6 +123,18 @@ def test_energy_invalid_kappa_usage_error(tmp_path, capsys, kappa):
             assert not out.exists()
 
 
+@pytest.mark.parametrize("p", ["nan", "inf", "0.5"])
+def test_energy_invalid_p_usage_error(dirac_csv, tmp_path, capsys, p):
+    # --p nan used to exit 0 and print total: nan
+    for kind in ("sf", "wolff", "beta"):
+        out = tmp_path / f"{kind}.json"
+        rc = run_cli("energy", str(dirac_csv), "--kind", kind, "--s", "0.5",
+                     "--p", p, "--r-min", "1.0", "--r-max", "10.0", "--out", str(out))
+        assert rc == 2
+        assert "p must be finite and >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_energy_riesz_sup_two_atoms(tmp_path, capsys):
     csv_path = tmp_path / "two.csv"
     WeightedPointMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]),

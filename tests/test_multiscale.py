@@ -10,6 +10,7 @@ from densq import (
     ThinBoundaryNotFound,
     WeightedPointMeasure,
     ad_regularity_diagnostic,
+    beta2,
     beta_energy,
     build_cantor,
     build_dirac,
@@ -305,6 +306,27 @@ def test_energy_rejects_bad_p(rng):
         square_function_energy(m, 0.5, ScaleGrid(0.1, 1.0, 1.2), p=0.5)
 
 
+@pytest.mark.parametrize("p", [0.5, float("nan"), float("inf")])
+def test_energies_reject_p_outside_one_to_infinity(monkeypatch, p):
+    # p = nan used to give total = nan and p = inf a total of 0.0
+    import densq.betas
+    import densq.multiscale
+
+    def no_profile(*args, **kwargs):
+        raise AssertionError("profile work before the p check")
+
+    monkeypatch.setattr(densq.multiscale, "ball_masses", no_profile)
+    monkeypatch.setattr(densq.betas, "_beta2_profile", no_profile)
+    m = build_cantor(2, 0.5, 3)
+    grid = ScaleGrid(0.01, 1.0, 1.1)
+    for call in (lambda: square_function_energy(m, 0.5, grid, p=p),
+                 lambda: wolff_energy(m, 0.5, grid, p=p),
+                 lambda: square_function_and_wolff_energy(m, 0.5, grid, p=p),
+                 lambda: beta_energy(m, grid, p=p)):
+        with pytest.raises(ValueError, match="p must be finite and >= 1"):
+            call()
+
+
 def test_energy_rejects_nonpositive_s():
     # s = 0 used to give total = nan and s < 0 a negative tail
     m = build_cantor(2, 0.5, 3)
@@ -313,6 +335,25 @@ def test_energy_rejects_nonpositive_s():
         for s in (0.0, -0.5, float("nan")):
             with pytest.raises(ValueError, match="s must be positive"):
                 fn(m, s, grid)
+
+
+def test_nan_radius_rejected_by_pointwise_queries():
+    # a nan radius used to pass the r < 0 checks and find no atoms, so density
+    # and density_difference returned nan
+    m = build_cantor(2, 0.5, 3)
+    index, x, nan = m.ball_index(), m.points[0], float("nan")
+    for call in (lambda: density(m, x, nan, 0.5),
+                 lambda: density_difference(m, x, nan, 0.5),
+                 lambda: beta2(m, x, nan),
+                 lambda: find_thin_boundary_radius(m, x, nan),
+                 lambda: local_energy_ratio(m, x, nan, 0.5, 0.5),
+                 lambda: index.ball_atoms(x, nan),
+                 lambda: index.mass_in_ball(x, nan)):
+        with pytest.raises(ValueError, match="not nan"):
+            call()
+    for inner, outer in ((nan, 1.0), (0.1, nan), (nan, nan)):
+        with pytest.raises(ValueError, match="r_inner <= r_outer"):
+            index.annulus_atoms(x, inner, outer)
 
 
 @pytest.mark.parametrize("kappa", [float("nan"), float("inf"), -1.0])
@@ -328,7 +369,6 @@ def test_energies_reject_invalid_kappa(kappa):
              lambda: square_function_and_wolff_energy(m, 0.5, grid, kappa=kappa),
              lambda: beta_energy(m, grid, kappa=kappa),
              lambda: sup_riesz_energy(m, 0.5, grid, kappa=kappa),
-             lambda: sup_riesz_energy(m, 0.5, grid, kappa=kappa, enforce_floor=False),
              lambda: ad_regularity_diagnostic(m, 0.5, grid, kappa=kappa)]
     for call in calls:
         with pytest.raises(ValueError, match="kappa must be finite and >= 0"):

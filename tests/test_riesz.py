@@ -126,7 +126,7 @@ def test_riesz_rejects_nonpositive_s(rng):
         with pytest.raises(ValueError, match="s must be positive"):
             riesz_energy(m, TruncationPair(0.1, 1.0), s)
         with pytest.raises(ValueError, match="s must be positive"):
-            sup_riesz_energy(m, s, ScaleGrid(0.1, 1.0, 1.2), enforce_floor=False)
+            sup_riesz_energy(m, s, ScaleGrid(0.1, 1.0, 1.2), kappa=0.0)
 
 
 def test_riesz_energy_flat_interior_vanishes():
@@ -150,8 +150,7 @@ def test_riesz_energy_comparable_to_wolff_cantor():
 def test_sup_riesz_two_atoms_bracket():
     m = WeightedPointMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]),
                              np.array([1.0, 1.0]))
-    rep = sup_riesz_energy(m, 1.0, ScaleGrid(0.5, 3.0, 1.3),
-                           enforce_floor=False)
+    rep = sup_riesz_energy(m, 1.0, ScaleGrid(0.5, 3.0, 1.3), kappa=0.0)
     assert rep.energy_at_best == pytest.approx(2.0)
     assert rep.best_pair.eps1 < 1.0 <= rep.best_pair.eps2
     assert rep.energy_at_best == max(e for _, _, e in rep.grid_of_pairs)
@@ -162,24 +161,24 @@ def test_sup_riesz_monotone_refinement(rng):
     m = random_measure(rng, n=25)
     coarse = ScaleGrid(0.1, 2.0, 1.44)
     fine = ScaleGrid(0.1, 2.0, 1.2)   # sqrt(1.44): superset of the coarse radii
-    a = sup_riesz_energy(m, 0.7, coarse, enforce_floor=False)
-    b = sup_riesz_energy(m, 0.7, fine, enforce_floor=False)
+    a = sup_riesz_energy(m, 0.7, coarse, kappa=0.0)
+    b = sup_riesz_energy(m, 0.7, fine, kappa=0.0)
     assert b.energy_at_best >= a.energy_at_best * (1 - 1e-12)
 
 
 def test_sup_riesz_floor_enforced():
     m = build_cantor(2, 0.5, 3)
     bad = ScaleGrid(m.min_spacing, 1.0, 1.2)   # below 4 * min_spacing
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pass kappa=0 to override"):
         sup_riesz_energy(m, 0.5, bad)
-    rep = sup_riesz_energy(m, 0.5, bad, enforce_floor=False)
+    rep = sup_riesz_energy(m, 0.5, bad, kappa=0.0)
     assert rep.energy_at_best > 0
 
 
 def test_sup_riesz_coarsening_cap(rng):
     m = random_measure(rng, n=15)
     rep = sup_riesz_energy(m, 0.5, ScaleGrid(0.01, 3.0, 1.02),
-                           enforce_floor=False, max_radii=16)
+                           kappa=0.0, max_radii=16)
     assert len(rep.grid_radii) <= 16
     assert len(rep.grid_of_pairs) == len(rep.grid_radii) * (len(rep.grid_radii) - 1) // 2
 

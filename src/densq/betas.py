@@ -12,12 +12,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .measures import (WeightedPointMeasure, _hull_vertices, _min_enclosing_ball,
-                       _shell_sums)
+from .measures import (_CHUNK_CELLS, WeightedPointMeasure, _hull_vertices,
+                       _min_enclosing_ball, _shell_sums)
 from .multiscale import (DEFAULT_KAPPA, EnergyReport, ScaleGrid, as_atom_indices,
-                         _check_p, resolved_floor)
+                         _check_p, _floor_for)
 
 
 @dataclass
@@ -41,15 +40,23 @@ def _ball_atoms(measure, x, r):
 
 
 def _scatter(measure, idx, x):
-    """Mass, centroid (absolute), scatter matrix about the centroid; coordinates
-    are shifted by x first to keep the moment cancellation well conditioned."""
+    """Centroid (absolute), then the eigenvalues (ascending) and eigenvectors of
+    the scatter matrix about it; coordinates are shifted by x first to keep the
+    moment cancellation well conditioned."""
     dy = measure.points[idx] - x
     w = measure.weights[idx]
-    m0 = float(w.sum())
-    mean = (w[:, None] * dy).sum(axis=0) / m0
+    mean = (w[:, None] * dy).sum(axis=0) / float(w.sum())
     c = dy - mean
     S = (w[:, None, None] * c[:, :, None] * c[:, None, :]).sum(axis=0)
-    return m0, x + mean, S
+    lam, vec = np.linalg.eigh(S)
+    return x + mean, lam, vec
+
+
+def _direction_fan(axis, seed, count):
+    """`axis`, then `count` seeded random unit directions around it."""
+    rng = np.random.default_rng(seed)
+    fan = [axis + 0.5 * rng.standard_normal(len(axis)) for _ in range(count)]
+    return [axis] + [v / np.linalg.norm(v) for v in fan]
 
 
 def beta2(measure: WeightedPointMeasure, x, r: float) -> tuple[float, LineFit]:
@@ -57,8 +64,7 @@ def beta2(measure: WeightedPointMeasure, x, r: float) -> tuple[float, LineFit]:
     through the weighted centroid along the leading principal axis."""
     x = np.asarray(x, dtype=float)
     idx = _ball_atoms(measure, x, r)
-    m0, centroid, S = _scatter(measure, idx, x)
-    lam, vec = np.linalg.eigh(S)
+    centroid, lam, vec = _scatter(measure, idx, x)
     moment = max(float(lam[:-1].sum()), 0.0)   # trace - lambda_max
     val = math.sqrt(moment / r ** 3)
     fit = LineFit(point=centroid, direction=vec[:, -1], objective=val,
@@ -77,6 +83,7 @@ def _offset_objective(proj, w, p):
     lo, hi = float(proj.min()), float(proj.max())
     if lo == hi:
         return 0.0
+    from scipy.optimize import minimize_scalar
     res = minimize_scalar(lambda b: float((w * np.abs(proj - b) ** p).sum()),
                           bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-12 * max(1.0, hi - lo)})
@@ -97,8 +104,7 @@ def beta_p(measure: WeightedPointMeasure, x, r: float,
     idx = _ball_atoms(measure, x, r)
     w = measure.weights[idx]
     dy = measure.points[idx] - x
-    _, centroid, S = _scatter(measure, idx, x)
-    lam, vec = np.linalg.eigh(S)
+    centroid, _, vec = _scatter(measure, idx, x)
     d = measure.dim
 
     def objective(u):
@@ -108,6 +114,7 @@ def beta_p(measure: WeightedPointMeasure, x, r: float,
         if d == 2:
             n_vec = np.array([-u[1], u[0]])
             return _offset_objective(dy @ n_vec, w, p)
+        from scipy.optimize import minimize_scalar
         # complement basis via QR
         q, _ = np.linalg.qr(np.concatenate([u[:, None],
                                             np.eye(d)[:, :-1]], axis=1))
@@ -135,11 +142,7 @@ def beta_p(measure: WeightedPointMeasure, x, r: float,
         cands = [vec[:, -1]] + list(np.stack([np.cos(th), np.sin(th)], axis=1))
         span = math.pi / len(th)
     else:
-        rng = np.random.default_rng(12345)
-        cands = [vec[:, -1]]
-        for _ in range(64):
-            v = vec[:, -1] + 0.5 * rng.standard_normal(d)
-            cands.append(v / np.linalg.norm(v))
+        cands = _direction_fan(vec[:, -1], 12345, 64)
         span = 0.5
     best_u, best_val = None, math.inf
     for u in cands:
@@ -190,7 +193,7 @@ def _min_width_strip_2d(pts: np.ndarray):
     normal = np.stack([-e[:, 1], e[:, 0]], axis=1)
     m = len(hull)
     hmax, hmin = np.empty(m), np.empty(m)
-    step = max(1, 2 ** 20 // m)     # bounds the (edges, vertices) temporaries
+    step = max(1, _CHUNK_CELLS // m)     # bounds the (edges, vertices) temporaries
     for a in range(0, m, step):
         # h[i, k]: offset of vertex k from edge a + i along that edge's normal
         h = ((hull[None, :, :] - hull[a:a + step, None, :])
@@ -215,17 +218,11 @@ def beta_inf(measure: WeightedPointMeasure, x, r: float) -> tuple[float, LineFit
         width, direction, center = _min_width_strip_2d(pts - x)
         fit = LineFit(point=x + center, direction=direction,
                       objective=width / 2.0 / r, method="hull_width")
-        return width / 2.0 / r, fit
-    _, centroid, S = _scatter(measure, idx, x)
-    lam, vec = np.linalg.eigh(S)
-    rng = np.random.default_rng(98765)
-    cands = [vec[:, -1]]
-    for _ in range(96):
-        v = vec[:, -1] + 0.5 * rng.standard_normal(measure.dim)
-        cands.append(v / np.linalg.norm(v))
+        return fit.objective, fit
+    _, _, vec = _scatter(measure, idx, x)
     best = (math.inf, None, None)
     dy = pts - x
-    for u in cands:
+    for u in _direction_fan(vec[:, -1], 98765, 96):
         q, _ = np.linalg.qr(np.concatenate([u[:, None],
                                             np.eye(measure.dim)[:, :-1]], axis=1))
         proj = dy @ q[:, 1:]
@@ -234,7 +231,7 @@ def beta_inf(measure: WeightedPointMeasure, x, r: float) -> tuple[float, LineFit
             best = (rad, u, q[:, 1:] @ c)
     fit = LineFit(point=x + best[2], direction=best[1], objective=best[0] / r,
                   method="direction_scan", upper_bound=True)
-    return best[0] / r, fit
+    return fit.objective, fit
 
 
 def _beta2_profile(measure, centers, radii):
@@ -273,7 +270,7 @@ def beta_energy(measure: WeightedPointMeasure, grid: ScaleGrid, p: float = 2.0,
     is the tail. One profile pass evaluates every cell and R.
     """
     _check_p(p)
-    floor = resolved_floor(measure, kappa)
+    floor = _floor_for(measure, kappa, grid.r_min)
     eval_indices = as_atom_indices(eval_indices, measure.n_atoms)
     wc = measure.weights[eval_indices]
     reach = float(measure.farthest_distances()[eval_indices].max(initial=0.0))

@@ -109,32 +109,27 @@ def _cmd_energy(args) -> int:
                   "Wolff comparability requires non-integer s (flat measures "
                   "make the square function degenerate); computing anyway",
                   file=sys.stderr)
-    if args.kind == "sf":
-        rep = msc.square_function_energy(measure, args.s, grid, p=args.p,
-                                         kappa=args.kappa,
-                                         include_per_point=bool(args.per_point_csv))
-    elif args.kind == "wolff":
-        rep = msc.wolff_energy(measure, args.s, grid, p=args.p, kappa=args.kappa,
-                               include_per_point=bool(args.per_point_csv))
-    elif args.kind == "beta":
-        rep = bt.beta_energy(measure, grid, p=args.p, kappa=args.kappa)
-    else:
-        rrep = rz.sup_riesz_energy(measure, args.s, grid, kappa=args.kappa)
-        obj = rrep.to_json_dict()
+    if args.kind == "riesz-sup":
+        rep = rz.sup_riesz_energy(measure, args.s, grid, kappa=args.kappa)
+        obj = rep.to_json_dict()
         obj["params_echo"] = {"measure": args.measure, "grid": grid.summary(),
                               "kappa": args.kappa}
-        _atomic_write(args.out, lambda p: Path(p).write_text(
-            json.dumps(obj, sort_keys=True, indent=1) + "\n"))
-        print(f"best_energy: {rrep.energy_at_best!r}")
-        print(f"best_pair: ({rrep.best_pair.eps1!r}, {rrep.best_pair.eps2!r})")
-        return 0
-    obj = rep.to_json_dict()
+        summary = {"best_energy": rep.energy_at_best,
+                   "best_pair": (rep.best_pair.eps1, rep.best_pair.eps2)}
+    else:
+        if args.kind == "beta":
+            rep = bt.beta_energy(measure, grid, p=args.p, kappa=args.kappa)
+        else:
+            energy = msc.square_function_energy if args.kind == "sf" else msc.wolff_energy
+            rep = energy(measure, args.s, grid, p=args.p, kappa=args.kappa,
+                         include_per_point=bool(args.per_point_csv))
+        obj = rep.to_json_dict()
+        summary = {"total": rep.total, "tail": rep.tail}
     _atomic_write(args.out, lambda p: Path(p).write_text(
         json.dumps(obj, sort_keys=True, indent=1) + "\n"))
-    if args.per_point_csv and rep.per_point is not None:
+    if args.per_point_csv and args.kind in ("sf", "wolff"):
         _atomic_write(args.per_point_csv, rep.save_per_point_csv)
-    print(f"total: {rep.total!r}")
-    print(f"tail: {rep.tail!r}")
+    print("\n".join(f"{key}: {value!r}" for key, value in summary.items()))
     return 0
 
 

@@ -8,7 +8,7 @@ import csv
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +42,7 @@ def _map_ordered(fn, items, threads: int):
     if threads <= 1:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        futures = [ex.submit(fn, it) for it in items]
-        return [f.result() for f in futures]
+        return list(ex.map(fn, items))
 
 
 def _merge_config(defaults: dict, override: dict | None, name: str) -> dict:
@@ -75,16 +74,11 @@ class SweepResult:
         return all(c["passed"] is not False for c in self.checks)
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "config": self.config,
-            "parameters": self.parameters,
-            "totals": self.totals,
-            "fits": self.fits,
-            "checks": self.checks,
-            "passed": self.passed,
-            "notes": self.notes,
-        }
+        """The verdict and every field but the raw table and the plot, which
+        `emit` writes to their own files."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("raw_columns", "raw_rows", "plot")}
+        return {"passed": self.passed, **out}
 
     def emit(self, out_dir: str | Path) -> None:
         out = Path(out_dir)
@@ -102,6 +96,11 @@ class SweepResult:
 
 def _check(name: str, passed, value, band: str) -> dict:
     return {"name": name, "passed": passed, "value": value, "band": band}
+
+
+def _decreasing(xs) -> bool:
+    """Strictly decreasing."""
+    return all(a > b for a, b in zip(xs, xs[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -360,17 +359,15 @@ def run_integer_degeneracy(config: dict | None = None, threads: int = 1) -> Swee
     checks.append(_check("sf_wolff_ratio_finest",
                          ratio_final < float(cfg["sf_wolff_band"]), ratio_final,
                          f"< {cfg['sf_wolff_band']}"))
-    decreasing = all(fine[i]["ratio"] > fine[i + 1]["ratio"]
-                     for i in range(len(fine) - 1))
-    checks.append(_check("ratio_strictly_decreasing_with_range", decreasing,
-                         [r["ratio"] for r in fine], "strictly decreasing"))
+    ratios = [r["ratio"] for r in fine]
+    checks.append(_check("ratio_strictly_decreasing_with_range", _decreasing(ratios),
+                         ratios, "strictly decreasing"))
     wom = fine[-1]["wolff_over_model"]
     checks.append(_check("wolff_matches_4_mass_log_range",
                          abs(wom - 1.0) <= float(cfg["wolff_model_band"]), wom,
                          f"within {cfg['wolff_model_band']} of 1"))
-    collapse = all(fixed_sf[i] > fixed_sf[i + 1] for i in range(len(fixed_sf) - 1))
-    checks.append(_check("sf_fixed_range_decreases_with_h", collapse, fixed_sf,
-                         "decreasing in resolution"))
+    checks.append(_check("sf_fixed_range_decreases_with_h", _decreasing(fixed_sf),
+                         fixed_sf, "decreasing in resolution"))
     return SweepResult(
         name="integer-degeneracy",
         config=cfg,
@@ -496,14 +493,10 @@ def run_tent_counterexample(config: dict | None = None, threads: int = 1) -> Swe
     glo, ghi = (float(v) for v in cfg["gap_band"])
     checks.append(_check("sf_over_beta_slope_gap", glo <= gap <= ghi, gap,
                          f"[{glo}, {ghi}]"))
-    sf_rz = [r["sf"] / r["riesz"] for r in base]
-    checks.append(_check("sf_over_riesz_monotone_to_zero",
-                         all(sf_rz[i] > sf_rz[i + 1] for i in range(len(sf_rz) - 1)),
-                         sf_rz, "strictly decreasing as alpha shrinks"))
-    sf_bt = [r["sf_mu"] / r["beta"] for r in base]
-    checks.append(_check("sf_over_beta_monotone_to_zero",
-                         all(sf_bt[i] > sf_bt[i + 1] for i in range(len(sf_bt) - 1)),
-                         sf_bt, "strictly decreasing as alpha shrinks"))
+    for name, num, den in (("riesz", "sf", "riesz"), ("beta", "sf_mu", "beta")):
+        ratio = [r[num] / r[den] for r in base]
+        checks.append(_check(f"sf_over_{name}_monotone_to_zero", _decreasing(ratio),
+                             ratio, "strictly decreasing as alpha shrinks"))
     band = float(cfg["l_stability_band"])
     for key in ("sf", "sf_mu", "riesz", "beta"):
         worst, detail = 0.0, None

@@ -7,25 +7,22 @@ index and a brute-force scan select exactly the same atoms.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 DEFAULT_POINT_BUDGET = 2_000_000
 
-# (center, atom) elements per chunk, summed over the arrays of values binned
-# together: bounds the temporaries of one shell pass
+# pairs per chunk of a pairwise pass (summed over the value arrays a shell pass
+# bins together): bounds the temporaries, and moves no result
 _CHUNK_CELLS = 2 ** 21
 
 # relative and absolute slack of the smallest enclosing ball's containment test
 _ENCLOSING_TOL = 1e-12
-
-MEASURE_KINDS = ("cantor", "flat", "dirac", "polyline", "gamma_curve", "mu_alpha")
-
 
 class PointBudgetError(ValueError):
     """Generator would emit more atoms than the configured budget."""
@@ -75,7 +72,6 @@ class WeightedPointMeasure:
         self.segments = None if merged else segments
         self._index: BallIndex | None = None
         self._min_spacing: float | None = None
-        self._support: tuple[np.ndarray, float] | None = None
         self._farthest: np.ndarray | None = None
 
     @property
@@ -98,17 +94,17 @@ class WeightedPointMeasure:
                 self._min_spacing = float(d[:, 1].min())
         return self._min_spacing
 
+    @functools.cached_property
+    def _support(self) -> tuple[np.ndarray, float]:
+        return _min_enclosing_ball(self.points)
+
     @property
     def support_center(self) -> np.ndarray:
-        if self._support is None:
-            self._support = _min_enclosing_ball(self.points)
         return self._support[0]
 
     @property
     def support_radius(self) -> float:
         """Radius of the smallest enclosing ball of the atoms."""
-        if self._support is None:
-            self._support = _min_enclosing_ball(self.points)
         return self._support[1]
 
     def ball_index(self) -> "BallIndex":
@@ -132,7 +128,7 @@ class WeightedPointMeasure:
                     cand = self.points
                 n = self.n_atoms
                 out = np.empty(n)
-                step = max(1, min(n, 2 ** 22 // len(cand)))
+                step = max(1, min(n, _CHUNK_CELLS // len(cand)))
                 for a in range(0, n, step):
                     d2 = ((self.points[a:a + step, None, :]
                            - cand[None, :, :]) ** 2).sum(-1)
@@ -204,6 +200,7 @@ def _hull_vertices(points):
     N^(d/2)."""
     if points.shape[1] not in (2, 3):
         return None
+    from scipy.spatial import ConvexHull, QhullError
     try:
         return points[ConvexHull(points).vertices]
     except (QhullError, ValueError):
@@ -219,6 +216,7 @@ class BallIndex:
     """
 
     def __init__(self, measure: WeightedPointMeasure):
+        from scipy.spatial import cKDTree
         self.points = measure.points
         self.weights = measure.weights
         self.tree = cKDTree(measure.points)
@@ -579,10 +577,9 @@ class MeasureSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in MEASURE_KINDS:
+        if self.kind not in _SPEC_PARAMS:
             raise ValueError(f"unknown measure kind {self.kind!r}")
-        allowed = _SPEC_PARAMS[self.kind]
-        unknown = set(self.params) - allowed
+        unknown = set(self.params) - _SPEC_PARAMS[self.kind]
         if unknown:
             raise ValueError(f"unknown params for kind {self.kind!r}: {sorted(unknown)}")
 
@@ -623,11 +620,8 @@ class MeasureSpec:
         if self.kind == "polyline":
             return build_polyline(p["vertices"], float(p["spacing"]),
                                   point_budget=point_budget)
-        if self.kind == "gamma_curve":
-            return build_gamma_curve(float(p["alpha"]), float(p["half_extent"]),
-                                     float(p["spacing"]), point_budget=point_budget)
-        if self.kind == "mu_alpha":
-            return build_gamma_curve(float(p["alpha"]), float(p["half_extent"]),
-                                     float(p["spacing"]), weighting="mu_alpha",
-                                     point_budget=point_budget)
-        raise ValueError(f"unknown measure kind {self.kind!r}")
+        # gamma_curve or mu_alpha; build_gamma_curve rejects any other weighting
+        return build_gamma_curve(float(p["alpha"]), float(p["half_extent"]),
+                                 float(p["spacing"]),
+                                 weighting="hausdorff" if self.kind == "gamma_curve"
+                                 else self.kind, point_budget=point_budget)

@@ -9,7 +9,7 @@ power-law tail once balls swallow the whole support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,6 +53,16 @@ def resolved_floor(measure: WeightedPointMeasure, kappa: float) -> float:
     if not 0.0 <= kappa < math.inf:
         raise ValueError(f"kappa must be finite and >= 0; got {kappa}")
     return kappa * measure.min_spacing
+
+
+def _floor_for(measure: WeightedPointMeasure, kappa: float, r_min: float) -> float:
+    """max(resolved_floor, r_min), all a grid starting at r_min reads of it, with
+    no spacing search while kappa * |x_0 - x_1| (which bounds the floor) stays
+    below r_min by a margin rounding cannot cross; a bad kappa still raises."""
+    if (measure.n_atoms > 1 and kappa >= 0.0 and r_min > kappa * (1.0 + 1e-12)
+            * math.dist(measure.points[0], measure.points[1])):
+        return r_min
+    return max(resolved_floor(measure, kappa), r_min)
 
 
 @dataclass(frozen=True)
@@ -156,17 +166,9 @@ class EnergyReport:
         return math.fsum(v for _, v in self.per_scale)
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "s": self.s,
-            "p": self.p,
-            "grid": self.grid,
-            "total": self.total,
-            "tail": self.tail,
-            "per_scale": [[r, v] for r, v in self.per_scale],
-            "clipped_low_r": self.clipped_low_r,
-            "params_echo": self.params_echo,
-        }
+        """Every field but the per-point array."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "per_point"}
 
     def save_per_point_csv(self, path) -> None:
         if self.per_point is None:
@@ -207,6 +209,14 @@ def _check_p(p: float) -> None:
         raise ValueError(f"p must be finite and >= 1; got {p}")
 
 
+def _density_and_gap(measure, centers, sample, s):
+    """theta(x, r) and theta(x, r) - theta(x, 2r) at each center and sample
+    radius, from one ball-mass profile at the radii and their doubles."""
+    m = ball_masses(measure, centers, np.concatenate([sample, 2.0 * sample]))
+    th_r = m[:, :len(sample)] / sample ** s
+    return th_r, th_r - m[:, len(sample):] / (2.0 * sample) ** s
+
+
 def _energies(measure, s, grid, p, kinds, eval_indices, kappa, include_per_point):
     """Reports of the given kinds, all read from one ball-mass profile at the
     sample radii and their doubles, so each report is the same whichever
@@ -214,9 +224,8 @@ def _energies(measure, s, grid, p, kinds, eval_indices, kappa, include_per_point
     _check_s(s)
     _check_p(p)
     sample = grid.samples
-    floor = resolved_floor(measure, kappa)
+    floor = _floor_for(measure, kappa, grid.r_min)
     eval_indices = as_atom_indices(eval_indices, measure.n_atoms)
-    centers = measure.points[eval_indices]
     wc = measure.weights[eval_indices]
 
     # analytic tail begins where the ball is guaranteed to hold the support,
@@ -224,13 +233,11 @@ def _energies(measure, s, grid, p, kinds, eval_indices, kappa, include_per_point
     T = np.maximum(measure.farthest_distances()[eval_indices], grid.r_min)
     width = grid.cell_widths(floor, T[:, None])
 
-    m_all = ball_masses(measure, centers, np.concatenate([sample, 2.0 * sample]))
-    th_r = m_all[:, :len(sample)] / sample[None, :] ** s
+    th_r, gap = _density_and_gap(measure, measure.points[eval_indices], sample, s)
     reports = []
     for kind in kinds:
         if kind == "square_function":
-            th_2r = m_all[:, len(sample):] / (2.0 * sample[None, :]) ** s
-            integrand = np.abs(th_r - th_2r) ** p
+            integrand = np.abs(gap) ** p
             tail_coeff = (measure.total_mass * (1.0 - 2.0 ** (-s))) ** p
         elif kind == "wolff":
             integrand = np.abs(th_r) ** p
@@ -336,9 +343,8 @@ class RadialProfile:
             return out
 
         def fp(x):
-            out = np.zeros_like(x)
-            pos = x > 0
-            out[pos] = np.exp(-1.0 / x[pos]) / x[pos] ** 2
+            out, pos = f(x), x > 0
+            out[pos] /= x[pos] ** 2
             return out
 
         def value(u):
@@ -546,11 +552,8 @@ def local_energy_ratio(measure: WeightedPointMeasure, ball_center, r0: float,
     grid = ScaleGrid(delta_param * r0, hi_r, q)
     sample = grid.samples
     widths = grid.cell_widths(0.0, hi_r)
-    m_all = ball_masses(measure, measure.points[idx],
-                        np.concatenate([sample, 2.0 * sample]))
-    m_r, m_2r = m_all[:, :len(sample)], m_all[:, len(sample):]
-    dl = m_r / sample[None, :] ** s - m_2r / (2.0 * sample[None, :]) ** s
-    lhs = float((dl ** 2 * widths[None, :] * measure.weights[idx][:, None]).sum())
+    _, gap = _density_and_gap(measure, measure.points[idx], sample, s)
+    lhs = float((gap ** 2 * widths[None, :] * measure.weights[idx][:, None]).sum())
     rhs = (m0 / r0 ** s) ** 2 * m0
     return lhs / rhs
 
@@ -566,7 +569,7 @@ def ad_regularity_diagnostic(measure: WeightedPointMeasure, s: float,
     blows up like r^-s).
     """
     radii = grid.radii
-    lo = resolved_floor(measure, kappa)
+    lo = _floor_for(measure, kappa, grid.r_min)
     hi = measure.support_diameter if measure.support_diameter > 0 else math.inf
     radii = radii[(radii >= lo) & (radii <= hi)]
     if radii.size == 0:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import WeightedPointMeasure, _shell_sums
-from .multiscale import (DEFAULT_KAPPA, ScaleGrid, _check_s, as_atom_indices,
-                         resolved_floor)
+from .multiscale import (DEFAULT_KAPPA, ScaleGrid, _check_s, _floor_for,
+                         as_atom_indices)
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,21 @@ class RieszEnergyReport:
         }
 
 
+def _kernel(diff, d2, s):
+    """K(v) = v / |v|^(1+s), one array per coordinate of v, from those
+    coordinates `diff` and d2 = |v|^2. K is 0 where d2 = 0: an atom exerts no
+    force on itself (or on an exact duplicate)."""
+    norm = np.where(d2 == 0.0, np.inf, d2 ** ((1.0 + s) / 2.0))
+    return [dk / norm for dk in diff]
+
+
 def riesz_kernel(v, s: float) -> np.ndarray:
     """K(v) = v / |v|^(1+s); odd, singular at the origin."""
     v = np.asarray(v, dtype=float)
-    n2 = float((v ** 2).sum())
+    n2 = (v ** 2).sum()
     if n2 == 0.0:
         raise ValueError("Riesz kernel is singular at the zero vector")
-    return v / n2 ** ((1.0 + s) / 2.0)
+    return np.array(_kernel(v, n2, s))
 
 
 def truncated_riesz(measure: WeightedPointMeasure, x, pair: TruncationPair,
@@ -68,31 +76,21 @@ def truncated_riesz(measure: WeightedPointMeasure, x, pair: TruncationPair,
     """
     x = np.asarray(x, dtype=float)
     idx = measure.ball_index().annulus_atoms(x, pair.eps1, pair.eps2)
-    if idx.size == 0:
-        return np.zeros(measure.dim)
     diff = measure.points[idx] - x
-    n2 = (diff ** 2).sum(axis=1)
-    k = diff / n2[:, None] ** ((1.0 + s) / 2.0)
+    k = np.stack(_kernel(diff.T, (diff ** 2).sum(axis=1), s), axis=1)
     return (measure.weights[idx][:, None] * k).sum(axis=0)
 
 
 def _pair_energy_matrix(measure, s, radii, eval_indices):
     """E[a, b] = sum_i w_i |R_(r_a, r_b)(x_i)|^2 for all a < b, from the
     kernel sums over the closed balls B(x_i, r_a)."""
-    radii = np.asarray(radii, dtype=float)
     pts, w = measure.points, measure.weights
     eval_indices = as_atom_indices(eval_indices, measure.n_atoms)
     m = len(radii)
-    expo = (1.0 + s) / 2.0
-
-    def kernel(diff, d2):
-        norm = d2 ** expo
-        norm[d2 == 0.0] = np.inf     # self term (and exact duplicates) excluded
-        return [dk / norm * w for dk in diff]
-
     # S[i, a] = sum of w K(x - x_i) over the closed ball B(x_i, r_a)
-    S = np.moveaxis(_shell_sums(pts, pts[eval_indices], radii, kernel, measure.dim),
-                    0, -1)
+    S = np.moveaxis(_shell_sums(pts, pts[eval_indices], radii,
+                                lambda diff, d2: [k * w for k in _kernel(diff, d2, s)],
+                                measure.dim), 0, -1)
     we = w[eval_indices]
     E = np.zeros((m, m))
     for ai in range(m):
@@ -121,7 +119,7 @@ def sup_riesz_energy(measure: WeightedPointMeasure, s: float, scale_grid: ScaleG
     """
     _check_s(s)
     radii = scale_grid.radii
-    floor = resolved_floor(measure, kappa)
+    floor = _floor_for(measure, kappa, scale_grid.r_min)
     if scale_grid.r_min < floor * (1.0 - 1e-12):
         raise ValueError(
             f"grid r_min {scale_grid.r_min:.3g} below the resolved floor "

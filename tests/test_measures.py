@@ -2,11 +2,16 @@ import gc
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import densq
 from densq import (
     BallIndex,
     MeasureSpec,
@@ -487,3 +492,15 @@ def test_all_spec_kinds_build():
     for sp in specs:
         m = sp.build()
         assert m.n_atoms >= 1
+
+
+def test_import_loads_no_scipy():
+    # scipy loads on first use: the KD-tree, the hull and beta_p's line search
+    src = str(Path(densq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, densq; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

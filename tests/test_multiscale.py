@@ -28,6 +28,7 @@ from densq import (
     verify_convolution_identity,
     wolff_energy,
 )
+from densq import betas, multiscale, riesz
 from densq.multiscale import as_atom_indices
 
 from conftest import brute_mass, random_measure
@@ -694,3 +695,49 @@ def test_ad_diagnostic_dirac_unbounded():
     # theta = r^-s over the whole grid: the spread is the full grid's s-power
     assert hi / lo > 100.0
     assert hi == pytest.approx(1e-4 ** -0.5, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the resolution floor, read only where it can bind
+
+def _floor_readers(m, grid, win, kappa):
+    """The reports of every function that reads the resolution floor."""
+    sf, wf = square_function_and_wolff_energy(m, 1.0, grid, eval_indices=win,
+                                              kappa=kappa, include_per_point=True)
+    out = [sf.to_json_dict(), wf.to_json_dict(), sf.per_point.tobytes(),
+           wf.per_point.tobytes(),
+           beta_energy(m, grid, eval_indices=win, kappa=kappa).to_json_dict(),
+           ad_regularity_diagnostic(m, 1.0, grid, eval_indices=win, kappa=kappa)]
+    try:
+        out.append(sup_riesz_energy(m, 1.0, grid, eval_indices=win,
+                                    kappa=kappa).to_json_dict())
+    except ValueError as exc:       # the grid starts below the floor
+        out.append(str(exc))
+    return out
+
+
+def _tent_window():
+    m = build_gamma_curve(0.4, 2.0, 1 / 128)
+    return m, np.flatnonzero(np.abs(m.points[:, 0]) <= 0.5)
+
+
+def test_windowed_tent_calls_skip_the_spacing_search():
+    m, win = _tent_window()
+    _floor_readers(m, ScaleGrid(0.125, 1.0, 1.1), win, 4.0)
+    assert m._index is None and m._min_spacing is None
+
+
+def test_floor_shortcut_matches_the_exact_floor(monkeypatch):
+    m, win = _tent_window()
+    kappa = 4.0
+    edge = kappa * math.dist(m.points[0], m.points[1])
+    floor = kappa * m.min_spacing
+    assert floor < np.nextafter(edge, 0.0)      # the tent's flanks are denser
+    r_mins = [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0), floor,
+              0.5 * floor, edge * (1.0 + 1e-9), 0.125]
+    fast = [_floor_readers(m, ScaleGrid(r, 1.0, 1.1), win, kappa) for r in r_mins]
+    for mod in (multiscale, betas, riesz):
+        monkeypatch.setattr(mod, "_floor_for", lambda m, k, r: resolved_floor(m, k))
+    exact = [_floor_readers(m, ScaleGrid(r, 1.0, 1.1), win, kappa) for r in r_mins]
+    assert fast == exact
+    assert isinstance(exact[4][-1], str)        # the floor binds at 0.5 * floor

@@ -30,26 +30,27 @@ class LineFit:
     upper_bound: bool = False
 
 
-def _ball_atoms(measure, x, r):
+def _ball(measure, x, r):
+    """(x, dy, w): the center as an array, and the offsets from it and the
+    weights of the atoms in the closed ball B(x, r)."""
     if r <= 0:
         raise ValueError("r must be positive")
+    x = np.asarray(x, dtype=float)
     idx = measure.ball_index().ball_atoms(x, r)
     if idx.size == 0:
         raise ValueError("empty ball: no atoms within r")
-    return idx
+    return x, measure.points[idx] - x, measure.weights[idx]
 
 
-def _scatter(measure, idx, x):
-    """Centroid (absolute), then the eigenvalues (ascending) and eigenvectors of
-    the scatter matrix about it; coordinates are shifted by x first to keep the
-    moment cancellation well conditioned."""
-    dy = measure.points[idx] - x
-    w = measure.weights[idx]
+def _scatter(dy, w):
+    """Centroid offset, then the eigenvalues (ascending) and eigenvectors of
+    the scatter matrix about it; offsets from the ball center keep the moment
+    cancellation well conditioned."""
     mean = (w[:, None] * dy).sum(axis=0) / float(w.sum())
     c = dy - mean
     S = (w[:, None, None] * c[:, :, None] * c[:, None, :]).sum(axis=0)
     lam, vec = np.linalg.eigh(S)
-    return x + mean, lam, vec
+    return mean, lam, vec
 
 
 def _direction_fan(axis, seed, count):
@@ -59,83 +60,81 @@ def _direction_fan(axis, seed, count):
     return [axis] + [v / np.linalg.norm(v) for v in fan]
 
 
+def _complement(u):
+    """Orthonormal basis (columns) of the complement of the unit vector u: the
+    normal (-u1, u0) in the plane, a QR factor otherwise."""
+    if len(u) == 2:
+        return np.array([[-u[1]], [u[0]]])
+    q, _ = np.linalg.qr(np.concatenate([u[:, None], np.eye(len(u))[:, :-1]], axis=1))
+    return q[:, 1:]
+
+
+def _line_offset(comp, w, p):
+    """(objective, offset b): min over b of sum w |comp - b|^p, for the
+    complement coordinates `comp` (n, k) of the ball atoms.
+
+    k = 1: the exact weighted median at p = 1, else a bounded line search.
+    k > 1: from the weighted mean, three sweeps of per-coordinate line searches.
+    """
+    from scipy.optimize import minimize_scalar
+    if comp.shape[1] == 1:
+        proj = comp[:, 0]
+        lo, hi = float(proj.min()), float(proj.max())
+        if p == 1.0:
+            order = np.argsort(proj, kind="stable")
+            cw = np.cumsum(w[order])
+            b = proj[order][min(int(np.searchsorted(cw, 0.5 * cw[-1])), len(proj) - 1)]
+            return float((w * np.abs(proj - b)).sum()), np.array([b])
+        if lo == hi:
+            return 0.0, np.array([lo])
+        res = minimize_scalar(lambda b: float((w * np.abs(proj - b) ** p).sum()),
+                              bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-12 * max(1.0, hi - lo)})
+        return float(res.fun), np.array([res.x])
+    b = (w[:, None] * comp).sum(axis=0) / w.sum()
+    for _ in range(3):
+        for j in range(comp.shape[1]):
+            rest = comp - b[None, :]
+            rest[:, j] = 0.0
+            base = (rest ** 2).sum(axis=1)
+            b[j] = minimize_scalar(
+                lambda t: float((w * (base + (comp[:, j] - t) ** 2) ** (p / 2.0)).sum()),
+                bounds=(float(comp[:, j].min()), float(comp[:, j].max())),
+                method="bounded").x
+    return float((w * ((comp - b[None, :]) ** 2).sum(axis=1) ** (p / 2.0)).sum()), b
+
+
 def beta2(measure: WeightedPointMeasure, x, r: float) -> tuple[float, LineFit]:
     """Exact beta_2 from weighted second moments: the minimizing line passes
     through the weighted centroid along the leading principal axis."""
-    x = np.asarray(x, dtype=float)
-    idx = _ball_atoms(measure, x, r)
-    centroid, lam, vec = _scatter(measure, idx, x)
+    x, dy, w = _ball(measure, x, r)
+    mean, lam, vec = _scatter(dy, w)
     moment = max(float(lam[:-1].sum()), 0.0)   # trace - lambda_max
     val = math.sqrt(moment / r ** 3)
-    fit = LineFit(point=centroid, direction=vec[:, -1], objective=val,
+    fit = LineFit(point=x + mean, direction=vec[:, -1], objective=val,
                   method="moment_closed_form")
     return val, fit
-
-
-def _offset_objective(proj, w, p):
-    """min over offsets b of sum w |proj - b|^p (convex in b)."""
-    if p == 1.0:
-        order = np.argsort(proj, kind="stable")
-        cw = np.cumsum(w[order])
-        k = int(np.searchsorted(cw, 0.5 * cw[-1]))
-        b = proj[order][min(k, len(proj) - 1)]
-        return float((w * np.abs(proj - b)).sum())
-    lo, hi = float(proj.min()), float(proj.max())
-    if lo == hi:
-        return 0.0
-    from scipy.optimize import minimize_scalar
-    res = minimize_scalar(lambda b: float((w * np.abs(proj - b) ** p).sum()),
-                          bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12 * max(1.0, hi - lo)})
-    return float(res.fun)
 
 
 def beta_p(measure: WeightedPointMeasure, x, r: float,
            p: float = 2.0) -> tuple[float, LineFit]:
     """beta_p via a direction/offset scan seeded at the principal axis.
 
-    p = 2 routes to the closed form. Other p return the best line found,
-    an upper bound on the infimum.
+    p = 2 routes to the closed form. Other p return the best line found, through
+    its best offset: an upper bound on the infimum, attained by that line.
     """
     _check_p(p)
     if p == 2.0:
         return beta2(measure, x, r)
-    x = np.asarray(x, dtype=float)
-    idx = _ball_atoms(measure, x, r)
-    w = measure.weights[idx]
-    dy = measure.points[idx] - x
-    centroid, _, vec = _scatter(measure, idx, x)
+    x, dy, w = _ball(measure, x, r)
+    _, _, vec = _scatter(dy, w)
     d = measure.dim
 
-    def objective(u):
-        # distance to the best line with direction u: offsets of the
-        # orthogonal projection, optimized per complement axis jointly for d=2;
-        # for d>2 distances need the full complement, handled via norm.
-        if d == 2:
-            n_vec = np.array([-u[1], u[0]])
-            return _offset_objective(dy @ n_vec, w, p)
-        from scipy.optimize import minimize_scalar
-        # complement basis via QR
-        q, _ = np.linalg.qr(np.concatenate([u[:, None],
-                                            np.eye(d)[:, :-1]], axis=1))
-        comp = dy @ q[:, 1:]
-        # offset: minimize sum w |comp - b|_2^p over b in R^(d-1); use the
-        # weighted mean as a convex-problem starting point, then coordinate
-        # refinement
-        b = (w[:, None] * comp).sum(axis=0) / w.sum()
-        for _ in range(3):
-            for j in range(comp.shape[1]):
-                rest = comp - b[None, :]
-                rest[:, j] = 0.0
-                base = (rest ** 2).sum(axis=1)
-                res = minimize_scalar(
-                    lambda t: float((w * (base + (comp[:, j] - t) ** 2)
-                                     ** (p / 2.0)).sum()),
-                    bounds=(float(comp[:, j].min()), float(comp[:, j].max())),
-                    method="bounded")
-                b[j] = res.x
-        return float((w * ((comp - b[None, :]) ** 2).sum(axis=1)
-                      ** (p / 2.0)).sum())
+    def line(u):
+        # (objective, direction, point offset) of the best line along u
+        basis = _complement(u)
+        val, b = _line_offset(dy @ basis, w, p)
+        return val, u, basis @ b
 
     if d == 2:
         th = np.linspace(0.0, math.pi, 128, endpoint=False)
@@ -144,31 +143,28 @@ def beta_p(measure: WeightedPointMeasure, x, r: float,
     else:
         cands = _direction_fan(vec[:, -1], 12345, 64)
         span = 0.5
-    best_u, best_val = None, math.inf
-    for u in cands:
-        v = objective(u)
-        if v < best_val:
-            best_val, best_u = v, u
+    best = min((line(u) for u in cands), key=lambda cand: cand[0])
     # local refinement around the best direction
     for _ in range(12):
         span /= 2.0
         improved = False
         for sign in (-1.0, 1.0):
+            u = best[1]
             if d == 2:
-                th = math.atan2(best_u[1], best_u[0]) + sign * span
+                th = math.atan2(u[1], u[0]) + sign * span
                 u = np.array([math.cos(th), math.sin(th)])
             else:
                 perturb = np.zeros(d)
-                perturb[int(np.argmin(np.abs(best_u)))] = sign * span
-                u = best_u + perturb
+                perturb[int(np.argmin(np.abs(u)))] = sign * span
+                u = u + perturb
                 u = u / np.linalg.norm(u)
-            v = objective(u)
-            if v < best_val:
-                best_val, best_u, improved = v, u, True
+            cand = line(u)
+            if cand[0] < best[0]:
+                best, improved = cand, True
         if not improved and span < 1e-8:
             break
-    val = (best_val / r ** (p + 1.0)) ** (1.0 / p)
-    fit = LineFit(point=centroid, direction=best_u, objective=val,
+    val = (best[0] / r ** (p + 1.0)) ** (1.0 / p)
+    fit = LineFit(point=x + best[2], direction=best[1], objective=val,
                   method="direction_scan", upper_bound=True)
     return val, fit
 
@@ -211,24 +207,19 @@ def beta_inf(measure: WeightedPointMeasure, x, r: float) -> tuple[float, LineFit
     from a principal-axis direction scan (minimum enclosing ball of the
     orthogonal projections gives the best sup-offset per direction).
     """
-    x = np.asarray(x, dtype=float)
-    idx = _ball_atoms(measure, x, r)
-    pts = measure.points[idx]
+    x, dy, w = _ball(measure, x, r)
     if measure.dim == 2:
-        width, direction, center = _min_width_strip_2d(pts - x)
+        width, direction, center = _min_width_strip_2d(dy)
         fit = LineFit(point=x + center, direction=direction,
                       objective=width / 2.0 / r, method="hull_width")
         return fit.objective, fit
-    _, _, vec = _scatter(measure, idx, x)
+    _, _, vec = _scatter(dy, w)
     best = (math.inf, None, None)
-    dy = pts - x
     for u in _direction_fan(vec[:, -1], 98765, 96):
-        q, _ = np.linalg.qr(np.concatenate([u[:, None],
-                                            np.eye(measure.dim)[:, :-1]], axis=1))
-        proj = dy @ q[:, 1:]
-        c, rad = _min_enclosing_ball(proj)
+        basis = _complement(u)
+        c, rad = _min_enclosing_ball(dy @ basis)
         if rad < best[0]:
-            best = (rad, u, q[:, 1:] @ c)
+            best = (rad, u, basis @ c)
     fit = LineFit(point=x + best[2], direction=best[1], objective=best[0] / r,
                   method="direction_scan", upper_bound=True)
     return fit.objective, fit
@@ -273,7 +264,7 @@ def beta_energy(measure: WeightedPointMeasure, grid: ScaleGrid, p: float = 2.0,
     floor = _floor_for(measure, kappa, grid.r_min)
     eval_indices = as_atom_indices(eval_indices, measure.n_atoms)
     wc = measure.weights[eval_indices]
-    reach = float(measure.farthest_distances()[eval_indices].max(initial=0.0))
+    reach = float(measure.farthest_distances(eval_indices).max(initial=0.0))
     # the grid continued with its own r_min and q, so its cells come first and
     # unchanged; the tail starts at the first cell end past every T_i (or floor)
     cells = ScaleGrid(grid.r_min, max(grid.r_max, reach), grid.q)

@@ -18,8 +18,8 @@ import numpy as np
 DEFAULT_POINT_BUDGET = 2_000_000
 
 # pairs per chunk of a pairwise pass (summed over the value arrays a shell pass
-# bins together): bounds the temporaries, and moves no result
-_CHUNK_CELLS = 2 ** 21
+# bins together): bounds the temporaries to a few MB each, and moves no result
+_CHUNK_CELLS = 2 ** 18
 
 # relative and absolute slack of the smallest enclosing ball's containment test
 _ENCLOSING_TOL = 1e-12
@@ -47,8 +47,8 @@ class WeightedPointMeasure:
     """Finite atomic approximation of a Radon measure: N points with positive weights.
 
     Immutable after construction; duplicate points are merged (weights added).
-    Caches min_spacing, the smallest enclosing ball, and per-atom farthest
-    distances lazily.
+    Caches min_spacing, the smallest enclosing ball, and the atoms that can be
+    farthest from another (the hull vertices) lazily.
     """
 
     def __init__(self, points, weights, segments: list[SegmentLattice] | None = None):
@@ -72,7 +72,6 @@ class WeightedPointMeasure:
         self.segments = None if merged else segments
         self._index: BallIndex | None = None
         self._min_spacing: float | None = None
-        self._farthest: np.ndarray | None = None
 
     @property
     def n_atoms(self) -> int:
@@ -112,29 +111,29 @@ class WeightedPointMeasure:
             self._index = BallIndex(self)
         return self._index
 
-    def farthest_distances(self) -> np.ndarray:
-        """Per atom i, max_j |x_j - x_i|: the radius beyond which a ball at x_i
-        contains the whole support.
+    @functools.cached_property
+    def _far_candidates(self) -> np.ndarray:
+        """The hull vertices, or every atom of a flat or degenerate set."""
+        cand = _hull_vertices(self.points)
+        return self.points if cand is None else cand
+
+    def farthest_distances(self, indices=None) -> np.ndarray:
+        """Per atom i in `indices` (default: every atom), max_j |x_j - x_i|: the
+        radius beyond which a ball at x_i contains the whole support.
 
         The farthest atom is a vertex of the convex hull, so only hull vertices
         are scanned; flat or degenerate sets scan every atom.
         """
-        if self._farthest is None:
-            if self.segments is not None:
-                self._farthest = _segment_farthest(self.segments, self.points)
-            else:
-                cand = _hull_vertices(self.points)
-                if cand is None:
-                    cand = self.points
-                n = self.n_atoms
-                out = np.empty(n)
-                step = max(1, min(n, _CHUNK_CELLS // len(cand)))
-                for a in range(0, n, step):
-                    d2 = ((self.points[a:a + step, None, :]
-                           - cand[None, :, :]) ** 2).sum(-1)
-                    out[a:a + step] = d2.max(axis=1)
-                self._farthest = np.sqrt(out)
-        return self._farthest
+        centers = self.points if indices is None else self.points[indices]
+        if self.segments is not None:
+            return _segment_farthest(self.segments, centers)
+        cand, n = self._far_candidates, len(centers)
+        out = np.empty(n)
+        step = max(1, min(n, _CHUNK_CELLS // len(cand)))
+        for a in range(0, n, step):
+            d2 = ((centers[a:a + step, None, :] - cand[None, :, :]) ** 2).sum(-1)
+            out[a:a + step] = d2.max(axis=1)
+        return np.sqrt(out)
 
     @property
     def support_diameter(self) -> float:
@@ -419,8 +418,8 @@ def build_cantor(dim: int, s_target: float, depth: int, branching: int | None = 
     n = branching ** depth
     if n > point_budget:
         raise PointBudgetError(f"cantor would emit {n} atoms > budget {point_budget}")
-    corners = np.array([[(j >> i) & 1 for i in range(dim)]
-                        for j in range(2 ** dim)], dtype=float)[:branching]
+    # corner j of the unit cube has bit i of j as coordinate i; none at depth 0
+    corners = (np.arange(branching if depth else 0)[:, None] >> np.arange(dim)) & 1
     pts = np.zeros((1, dim))
     scale = 1.0
     for _ in range(depth):
@@ -447,9 +446,12 @@ def build_flat(dim: int, k: int, half_extent: float, spacing: float,
     """
     if not 1 <= k < dim:
         raise ValueError("need 1 <= k < dim")
-    if half_extent <= 0 or spacing <= 0:
+    if not (half_extent > 0 and spacing > 0):
         raise ValueError("half_extent and spacing must be positive")
-    m_side = int(math.floor(half_extent / spacing + 1e-9))
+    side = half_extent / spacing + 1e-9
+    if not side < point_budget:     # an infinite count has no int()
+        raise PointBudgetError(f"flat lattice would emit > {point_budget} atoms")
+    m_side = int(math.floor(side))
     n = (2 * m_side + 1) ** k
     if n > point_budget:
         raise PointBudgetError(f"flat lattice would emit {n} atoms > budget {point_budget}")
@@ -503,7 +505,8 @@ def _sample_polyline(vertices, spacing, weight_scale=None,
         length = float(np.linalg.norm(seg))
         if length <= 0:
             raise ValueError(f"polyline edge {i} has zero length")
-        n = max(1, int(math.ceil(length / spacing * (1.0 - 1e-12))))
+        # clipped past the budget, where an infinite count has no int()
+        n = max(1, math.ceil(min(length / spacing * (1.0 - 1e-12), point_budget + 1)))
         total += n
         if total > point_budget:
             raise PointBudgetError(f"polyline would emit > {point_budget} atoms")

@@ -76,8 +76,8 @@ class ScaleGrid:
     def __post_init__(self):
         if not self.r_min > 0:
             raise ValueError("r_min must be positive")
-        if not self.r_max > self.r_min:
-            raise ValueError("r_max must exceed r_min")
+        if not self.r_min < self.r_max < math.inf:
+            raise ValueError("r_max must be finite and exceed r_min")
         if not 1.0 < self.q <= 2.0:
             raise ValueError("q must lie in (1, 2]")
         if self.r_min * self.q > self.r_max * (1.0 + 1e-12):
@@ -230,7 +230,7 @@ def _energies(measure, s, grid, p, kinds, eval_indices, kappa, include_per_point
 
     # analytic tail begins where the ball is guaranteed to hold the support,
     # but never before the grid starts
-    T = np.maximum(measure.farthest_distances()[eval_indices], grid.r_min)
+    T = np.maximum(measure.farthest_distances(eval_indices), grid.r_min)
     width = grid.cell_widths(floor, T[:, None])
 
     th_r, gap = _density_and_gap(measure, measure.points[eval_indices], sample, s)
@@ -570,7 +570,8 @@ def ad_regularity_diagnostic(measure: WeightedPointMeasure, s: float,
     """
     radii = grid.radii
     lo = _floor_for(measure, kappa, grid.r_min)
-    hi = measure.support_diameter if measure.support_diameter > 0 else math.inf
+    diameter = measure.support_diameter
+    hi = diameter if diameter > 0 else math.inf
     radii = radii[(radii >= lo) & (radii <= hi)]
     if radii.size == 0:
         raise ValueError("no grid radii inside the resolved range")

@@ -445,6 +445,23 @@ def test_beta_p3_zero_offset_spread_on_a_flat_line():
     assert beta_p(m, [0.0, 0.0], 0.7, 3.0)[0] == 0.0
 
 
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+def test_beta_p_returned_line_attains_the_value(dim, p):
+    # the line is returned through its best offset, not through the centroid:
+    # on a cluster with a few far atoms the two differ for every p != 2
+    rng = np.random.default_rng(7)
+    pts = np.vstack([rng.normal(0.0, 0.2, (30, dim)), rng.uniform(-1.5, 1.5, (4, dim))])
+    m = WeightedPointMeasure(pts, rng.uniform(0.5, 1.5, 34))
+    x, r = m.points[0], 2.0
+    val, fit = beta_p(m, x, r, p)
+    ball = brute_ball_atoms(m, x, r)
+    rel = m.points[ball] - fit.point
+    dist = np.linalg.norm(rel - np.outer(rel @ fit.direction, fit.direction), axis=1)
+    own = (float((m.weights[ball] * dist ** p).sum()) / r ** (p + 1.0)) ** (1.0 / p)
+    assert abs(own - val) <= 1e-12 * max(val, 1.0)
+
 def test_beta_inf_3d_line_fit_holds_every_ball_atom(rng):
     for _ in range(5):
         m = random_measure(rng, n=int(rng.integers(4, 30)), dim=3)

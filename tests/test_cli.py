@@ -56,6 +56,21 @@ def test_gen_invalid_field_named(tmp_path, capsys):
     assert "wrong" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "flat", "params": {"dim": 2, "k": 1, "half_extent": 1e300,
+                                "spacing": 1e-300}},
+    {"kind": "polyline", "params": {"vertices": [[0, 0], [1, 0]], "spacing": 1e-320}}])
+def test_gen_infinite_atom_count_usage_error(tmp_path, capsys, spec):
+    # an infinite atom count used to raise OverflowError from int()
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "m.csv"
+    assert run_cli("gen", str(path), "--out", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "atoms" in err[0]
+    assert not out.exists()
+
 @pytest.fixture
 def dirac_csv(tmp_path):
     path = tmp_path / "dirac.csv"
@@ -134,6 +149,18 @@ def test_energy_invalid_p_usage_error(dirac_csv, tmp_path, capsys, p):
         assert "p must be finite and >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+
+
+def test_energy_infinite_r_max_usage_error(dirac_csv, tmp_path, capsys):
+    # an infinite r_max used to raise OverflowError when the radii were formed
+    for kind in ("sf", "wolff", "beta", "riesz-sup"):
+        out = tmp_path / f"{kind}.json"
+        rc = run_cli("energy", str(dirac_csv), "--kind", kind, "--s", "0.5",
+                     "--r-min", "0.1", "--r-max", "inf", "--out", str(out))
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: r_max must be finite and exceed r_min"]
+        assert not out.exists()
 
 def test_energy_riesz_sup_two_atoms(tmp_path, capsys):
     csv_path = tmp_path / "two.csv"

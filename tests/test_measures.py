@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import weakref
@@ -88,6 +89,27 @@ def test_cantor_domain_errors():
         build_cantor(2, 0.5, 10, point_budget=1000)
     assert "1048576" in str(err.value)
 
+
+
+def test_cantor_builds_only_the_kept_corners():
+    # all 2^dim cube corners used to be built before `branching` of them were
+    # kept, so a 2-branch set in R^40 never finished; the alarm stops a build
+    # that takes over a second
+    def stop(signum, frame):
+        raise TimeoutError("build_cantor took over a second")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        m = build_cantor(40, 0.5, 5, branching=2)
+        single = build_cantor(64, 1.0, 0)     # depth 0 builds no corner
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, old)
+    assert m.n_atoms == 32 and m.total_mass == 1.0
+    np.testing.assert_array_equal(m.points[:, :1], build_cantor(1, 0.5, 5).points)
+    np.testing.assert_array_equal(m.points[:, 1:], np.full((32, 39), m.points[0, 1]))
+    assert single.n_atoms == 1
 
 def test_flat_lattice_counts_and_mass():
     m = build_flat(2, 1, 1.0, 0.5)
@@ -345,6 +367,40 @@ def test_farthest_distances(rng):
         np.testing.assert_array_equal(m.farthest_distances(),
                                       np.sqrt(d2.max(axis=1)))
 
+
+
+def test_farthest_distances_at_chosen_atoms(rng):
+    # reading the evaluation atoms alone gives the bits of the full array
+    for m in (build_gamma_curve(0.4, 2.0, 1 / 128), build_cantor(2, 0.6, 5)):
+        full = m.farthest_distances()
+        window = np.flatnonzero(m.points[:, 0] <= np.median(m.points[:, 0]))
+        for idx in (window, rng.choice(m.n_atoms, 37, replace=False),
+                    np.array([m.n_atoms - 1]), np.array([], dtype=int)):
+            np.testing.assert_array_equal(m.farthest_distances(idx), full[idx])
+
+
+def test_chunk_bound_moves_no_result(monkeypatch, rng):
+    # the pairwise passes split their centers into chunks of at most
+    # _CHUNK_CELLS pairs; chunks of one center give the same bytes
+    from densq import ScaleGrid, betas, measures, sup_riesz_energy
+    m = random_measure(rng, n=150)
+    t = np.linspace(0.0, 2 * math.pi, 120, endpoint=False)
+    ring = np.stack([np.cos(t), np.sin(t)], axis=1)     # 120 hull vertices
+    radii = np.array([0.0, 0.05, 0.2, 0.5, 1.0, 3.0])
+
+    def run():
+        width, direction, point = betas._min_width_strip_2d(ring)
+        rep = sup_riesz_energy(m, 0.5, ScaleGrid(0.05, 1.0, 1.2), kappa=0.0)
+        return (ball_masses(m, m.points, radii).tobytes(),
+                json.dumps(rep.to_json_dict(), sort_keys=True),
+                betas._beta2_profile(m, m.points, radii[1:]).tobytes(),
+                m.farthest_distances().tobytes(),
+                (width, direction.tobytes(), point.tobytes()))
+
+    before = run()
+    monkeypatch.setattr(measures, "_CHUNK_CELLS", 64)
+    monkeypatch.setattr(betas, "_CHUNK_CELLS", 64)
+    assert run() == before
 
 # ---------------------------------------------------------------------------
 # smallest enclosing ball

@@ -34,7 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate a measure CSV from a JSON spec")
     g.add_argument("spec", help="path to a measure spec JSON {kind, params, seed}")
     g.add_argument("--out", required=True, help="output CSV path")
-    g.add_argument("--point-budget", type=int, default=ms.DEFAULT_POINT_BUDGET)
 
     e = sub.add_parser("energy", help="compute one energy functional")
     e.add_argument("measure", help="measure CSV path")
@@ -81,7 +80,7 @@ def _atomic_write(path: str | Path, writer) -> None:
 
 def _cmd_gen(args) -> int:
     spec = ms.MeasureSpec.from_json_dict(_load_json(args.spec))
-    measure = spec.build(point_budget=args.point_budget)
+    measure = spec.build()
     _atomic_write(args.out, measure.save_csv)
     print(f"atoms: {measure.n_atoms}")
     print(f"total_mass: {measure.total_mass!r}")

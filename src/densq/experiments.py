@@ -212,7 +212,6 @@ COMPARABILITY_DEFAULTS = {
     "kappa": 4.0,
     "ratio_spread_band": 20.0,
     "drift_band": 0.10,
-    "point_budget": ms.DEFAULT_POINT_BUDGET,
 }
 
 
@@ -235,10 +234,8 @@ def run_comparability(config: dict | None = None, threads: int = 1) -> SweepResu
 
     def one(s):
         s = float(s)
-        deep = ms.build_cantor(dim, s, int(cfg["depth"]),
-                               point_budget=int(cfg["point_budget"]))
-        shallow = ms.build_cantor(dim, s, int(cfg["drift_depth"]),
-                                  point_budget=int(cfg["point_budget"]))
+        deep = ms.build_cantor(dim, s, int(cfg["depth"]))
+        shallow = ms.build_cantor(dim, s, int(cfg["drift_depth"]))
         grid = msc.ScaleGrid.default_for(deep, q=float(cfg["q"]),
                                          kappa=float(cfg["kappa"]))
         sf, wf = msc.square_function_and_wolff_energy(deep, s, grid,
@@ -305,7 +302,6 @@ INTEGER_DEFAULTS = {
     "sf_wolff_band": 1e-3,
     "wolff_model_band": 0.05,
     "fixed_range": [0.06, 0.2],
-    "point_budget": ms.DEFAULT_POINT_BUDGET,
 }
 
 
@@ -326,7 +322,7 @@ def run_integer_degeneracy(config: dict | None = None, threads: int = 1) -> Swee
     def one(n_points):
         n_points = int(n_points)
         h = 2.0 * E / (n_points - 1)
-        m = ms.build_flat(dim, k, E, h, point_budget=int(cfg["point_budget"]))
+        m = ms.build_flat(dim, k, E, h)
         mask = np.flatnonzero(np.abs(m.points[:, 0]) <= W)
         eval_mass = float(m.weights[mask].sum())
         r_lo = float(cfg["floor_atoms"]) * h
@@ -412,7 +408,6 @@ TENT_DEFAULTS = {
     "gap_band": [1.5, 2.5],
     "l_stability_band": 0.05,
     "l_double_factor": 2.0,
-    "point_budget": ms.DEFAULT_POINT_BUDGET,
 }
 
 
@@ -441,7 +436,6 @@ def run_tent_counterexample(config: dict | None = None, threads: int = 1) -> Swe
         raise ValueError("half_extent too small for the scale caps: "
                          "window would not clear the tent")
     L_values = [L0, L0 * float(cfg["l_double_factor"])]
-    budget = int(cfg["point_budget"])
 
     def window_mask(m):
         return np.flatnonzero(np.abs(m.points[:, 0]) <= window)
@@ -450,20 +444,18 @@ def run_tent_counterexample(config: dict | None = None, threads: int = 1) -> Swe
         a, L = args
         sf_grid = msc.ScaleGrid(sf_lo, sf_hi, q)
         pair_grid = msc.ScaleGrid(pr_lo, pr_hi, q)
-        g_fine = ms.build_gamma_curve(a, L, float(cfg["sf_spacing"]),
-                                      point_budget=budget)
+        g_fine = ms.build_gamma_curve(a, L, float(cfg["sf_spacing"]))
         sf_g = msc.square_function_energy(
             g_fine, 1.0, sf_grid, eval_indices=window_mask(g_fine)).discrete_total
         m_fine = ms.build_gamma_curve(a, L, float(cfg["sf_spacing"]),
-                                      weighting="mu_alpha", point_budget=budget)
+                                      weighting="mu_alpha")
         sf_m = msc.square_function_energy(
             m_fine, 1.0, sf_grid, eval_indices=window_mask(m_fine)).discrete_total
-        g_rz = ms.build_gamma_curve(a, L, float(cfg["riesz_spacing"]),
-                                    point_budget=budget)
+        g_rz = ms.build_gamma_curve(a, L, float(cfg["riesz_spacing"]))
         rz_rep = rz.sup_riesz_energy(g_rz, 1.0, pair_grid,
                                      eval_indices=window_mask(g_rz))
         m_bt = ms.build_gamma_curve(a, L, float(cfg["spacing"]),
-                                    weighting="mu_alpha", point_budget=budget)
+                                    weighting="mu_alpha")
         bt_rep = bt.beta_energy(m_bt, pair_grid, p=2.0,
                                 eval_indices=window_mask(m_bt))
         return {"alpha": a, "L": L, "sf": sf_g, "sf_mu": sf_m,
@@ -555,7 +547,6 @@ SMALL_S_DEFAULTS = {
     "drift_band": 0.15,
     "max_radii": 64,
     "near_integer_margin": 0.02,
-    "point_budget": ms.DEFAULT_POINT_BUDGET,
 }
 
 
@@ -571,8 +562,7 @@ def run_small_s_comparability(config: dict | None = None,
         <= float(cfg["near_integer_margin"])
 
     def one(depth):
-        m = ms.build_cantor(int(cfg["dim"]), s, int(depth),
-                            point_budget=int(cfg["point_budget"]))
+        m = ms.build_cantor(int(cfg["dim"]), s, int(depth))
         grid = msc.ScaleGrid.default_for(m, q=float(cfg["q"]),
                                          kappa=float(cfg["kappa"]))
         sf, wf = msc.square_function_and_wolff_energy(m, s, grid,

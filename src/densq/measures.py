@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -15,7 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-DEFAULT_POINT_BUDGET = 2_000_000
+# atoms a generator may emit or a CSV may hold
+POINT_BUDGET = 2_000_000
+
+# (center, atom) pairs of one pairwise pass: at ~44 ns a pair (0.425 s for 9.76e6
+# pairs, one core of a 2-vCPU x86 host) 2^31 take ~94 s; 32768^2 = 1.07e9 fit
+PAIR_BUDGET = 2 ** 31
 
 # pairs per chunk of a pairwise pass (summed over the value arrays a shell pass
 # bins together): bounds the temporaries to a few MB each, and moves no result
@@ -25,7 +31,14 @@ _CHUNK_CELLS = 2 ** 18
 _ENCLOSING_TOL = 1e-12
 
 class PointBudgetError(ValueError):
-    """Generator would emit more atoms than the configured budget."""
+    """A call would pass a fixed work budget, on atoms, (center, atom) pairs or
+    beta direction scans; raised before the work starts."""
+
+
+def _check_budget(count, budget, what):
+    """Raise PointBudgetError unless count <= budget; a nan count fails too."""
+    if not count <= budget:
+        raise PointBudgetError(f"{what}: {count} > budget {budget}")
 
 
 @dataclass(frozen=True)
@@ -40,7 +53,6 @@ class SegmentLattice:
     direction: np.ndarray  # unit vector
     arcs: np.ndarray       # sorted, ascending
     weight: float
-    length: float
 
 
 class WeightedPointMeasure:
@@ -128,6 +140,7 @@ class WeightedPointMeasure:
         if self.segments is not None:
             return _segment_farthest(self.segments, centers)
         cand, n = self._far_candidates, len(centers)
+        _check_budget(n * len(cand), PAIR_BUDGET, "farthest-atom (center, atom) pairs")
         out = np.empty(n)
         step = max(1, min(n, _CHUNK_CELLS // len(cand)))
         for a in range(0, n, step):
@@ -163,14 +176,14 @@ class WeightedPointMeasure:
             if not header or header[-1] != "w" or len(header) < 2:
                 raise ValueError(f"{path}: expected header x0,...,w")
             dim = len(header) - 1
-            pts, ws = [], []
-            for row in rd:
-                if not row:
-                    continue
+            pts, ws, rows = [], [], filter(None, rd)
+            for row in itertools.islice(rows, POINT_BUDGET):
                 if len(row) != dim + 1:
                     raise ValueError(f"{path}: row with {len(row)} fields, expected {dim + 1}")
                 pts.append([float(v) for v in row[:dim]])
                 ws.append(float(row[dim]))
+            # any row left is one past the budget, read but not stored
+            _check_budget(len(ws) + any(rows), POINT_BUDGET, f"{path}: atoms")
         return cls(np.array(pts), np.array(ws))
 
 
@@ -292,6 +305,7 @@ def _shell_sums(points, centers, radii, values, n_values):
     order = np.argsort(r2, kind="stable")
     r2s = r2[order]
     m, (n, dim) = len(radii), centers.shape
+    _check_budget(n * points.shape[0], PAIR_BUDGET, "radial-shell (center, atom) pairs")
     out = np.empty((n_values, n, m))
     step = max(1, min(n, _CHUNK_CELLS // (points.shape[0] * n_values)))
     for a in range(0, n, step):
@@ -394,8 +408,8 @@ def _min_enclosing_ball(points):
 # ---------------------------------------------------------------------------
 # generators
 
-def build_cantor(dim: int, s_target: float, depth: int, branching: int | None = None,
-                 point_budget: int = DEFAULT_POINT_BUDGET) -> WeightedPointMeasure:
+def build_cantor(dim: int, s_target: float, depth: int,
+                 branching: int | None = None) -> WeightedPointMeasure:
     """Self-similar corner Cantor construction in the unit cube.
 
     Generation-`depth` cell centers, each with weight branching^(-depth);
@@ -415,9 +429,7 @@ def build_cantor(dim: int, s_target: float, depth: int, branching: int | None = 
         raise ValueError(
             f"contraction ratio {lam:.4f} >= 1/2: cells overlap "
             f"(need s_target < log2(branching) = {math.log2(branching):.4f})")
-    n = branching ** depth
-    if n > point_budget:
-        raise PointBudgetError(f"cantor would emit {n} atoms > budget {point_budget}")
+    _check_budget(branching ** depth, POINT_BUDGET, "cantor atoms")
     # corner j of the unit cube has bit i of j as coordinate i; none at depth 0
     corners = (np.arange(branching if depth else 0)[:, None] >> np.arange(dim)) & 1
     pts = np.zeros((1, dim))
@@ -436,8 +448,7 @@ def build_cantor(dim: int, s_target: float, depth: int, branching: int | None = 
 
 
 def build_flat(dim: int, k: int, half_extent: float, spacing: float,
-               jitter: float = 0.0, seed: int = 0,
-               point_budget: int = DEFAULT_POINT_BUDGET) -> WeightedPointMeasure:
+               jitter: float = 0.0, seed: int = 0) -> WeightedPointMeasure:
     """Regular k-dimensional lattice on the coordinate k-plane through the origin.
 
     Each point carries weight spacing^k so ball masses approximate k-dimensional
@@ -449,12 +460,10 @@ def build_flat(dim: int, k: int, half_extent: float, spacing: float,
     if not (half_extent > 0 and spacing > 0):
         raise ValueError("half_extent and spacing must be positive")
     side = half_extent / spacing + 1e-9
-    if not side < point_budget:     # an infinite count has no int()
-        raise PointBudgetError(f"flat lattice would emit > {point_budget} atoms")
+    _check_budget(side, POINT_BUDGET, "flat lattice half-side atoms")  # before int()
     m_side = int(math.floor(side))
     n = (2 * m_side + 1) ** k
-    if n > point_budget:
-        raise PointBudgetError(f"flat lattice would emit {n} atoms > budget {point_budget}")
+    _check_budget(n, POINT_BUDGET, "flat lattice atoms")
     axis = (np.arange(-m_side, m_side + 1)) * spacing
     grids = np.meshgrid(*([axis] * k), indexing="ij")
     pts = np.zeros((n, dim))
@@ -471,8 +480,7 @@ def build_flat(dim: int, k: int, half_extent: float, spacing: float,
         direction = np.zeros(dim)
         direction[0] = 1.0
         segments = [SegmentLattice(origin=origin, direction=direction,
-                                   arcs=axis - axis[0], weight=spacing,
-                                   length=float(axis[-1] - axis[0]))]
+                                   arcs=axis - axis[0], weight=spacing)]
     return WeightedPointMeasure(pts, w, segments=segments)
 
 
@@ -485,8 +493,7 @@ def build_dirac(dim: int, location, mass: float) -> WeightedPointMeasure:
     return WeightedPointMeasure(loc, np.array([mass]))
 
 
-def _sample_polyline(vertices, spacing, weight_scale=None,
-                     point_budget=DEFAULT_POINT_BUDGET):
+def _sample_polyline(vertices, spacing, weight_scale=None):
     """Midpoint arc-length samples per edge; weight = local arc share.
 
     Mass is conserved exactly per edge: n * (length/n) = length.
@@ -506,32 +513,29 @@ def _sample_polyline(vertices, spacing, weight_scale=None,
         if length <= 0:
             raise ValueError(f"polyline edge {i} has zero length")
         # clipped past the budget, where an infinite count has no int()
-        n = max(1, math.ceil(min(length / spacing * (1.0 - 1e-12), point_budget + 1)))
+        n = max(1, math.ceil(min(length / spacing * (1.0 - 1e-12), POINT_BUDGET + 1)))
         total += n
-        if total > point_budget:
-            raise PointBudgetError(f"polyline would emit > {point_budget} atoms")
+        _check_budget(total, POINT_BUDGET, "polyline atoms")
         step = length / n
         arcs = (np.arange(n) + 0.5) * step
         direction = seg / length
         pts_all.append(a[None, :] + arcs[:, None] * direction[None, :])
         w_all.append(np.full(n, step * weight_scale[i]))
         segments.append(SegmentLattice(origin=a, direction=direction, arcs=arcs,
-                                       weight=step * weight_scale[i], length=length))
+                                       weight=step * weight_scale[i]))
     return WeightedPointMeasure(np.concatenate(pts_all), np.concatenate(w_all),
                                 segments=segments)
 
 
-def build_polyline(vertices, spacing: float,
-                   point_budget: int = DEFAULT_POINT_BUDGET) -> WeightedPointMeasure:
+def build_polyline(vertices, spacing: float) -> WeightedPointMeasure:
     """Arc-length measure on a polyline, sampled by midpoints with step ~ spacing."""
     if spacing <= 0:
         raise ValueError("spacing must be positive")
-    return _sample_polyline(vertices, spacing, point_budget=point_budget)
+    return _sample_polyline(vertices, spacing)
 
 
 def build_gamma_curve(alpha: float, half_extent: float, spacing: float,
-                      weighting: str = "hausdorff",
-                      point_budget: int = DEFAULT_POINT_BUDGET) -> WeightedPointMeasure:
+                      weighting: str = "hausdorff") -> WeightedPointMeasure:
     """Tent graph: flat on [-L,-1/2] and [1/2,L], slopes +-tan(alpha) on the
     tent of base width 1, apex height tan(alpha)/2.
 
@@ -554,8 +558,7 @@ def build_gamma_curve(alpha: float, half_extent: float, spacing: float,
     if weighting == "mu_alpha":
         c = math.cos(alpha)
         scale = [1.0, c, c, 1.0]
-    return _sample_polyline(verts, spacing, weight_scale=scale,
-                            point_budget=point_budget)
+    return _sample_polyline(verts, spacing, weight_scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -608,23 +611,21 @@ class MeasureSpec:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
-    def build(self, point_budget: int = DEFAULT_POINT_BUDGET) -> WeightedPointMeasure:
+    def build(self) -> WeightedPointMeasure:
         p = self.params
         if self.kind == "cantor":
             return build_cantor(int(p["dim"]), float(p["s"]), int(p["depth"]),
-                                branching=p.get("branching"),
-                                point_budget=point_budget)
+                                branching=p.get("branching"))
         if self.kind == "flat":
             return build_flat(int(p["dim"]), int(p["k"]), float(p["half_extent"]),
                               float(p["spacing"]), jitter=float(p.get("jitter", 0.0)),
-                              seed=self.seed, point_budget=point_budget)
+                              seed=self.seed)
         if self.kind == "dirac":
             return build_dirac(int(p["dim"]), p["location"], float(p["mass"]))
         if self.kind == "polyline":
-            return build_polyline(p["vertices"], float(p["spacing"]),
-                                  point_budget=point_budget)
+            return build_polyline(p["vertices"], float(p["spacing"]))
         # gamma_curve or mu_alpha; build_gamma_curve rejects any other weighting
         return build_gamma_curve(float(p["alpha"]), float(p["half_extent"]),
                                  float(p["spacing"]),
                                  weighting="hausdorff" if self.kind == "gamma_curve"
-                                 else self.kind, point_budget=point_budget)
+                                 else self.kind)

@@ -148,12 +148,12 @@ class EnergyReport:
 
     @classmethod
     def assemble(cls, kind, s, p, grid, measure, kappa, floor, eval_count,
-                 per_scale, tail=0.0, per_point=None, **echo) -> "EnergyReport":
+                 per_scale, tail=0.0, per_point=None) -> "EnergyReport":
         """The report of per-scale values and a tail: the total is their
-        exactly rounded sum, and `echo` adds entries to `params_echo`."""
+        exactly rounded sum."""
         params_echo = {"kind": kind, "s": s, "p": p, "grid": grid.summary(),
                        "kappa": kappa, "n_atoms": measure.n_atoms,
-                       "eval_count": eval_count, **echo,
+                       "eval_count": eval_count,
                        "total_mass": measure.total_mass,
                        "sample_rule": "geometric cell midpoint"}
         return cls(kind=kind, s=s, p=p, grid=grid.summary(),
@@ -342,11 +342,6 @@ class RadialProfile:
             out[pos] = np.exp(-1.0 / x[pos])
             return out
 
-        def fp(x):
-            out, pos = f(x), x > 0
-            out[pos] /= x[pos] ** 2
-            return out
-
         def value(u):
             u = np.asarray(u, dtype=float)
             v = (u - inner) / span
@@ -361,7 +356,7 @@ class RadialProfile:
             out = np.zeros_like(v)
             vi = v[inside]
             a, b = f(1.0 - vi), f(vi)
-            ap, bp = fp(1.0 - vi), fp(vi)
+            ap, bp = a / (1.0 - vi) ** 2, b / vi ** 2
             # d/dv [a/(a+b)] with da/dv = -ap, db/dv = bp
             out[inside] = (-ap * b - a * bp) / (a + b) ** 2 / span
             return out

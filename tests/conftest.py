@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from densq import WeightedPointMeasure
+from densq import betas as bt
+from densq import measures as ms
 
 
 def brute_ball_atoms(measure, center, r):
@@ -24,3 +26,20 @@ def random_measure(rng, n=50, dim=2, box=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240707)
+
+
+class _UnsizedChunks:
+    """Stands in for `_CHUNK_CELLS`: sizing the first chunk of a pairwise pass
+    fails the test."""
+
+    def __floordiv__(self, other):
+        raise AssertionError("a pairwise pass started before its budget check")
+
+
+@pytest.fixture
+def tiny_pair_budget(monkeypatch):
+    """A pair budget of 10 pairs, and chunks that fail the test when sized: a
+    pass over the budget must raise before its first chunk."""
+    for mod in (ms, bt):
+        monkeypatch.setattr(mod, "PAIR_BUDGET", 10)
+        monkeypatch.setattr(mod, "_CHUNK_CELLS", _UnsizedChunks())

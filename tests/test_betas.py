@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from densq import (
+    PointBudgetError,
     ScaleGrid,
     WeightedPointMeasure,
     beta2,
@@ -15,6 +16,7 @@ from densq import (
     build_gamma_curve,
 )
 
+from densq import betas as bt
 from densq.betas import _beta2_profile
 
 from conftest import brute_ball_atoms, brute_mass, random_measure
@@ -508,3 +510,20 @@ def test_beta_energy_p3_matches_direct_cells(rng):
                        for i in ev) * 3.0 / 8.0
     assert rep.tail == pytest.approx(direct, rel=1e-12)
     assert rep.total == math.fsum([v for _, v in rep.per_scale] + [rep.tail])
+
+
+def test_beta_inf_over_pair_budget_raises_before_any_chunk(tiny_pair_budget):
+    m = build_cantor(2, 0.5, 2)          # the ball holds 4 hull vertices
+    with pytest.raises(PointBudgetError, match="16 > budget 10"):
+        beta_inf(m, [0.5, 0.5], 1.0)
+
+
+def test_beta_energy_p3_over_scan_budget_raises_before_any_scan(monkeypatch):
+    def scan(*args, **kwargs):
+        raise AssertionError("beta_p ran before the scan budget check")
+
+    monkeypatch.setattr(bt, "BETA_SCAN_BUDGET", 5)
+    monkeypatch.setattr(bt, "beta_p", scan)
+    m = build_cantor(2, 0.5, 1)          # 4 atoms, >= 2 radii each
+    with pytest.raises(PointBudgetError, match="direction scans"):
+        beta_energy(m, ScaleGrid(0.2, 1.0, 2.0), p=3.0, kappa=0.0)

@@ -1,10 +1,11 @@
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
 
-from densq import WeightedPointMeasure, build_dirac
+from densq import WeightedPointMeasure, build_cantor, build_dirac
 from densq.cli import main
 
 
@@ -188,6 +189,28 @@ def test_energy_beta(tmp_path):
     assert rc == 0
     rep = json.loads(out.read_text())
     assert rep["kind"] == "beta" and rep["total"] > 0
+
+
+def test_energy_beta_p3_over_scan_budget_fails_fast(tmp_path, capsys):
+    # 1,024 atoms x 103 cells asked for 105,472 direction scans (about 46
+    # minutes) with no check; the alarm stops a call that takes over 5 s
+    def stop(signum, frame):
+        pytest.fail("densq energy --kind beta --p 3 took over 5 s")
+
+    csv_path = tmp_path / "cantor.csv"
+    build_cantor(2, 0.6, 5).save_csv(csv_path)
+    out = tmp_path / "beta.json"
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        rc = run_cli("energy", str(csv_path), "--kind", "beta", "--p", "3",
+                     "--out", str(out))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, old)
+    assert rc == 2 and not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "direction scans" in err[0]
 
 
 def test_energy_default_grid_multi_atom(tmp_path):

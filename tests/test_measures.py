@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import densq
+from densq import measures as ms
 from densq import (
     BallIndex,
     MeasureSpec,
@@ -86,8 +87,8 @@ def test_cantor_domain_errors():
     with pytest.raises(ValueError, match="overlap"):
         build_cantor(2, 1.5, 2, branching=2)  # lambda = 2^(-2/3) >= 1/2
     with pytest.raises(PointBudgetError) as err:
-        build_cantor(2, 0.5, 10, point_budget=1000)
-    assert "1048576" in str(err.value)
+        build_cantor(2, 0.5, 11)          # 4^11 atoms > POINT_BUDGET
+    assert "4194304" in str(err.value)
 
 
 
@@ -152,8 +153,7 @@ def test_gamma_curve_masses():
 def test_gamma_curve_apex():
     # tent side meets x=0 at height tan(alpha)/2; pi/4 gives apex 1/2
     g = build_gamma_curve(math.pi / 4, 2.0, 1 / 32)
-    seg = g.segments[1]
-    apex = seg.origin + seg.length * seg.direction
+    apex = g.segments[2].origin          # where the falling side starts
     np.testing.assert_allclose(apex, [0.0, 0.5], atol=1e-15)
     assert g.points[:, 1].max() <= 0.5
 
@@ -369,6 +369,21 @@ def test_farthest_distances(rng):
 
 
 
+def test_check_budget_admits_the_budget_and_rejects_nan_and_infinity():
+    ms._check_budget(10, 10, "atoms")
+    for count in (11, math.inf, math.nan):
+        with pytest.raises(PointBudgetError, match="atoms"):
+            ms._check_budget(count, 10, "atoms")
+
+
+def test_pair_passes_over_budget_raise_before_any_chunk(tiny_pair_budget):
+    m = build_cantor(2, 0.5, 2)          # 16 atoms, 4 of them hull vertices
+    with pytest.raises(PointBudgetError, match="16 > budget 10"):
+        ball_masses(m, m.points[:1], [0.1, 1.0])
+    with pytest.raises(PointBudgetError, match="64 > budget 10"):
+        m.farthest_distances()
+
+
 def test_farthest_distances_at_chosen_atoms(rng):
     # reading the evaluation atoms alone gives the bits of the full array
     for m in (build_gamma_curve(0.4, 2.0, 1 / 128), build_cantor(2, 0.6, 5)):
@@ -494,6 +509,17 @@ def test_measure_with_index_freed_without_cycle_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_csv_over_point_budget_raises(tmp_path, monkeypatch):
+    monkeypatch.setattr(ms, "POINT_BUDGET", 3)
+    path = tmp_path / "m.csv"
+    build_dirac(2, [0.0, 0.0], 1.0).save_csv(path)
+    path.write_text(path.read_text() + "1.0,0.0,1.0\n\n2.0,0.0,1.0\n")
+    assert WeightedPointMeasure.load_csv(path).n_atoms == 3   # blank rows skipped
+    path.write_text(path.read_text() + "3.0,0.0,1.0\n")
+    with pytest.raises(PointBudgetError, match="4 > budget 3"):
+        WeightedPointMeasure.load_csv(path)
 
 
 def test_csv_rejects_bad_header(tmp_path):

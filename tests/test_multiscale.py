@@ -401,14 +401,12 @@ def test_energy_report_assemble_sums_and_echoes():
     m = build_cantor(2, 0.5, 2)
     grid = ScaleGrid(0.1, 1.0, 1.2)
     rep = EnergyReport.assemble("wolff", 0.5, 2.0, grid, m, 4.0, 0.2, 3,
-                                [(0.1, 1e-17), (0.2, 1.0), (0.3, -1.0)], tail=0.5,
-                                extra=7)
+                                [(0.1, 1e-17), (0.2, 1.0), (0.3, -1.0)], tail=0.5)
     assert rep.total == 0.5 + 1e-17          # exactly rounded, not 0.5
     assert rep.tail == 0.5 and rep.per_point is None
     assert rep.clipped_low_r == grid.low_r_clip(0.2)
     assert list(rep.params_echo) == ["kind", "s", "p", "grid", "kappa", "n_atoms",
-                                     "eval_count", "extra", "total_mass", "sample_rule"]
-    assert rep.params_echo["eval_count"] == 3 and rep.params_echo["extra"] == 7
+                                     "eval_count", "total_mass", "sample_rule"]
 
 
 def test_pair_reports_equal_single_functionals(rng):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from densq import (
+    PointBudgetError,
     ScaleGrid,
     TruncationPair,
     WeightedPointMeasure,
@@ -202,3 +203,9 @@ def test_rotation_invariance_general(rng):
     pair = TruncationPair(0.3, 2.0)
     assert riesz_energy(rotated, pair, 0.8) == pytest.approx(
         riesz_energy(m, pair, 0.8), rel=1e-10)
+
+
+def test_sup_riesz_over_pair_budget_raises_before_any_chunk(tiny_pair_budget):
+    m = build_cantor(2, 0.5, 2)          # 16 x 16 pairs
+    with pytest.raises(PointBudgetError, match="256 > budget 10"):
+        sup_riesz_energy(m, 0.5, ScaleGrid(0.1, 1.0, 1.5), kappa=0.0)

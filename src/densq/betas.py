@@ -13,14 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import (_CHUNK_CELLS, PAIR_BUDGET, WeightedPointMeasure, _check_budget,
-                       _hull_vertices, _min_enclosing_ball, _shell_sums)
+from .measures import (WeightedPointMeasure, _check_budget, _hull_vertices,
+                       _min_enclosing_ball, _pair_step, _shell_sums)
 from .multiscale import (DEFAULT_KAPPA, EnergyReport, ScaleGrid, as_atom_indices,
                          _check_p, _floor_for)
 
-# (evaluation atom, radius) cells, tail radius included, of one p != 2 beta energy:
-# at ~26 ms a cell in the plane, ~91 ms in R^3 (one core), 1024 take <= 27 s, 93 s
-BETA_SCAN_BUDGET = 1024
+# one p != 2 beta energy's (evaluation atom, radius) cells, tail included, x max(1,
+# d - 1) offset coordinates x max(atoms, 1024), as a cell's fixed search costs ~1024
+# atoms; 12-79 us a unit (3-20000 atoms, R^2-R^20, one core): 2^20 take <= ~83 s
+BETA_SCAN_BUDGET = 2 ** 20
 
 
 @dataclass
@@ -192,9 +193,8 @@ def _min_width_strip_2d(pts: np.ndarray):
     e /= np.sqrt((e[:, None, :] @ e[:, :, None]).ravel())[:, None]
     normal = np.stack([-e[:, 1], e[:, 0]], axis=1)
     m = len(hull)
-    _check_budget(m * m, PAIR_BUDGET, "strip-width (edge, vertex) pairs")
+    step = _pair_step(m, m, "strip-width (edge, vertex) pairs")
     hmax, hmin = np.empty(m), np.empty(m)
-    step = max(1, _CHUNK_CELLS // m)     # bounds the (edges, vertices) temporaries
     for a in range(0, m, step):
         # h[i, k]: offset of vertex k from edge a + i along that edge's normal
         h = ((hull[None, :, :] - hull[a:a + step, None, :])
@@ -279,7 +279,8 @@ def beta_energy(measure: WeightedPointMeasure, grid: ScaleGrid, p: float = 2.0,
     if p == 2.0:
         b2 = _beta2_profile(measure, measure.points[eval_indices], radii)
     else:
-        _check_budget(len(wc) * len(radii), BETA_SCAN_BUDGET, "beta direction scans")
+        work = len(wc) * len(radii) * max(1, measure.dim - 1) * max(measure.n_atoms, 1024)
+        _check_budget(work, BETA_SCAN_BUDGET, "beta direction scans (cells x coords x atoms)")
         b2 = np.array([[beta_p(measure, measure.points[i], r, p)[0] ** 2 for r in radii]
                        for i in eval_indices]).reshape(len(wc), len(radii))
     per_scale = (b2[:, :-1] * cells.cell_widths(floor) * wc[:, None]).sum(axis=0)

@@ -19,8 +19,8 @@ import numpy as np
 # atoms a generator may emit or a CSV may hold
 POINT_BUDGET = 2_000_000
 
-# (center, atom) pairs of one pairwise pass: at ~44 ns a pair (0.425 s for 9.76e6
-# pairs, one core of a 2-vCPU x86 host) 2^31 take ~94 s; 32768^2 = 1.07e9 fit
+# (center, atom) pairs of one pairwise pass x the values a shell pass bins per pair:
+# at ~44 ns each (0.425 s for 9.76e6 one-value pairs, one x86 core) 2^31 take ~94 s
 PAIR_BUDGET = 2 ** 31
 
 # pairs per chunk of a pairwise pass (summed over the value arrays a shell pass
@@ -39,6 +39,12 @@ def _check_budget(count, budget, what):
     """Raise PointBudgetError unless count <= budget; a nan count fails too."""
     if not count <= budget:
         raise PointBudgetError(f"{what}: {count} > budget {budget}")
+
+
+def _pair_step(rows, cols, what):
+    """Rows per chunk of a rows x cols pairwise pass, once it fits PAIR_BUDGET."""
+    _check_budget(rows * cols, PAIR_BUDGET, what)
+    return max(1, min(rows, _CHUNK_CELLS // cols))
 
 
 @dataclass(frozen=True)
@@ -140,9 +146,8 @@ class WeightedPointMeasure:
         if self.segments is not None:
             return _segment_farthest(self.segments, centers)
         cand, n = self._far_candidates, len(centers)
-        _check_budget(n * len(cand), PAIR_BUDGET, "farthest-atom (center, atom) pairs")
+        step = _pair_step(n, len(cand), "farthest-atom (center, atom) pairs")
         out = np.empty(n)
-        step = max(1, min(n, _CHUNK_CELLS // len(cand)))
         for a in range(0, n, step):
             d2 = ((centers[a:a + step, None, :] - cand[None, :, :]) ** 2).sum(-1)
             out[a:a + step] = d2.max(axis=1)
@@ -305,9 +310,8 @@ def _shell_sums(points, centers, radii, values, n_values):
     order = np.argsort(r2, kind="stable")
     r2s = r2[order]
     m, (n, dim) = len(radii), centers.shape
-    _check_budget(n * points.shape[0], PAIR_BUDGET, "radial-shell (center, atom) pairs")
+    step = _pair_step(n, len(points) * n_values, "radial-shell (center, atom, value) cells")
     out = np.empty((n_values, n, m))
-    step = max(1, min(n, _CHUNK_CELLS // (points.shape[0] * n_values)))
     for a in range(0, n, step):
         c = centers[a:a + step]
         rows = len(c)
@@ -467,8 +471,7 @@ def build_flat(dim: int, k: int, half_extent: float, spacing: float,
     axis = (np.arange(-m_side, m_side + 1)) * spacing
     grids = np.meshgrid(*([axis] * k), indexing="ij")
     pts = np.zeros((n, dim))
-    for i, g in enumerate(grids):
-        pts[:, i] = g.reshape(-1)
+    pts[:, :k] = np.stack([g.reshape(-1) for g in grids], axis=1)
     if jitter > 0.0:
         rng = np.random.default_rng(seed)
         pts[:, :k] += rng.uniform(-0.5, 0.5, size=(n, k)) * (jitter * spacing)
@@ -477,8 +480,7 @@ def build_flat(dim: int, k: int, half_extent: float, spacing: float,
     if k == 1 and jitter == 0.0:
         origin = np.zeros(dim)
         origin[0] = axis[0]
-        direction = np.zeros(dim)
-        direction[0] = 1.0
+        direction = np.eye(1, dim)[0]
         segments = [SegmentLattice(origin=origin, direction=direction,
                                    arcs=axis - axis[0], weight=spacing)]
     return WeightedPointMeasure(pts, w, segments=segments)

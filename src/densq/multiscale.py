@@ -153,8 +153,7 @@ class EnergyReport:
         exactly rounded sum."""
         params_echo = {"kind": kind, "s": s, "p": p, "grid": grid.summary(),
                        "kappa": kappa, "n_atoms": measure.n_atoms,
-                       "eval_count": eval_count,
-                       "total_mass": measure.total_mass,
+                       "eval_count": eval_count, "total_mass": measure.total_mass,
                        "sample_rule": "geometric cell midpoint"}
         return cls(kind=kind, s=s, p=p, grid=grid.summary(),
                    total=math.fsum([v for _, v in per_scale] + [tail]), tail=tail,
@@ -344,8 +343,7 @@ class RadialProfile:
 
         def value(u):
             u = np.asarray(u, dtype=float)
-            v = (u - inner) / span
-            v = np.clip(v, 0.0, 1.0)
+            v = np.clip((u - inner) / span, 0.0, 1.0)
             a, b = f(1.0 - v), f(v)
             return a / (a + b)
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from densq import WeightedPointMeasure
-from densq import betas as bt
 from densq import measures as ms
 
 
@@ -40,6 +39,5 @@ class _UnsizedChunks:
 def tiny_pair_budget(monkeypatch):
     """A pair budget of 10 pairs, and chunks that fail the test when sized: a
     pass over the budget must raise before its first chunk."""
-    for mod in (ms, bt):
-        monkeypatch.setattr(mod, "PAIR_BUDGET", 10)
-        monkeypatch.setattr(mod, "_CHUNK_CELLS", _UnsizedChunks())
+    monkeypatch.setattr(ms, "PAIR_BUDGET", 10)
+    monkeypatch.setattr(ms, "_CHUNK_CELLS", _UnsizedChunks())

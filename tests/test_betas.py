@@ -527,3 +527,15 @@ def test_beta_energy_p3_over_scan_budget_raises_before_any_scan(monkeypatch):
     m = build_cantor(2, 0.5, 1)          # 4 atoms, >= 2 radii each
     with pytest.raises(PointBudgetError, match="direction scans"):
         beta_energy(m, ScaleGrid(0.2, 1.0, 2.0), p=3.0, kappa=0.0)
+
+
+def test_beta_energy_p3_scan_budget_counts_the_atoms_of_a_cell(monkeypatch):
+    # one evaluation atom and 29 radii, tail included, but each cell's direction
+    # scan runs over up to 65,536 atoms: 29 x 65,536 = 1.9e6 units > 2^20
+    def scan(*args, **kwargs):
+        raise AssertionError("beta_p ran before the scan budget check")
+
+    monkeypatch.setattr(bt, "beta_p", scan)
+    m = build_cantor(2, 0.6, 8)
+    with pytest.raises(PointBudgetError, match="direction scans"):
+        beta_energy(m, ScaleGrid(0.01, 1.0, 1.2), p=3.0, eval_indices=[0], kappa=0.0)

@@ -414,7 +414,6 @@ def test_chunk_bound_moves_no_result(monkeypatch, rng):
 
     before = run()
     monkeypatch.setattr(measures, "_CHUNK_CELLS", 64)
-    monkeypatch.setattr(betas, "_CHUNK_CELLS", 64)
     assert run() == before
 
 # ---------------------------------------------------------------------------

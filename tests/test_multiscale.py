@@ -407,6 +407,7 @@ def test_energy_report_assemble_sums_and_echoes():
     assert rep.clipped_low_r == grid.low_r_clip(0.2)
     assert list(rep.params_echo) == ["kind", "s", "p", "grid", "kappa", "n_atoms",
                                      "eval_count", "total_mass", "sample_rule"]
+    assert rep.params_echo["eval_count"] == 3
 
 
 def test_pair_reports_equal_single_functionals(rng):

@@ -206,6 +206,6 @@ def test_rotation_invariance_general(rng):
 
 
 def test_sup_riesz_over_pair_budget_raises_before_any_chunk(tiny_pair_budget):
-    m = build_cantor(2, 0.5, 2)          # 16 x 16 pairs
-    with pytest.raises(PointBudgetError, match="256 > budget 10"):
+    m = build_cantor(2, 0.5, 2)          # 16 x 16 pairs, 2 values each
+    with pytest.raises(PointBudgetError, match="512 > budget 10"):
         sup_riesz_energy(m, 0.5, ScaleGrid(0.1, 1.0, 1.5), kappa=0.0)

@@ -235,14 +235,15 @@ def _beta2_profile(measure, centers, radii):
     zeroth, first and second moments of dy = x - c summed over closed balls in
     one radial-shell pass. Shape (n_centers, n_radii)."""
     radii = np.asarray(radii, dtype=float)
-    w, d = measure.weights, measure.dim
+    d = measure.dim
     lower = [(a, b) for a in range(d) for b in range(a + 1)]
 
-    def moments(dy, d2):
+    def moments(dy, d2, w):
         wdy = [w * v for v in dy]
         return [w] + wdy + [wdy[a] * dy[b] for a, b in lower]
 
-    sums = _shell_sums(measure.points, centers, radii, moments, 1 + d + len(lower))
+    sums = _shell_sums(measure.points, measure.weights, centers, radii, moments,
+                       1 + d + len(lower))
     s0 = sums[0]
     mean = sums[1:1 + d] / s0
     scatter = np.empty(s0.shape + (d, d))

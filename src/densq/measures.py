@@ -51,8 +51,8 @@ def _pair_step(rows, cols, what):
 class SegmentLattice:
     """Atoms of one straight segment: sorted arc offsets from `origin` along `direction`.
 
-    Uniform weight per atom. Lets ball masses be computed by interval counting
-    (two binary searches per segment) instead of point-by-point distances.
+    Uniform weight per atom. Lets ball masses be counted by index arithmetic
+    on the lattice arcs[0] + k * step instead of point-by-point distances.
     """
 
     origin: np.ndarray
@@ -80,6 +80,8 @@ class WeightedPointMeasure:
             raise ValueError("non-finite coordinate")
         if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
             raise ValueError("weights must be positive and finite")
+        if segments is not None and sum(len(sg.arcs) for sg in segments) != len(points):
+            raise ValueError("segment lattices must hold the atoms one-to-one")
         points, weights, merged = _merge_duplicates(points, weights)
         self.points = points
         self.weights = weights
@@ -131,7 +133,11 @@ class WeightedPointMeasure:
 
     @functools.cached_property
     def _far_candidates(self) -> np.ndarray:
-        """The hull vertices, or every atom of a flat or degenerate set."""
+        """The two extreme atoms of a 1-d set, the hull vertices in 2-d and
+        3-d, or every atom of a flat or degenerate set."""
+        if self.dim == 1:
+            x = self.points[:, 0]
+            return self.points[[np.argmin(x), np.argmax(x)]]
         cand = _hull_vertices(self.points)
         return self.points if cand is None else cand
 
@@ -140,7 +146,9 @@ class WeightedPointMeasure:
         radius beyond which a ball at x_i contains the whole support.
 
         The farthest atom is a vertex of the convex hull, so only hull vertices
-        are scanned; flat or degenerate sets scan every atom.
+        are scanned: in 1-d the two extreme atoms, where the rounded squared
+        distance is monotone on either side of each atom, so the scan is exact.
+        Flat or degenerate sets in 2-d and up scan every atom.
         """
         centers = self.points if indices is None else self.points[indices]
         if self.segments is not None:
@@ -287,23 +295,28 @@ def ball_masses(measure: WeightedPointMeasure, centers: np.ndarray,
     if not np.all(radii >= 0):
         raise ValueError("radii must be nonnegative (and not nan)")
     if measure.segments is not None:
-        return _segment_ball_masses(measure.segments, centers, radii)
-    w = measure.weights
-    return _shell_sums(measure.points, centers, radii, lambda diff, d2: [w], 1)[0]
+        return _segment_ball_masses(measure, centers, radii)
+    return _shell_sums(measure.points, measure.weights, centers, radii,
+                       lambda diff, d2, w: [w], 1)[0]
 
 
-def _shell_sums(points, centers, radii, values, n_values):
+def _shell_sums(points, weights, centers, radii, values, n_values):
     """Sums of per-(center, atom) values over closed balls, from one pass.
 
-    `values(diff, d2)` gets one chunk of centers: `diff[k]` holds the k-th
-    coordinate of x_atom - center and `d2` the squared distances, each of shape
-    (chunk, n_atoms); it returns `n_values` arrays of that shape (or
+    `values(diff, d2, w)` gets one chunk of centers and the atoms it keeps:
+    `diff[k]` holds the k-th coordinate of x_atom - center and `d2` the
+    squared distances, each of shape (chunk, kept atoms), and `w` the kept
+    atoms' weights; it returns `n_values` arrays of that shape (or
     broadcastable to it). The result has shape (n_values, n_centers, n_radii):
     entry [v, i, j] sums values[v][i, a] over the atoms a with d2 <= r_j^2.
 
     Each atom falls in the shell of the first sorted radius it lies within
     (`searchsorted(r2, d2, side="left")`, exactly the predicate d2 <= r^2, ties
-    included); the values are binned per shell and summed outward.
+    included); the values are binned per shell and summed outward. A chunk
+    keeps only the atoms inside its centers' bounding box grown by the largest
+    radius (and a rounding margin): the others lie beyond every radius, in the
+    outer shell that is dropped, so leaving them out moves no bit. The work
+    budget counts every atom.
     """
     radii = np.asarray(radii, dtype=float)
     r2 = radii * radii
@@ -311,11 +324,19 @@ def _shell_sums(points, centers, radii, values, n_values):
     r2s = r2[order]
     m, (n, dim) = len(radii), centers.shape
     step = _pair_step(n, len(points) * n_values, "radial-shell (center, atom, value) cells")
+    scale = max(np.abs(points).max(), np.abs(centers).max(initial=0.0))
+    # the box margin: 1e-9 relative dwarfs the rounding of its bounds and of d2
+    pad = radii.max(initial=0.0)
+    pad += 1e-9 * (pad + scale)
     out = np.empty((n_values, n, m))
     for a in range(0, n, step):
         c = centers[a:a + step]
         rows = len(c)
-        diff = [points[None, :, k] - c[:, k, None] for k in range(dim)]
+        pts, w = points, weights
+        keep = _near_atoms(points, c, pad)
+        if not keep.all():
+            pts, w = points[keep], weights[keep]
+        diff = [pts[None, :, k] - c[:, k, None] for k in range(dim)]
         # one coordinate at a time rounds exactly as .sum(-1) does, which the
         # ball index and brute-force scans use, without its slow strided reduce
         d2 = diff[0] ** 2
@@ -324,11 +345,20 @@ def _shell_sums(points, centers, radii, values, n_values):
         shell = np.searchsorted(r2s, d2, side="left")
         shell += (np.arange(rows) * (m + 1))[:, None]
         shell = shell.ravel()
-        for v, val in enumerate(values(diff, d2)):
+        for v, val in enumerate(values(diff, d2, w)):
             bins = np.bincount(shell, weights=np.broadcast_to(val, d2.shape).ravel(),
                                minlength=rows * (m + 1)).reshape(rows, m + 1)
             out[v, a:a + rows][:, order] = np.cumsum(bins[:, :m], axis=1)
     return out
+
+
+def _near_atoms(points, centers, pad):
+    """Mask of the atoms inside the centers' bounding box grown by `pad`;
+    every atom when pad is infinite or its square underflows."""
+    if not 0.0 < pad * pad < math.inf:
+        return np.ones(len(points), dtype=bool)
+    return ((points >= centers.min(axis=0) - pad)
+            & (points <= centers.max(axis=0) + pad)).all(axis=1)
 
 
 def _segment_foot(sg, centers):
@@ -339,18 +369,88 @@ def _segment_foot(sg, centers):
     return t0, np.clip((rel ** 2).sum(axis=1) - t0 ** 2, 0.0, None)
 
 
-def _segment_ball_masses(segments, centers, radii):
-    out = np.zeros((centers.shape[0], len(radii)))
-    for sg in segments:
+def _segment_ball_masses(measure, centers, radii):
+    """Closed-ball masses on a segment-lattice measure: one pass per segment
+    over all radii, in chunks of centers.
+
+    A ball meets the segment's line in the arcs [t0 - u, t0 + u],
+    u = sqrt(r^2 - p2). Atom k sits near arcs[0] + k * step, so the atoms more
+    than a slack tau inside either end are counted by index arithmetic, those
+    more than tau outside are not, and only the few within tau of an end are
+    re-decided with the stored-coordinate predicate |x_i - c|^2 <= r^2. The
+    count thus equals a brute-force scan, ties included. Segment s holds rows
+    offset_s + k of `measure.points`.
+
+    tau, in arc units, covers the largest deviation of `arcs` from the
+    lattice, the rounding of t0, p2, the lattice index and the stored
+    coordinates (16 eps S), and that of u where the ball grazes the line
+    (sqrt(16 eps) S); S bounds |x_i - c| over the segment's atoms and the
+    centers.
+    """
+    r2 = radii * radii
+    n, m = len(centers), len(radii)
+    # 2^15 (center, radius) cells per chunk keep the temporaries in cache
+    rows = max(1, _CHUNK_CELLS // 8 // max(m, 1))
+    out = np.zeros((n, m))
+    reach = float(np.sqrt((centers ** 2).sum(axis=1)).max(initial=0.0))
+    c_eps = 16 * np.finfo(float).eps
+    offset = 0
+    for sg in measure.segments:
+        arcs, k = sg.arcs, len(sg.arcs)
+        pts = measure.points[offset:offset + k]
+        offset += k
+        step = (arcs[-1] - arcs[0]) / (k - 1) if k > 1 else 1.0
+        scale = reach + float(np.sqrt((sg.origin ** 2).sum())) + max(-arcs[0], arcs[-1])
+        tau = (float(np.abs(arcs - (arcs[0] + np.arange(k) * step)).max())
+               + c_eps * scale + math.sqrt(c_eps) * scale)
         t0, p2 = _segment_foot(sg, centers)
-        for j, r in enumerate(radii):
-            # u2 < 0: the ball misses the line (u = 0 only keeps the root real)
-            u2 = r * r - p2
-            u = np.sqrt(np.maximum(u2, 0.0))
-            lo = np.searchsorted(sg.arcs, t0 - u, side="left")
-            hi = np.searchsorted(sg.arcs, t0 + u, side="right")
-            out[:, j] += np.where(u2 >= 0.0, sg.weight * (hi - lo), 0.0)
+        tq, d = (t0 - arcs[0]) / step, tau / step
+        # past 2 * scale a ball holds the whole segment; the cap keeps u finite
+        r2_cap = np.minimum(r2, 4.0 * scale * scale)
+        for a in range(0, n, rows):
+            c = centers[a:a + rows]
+            uq = np.subtract(r2_cap, p2[a:a + rows, None])
+            np.maximum(uq, 0.0, out=uq)
+            np.sqrt(uq, out=uq)
+            uq /= step
+            lo, hi = tq[a:a + rows, None] - uq, tq[a:a + rows, None] + uq
+            # atoms first <= i < stop lie more than tau inside [t0 - u, t0 + u]
+            first, stop = lo + d, hi + (1.0 - d)
+            np.ceil(first, out=first)
+            np.floor(stop, out=stop)
+            # cells with an atom within tau of an end: first - 1 >= lo - d or
+            # stop <= hi + d
+            near = np.flatnonzero((first - lo >= 1.0 - d) | (stop - hi <= d))
+            np.clip(first, 0, k, out=first)
+            np.clip(stop, 0, k, out=stop)
+            count = np.maximum(stop - first, 0.0)
+            if near.size:
+                lo, hi = lo.reshape(-1)[near], hi.reshape(-1)[near]
+                first, stop = first.reshape(-1)[near], stop.reshape(-1)[near]
+                # the atoms within tau below first, and above stop (or first)
+                _redecide(count, near, np.ceil(lo - d), first, pts, c, r2)
+                _redecide(count, near, np.maximum(stop, first), np.floor(hi + d) + 1.0,
+                          pts, c, r2)
+            out[a:a + rows] += sg.weight * count
     return out
+
+
+def _redecide(count, cell, start, end, pts, centers, r2):
+    """Add to `count` (centers x radii) the atoms start <= i < end of `pts`
+    that pass the stored-coordinate predicate |x_i - c|^2 <= r^2, per
+    row-major cell index in `cell`; the ranges are clipped to the atoms."""
+    m, flat = len(r2), count.reshape(-1)
+    start = np.clip(start, 0, len(pts)).astype(np.intp)
+    end = np.clip(end, 0, len(pts)).astype(np.intp)
+    while cell.size:
+        more = start < end
+        cell, start, end = cell[more], start[more], end[more]
+        dx = pts[start] - centers[cell // m]
+        d2 = dx[:, 0] ** 2
+        for j in range(1, dx.shape[1]):
+            d2 += dx[:, j] ** 2
+        flat[cell] += d2 <= r2[cell % m]
+        start += 1
 
 
 def _segment_farthest(segments, centers):

@@ -88,8 +88,8 @@ def _pair_energy_matrix(measure, s, radii, eval_indices):
     eval_indices = as_atom_indices(eval_indices, measure.n_atoms)
     m = len(radii)
     # S[i, a] = sum of w K(x - x_i) over the closed ball B(x_i, r_a)
-    S = np.moveaxis(_shell_sums(pts, pts[eval_indices], radii,
-                                lambda diff, d2: [k * w for k in _kernel(diff, d2, s)],
+    S = np.moveaxis(_shell_sums(pts, w, pts[eval_indices], radii,
+                                lambda diff, d2, wk: [k * wk for k in _kernel(diff, d2, s)],
                                 measure.dim), 0, -1)
     we = w[eval_indices]
     E = np.zeros((m, m))

@@ -41,3 +41,15 @@ def tiny_pair_budget(monkeypatch):
     pass over the budget must raise before its first chunk."""
     monkeypatch.setattr(ms, "PAIR_BUDGET", 10)
     monkeypatch.setattr(ms, "_CHUNK_CELLS", _UnsizedChunks())
+
+
+try:
+    from hypothesis import settings
+except ImportError:      # the property tests skip themselves
+    pass
+else:
+    # a fixed example sequence and no example database: every run of the suite
+    # draws the same cases, in bounded time, and writes no files
+    settings.register_profile("densq", derandomize=True, database=None,
+                              deadline=None, max_examples=60)
+    settings.load_profile("densq")

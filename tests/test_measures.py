@@ -354,19 +354,43 @@ def test_farthest_distances(rng):
     d2 = ((m.points[:, None, :] - m.points[None, :, :]) ** 2).sum(-1)
     np.testing.assert_allclose(m.farthest_distances(),
                                np.sqrt(d2.max(axis=1)), rtol=1e-12)
-    # generic sets scan hull vertices only, or every atom when there is no
-    # full-dimensional hull: a flat line rebuilt without its segment layout
-    # (collinear) and a 1-d set; all equal brute force exactly
+    # generic sets scan hull vertices only, 1-d sets their two extreme atoms,
+    # and other sets with no full-dimensional hull every atom (a flat line
+    # rebuilt without its segment layout); all equal brute force exactly
     line = build_flat(2, 1, 1.0, 1 / 64)
     generic = WeightedPointMeasure(line.points, line.weights)
     assert generic.segments is None
     one_d = WeightedPointMeasure(np.linspace(-1.0, 2.0, 97)[:, None] ** 3,
                                  np.ones(97))
-    for m in (generic, one_d, m, build_cantor(3, 1.2, 3), build_cantor(2, 0.7, 4)):
+    for m in (generic, one_d, build_cantor(1, 0.6, 10), WeightedPointMeasure([[2.5]], [1.0]),
+              m, build_cantor(3, 1.2, 3), build_cantor(2, 0.7, 4)):
         d2 = ((m.points[:, None, :] - m.points[None, :, :]) ** 2).sum(-1)
         np.testing.assert_array_equal(m.farthest_distances(),
                                       np.sqrt(d2.max(axis=1)))
 
+
+
+def test_farthest_distances_in_1d_scan_the_two_extreme_atoms(rng, monkeypatch):
+    # 65,536 atoms: two candidates per atom, so a pair budget of 2 n suffices
+    # (scanning every atom took 4.3e9 pairs, twice the default budget)
+    m = build_cantor(1, 0.6, 16)
+    monkeypatch.setattr(ms, "PAIR_BUDGET", 2 * m.n_atoms)
+    far = m.farthest_distances()
+    idx = rng.choice(m.n_atoms, 64, replace=False)
+    d2 = (m.points - m.points[idx, 0]) ** 2
+    np.testing.assert_array_equal(far[idx], np.sqrt(d2.max(axis=0)))
+
+
+def test_segment_layout_must_hold_the_atoms_one_to_one():
+    # the segment engine reads atom k of segment s at row offset_s + k
+    g = build_gamma_curve(math.pi / 8, 2.0, 1 / 32)
+    short = g.segments[:-1] + [ms.SegmentLattice(g.segments[-1].origin,
+                                                 g.segments[-1].direction,
+                                                 g.segments[-1].arcs[:-1], 1 / 32)]
+    for segments in (short, g.segments[1:], g.segments + g.segments[:1]):
+        with pytest.raises(ValueError, match="one-to-one"):
+            WeightedPointMeasure(g.points, g.weights, segments=segments)
+    assert WeightedPointMeasure(g.points, g.weights, segments=g.segments).segments
 
 
 def test_check_budget_admits_the_budget_and_rejects_nan_and_infinity():
@@ -396,9 +420,11 @@ def test_farthest_distances_at_chosen_atoms(rng):
 
 def test_chunk_bound_moves_no_result(monkeypatch, rng):
     # the pairwise passes split their centers into chunks of at most
-    # _CHUNK_CELLS pairs; chunks of one center give the same bytes
+    # _CHUNK_CELLS pairs, the segment engine into chunks of an eighth of that
+    # in (center, radius) cells; chunks of one center give the same bytes
     from densq import ScaleGrid, betas, measures, sup_riesz_energy
     m = random_measure(rng, n=150)
+    tent = build_gamma_curve(math.pi / 8, 2.0, 1 / 32)
     t = np.linspace(0.0, 2 * math.pi, 120, endpoint=False)
     ring = np.stack([np.cos(t), np.sin(t)], axis=1)     # 120 hull vertices
     radii = np.array([0.0, 0.05, 0.2, 0.5, 1.0, 3.0])
@@ -407,6 +433,7 @@ def test_chunk_bound_moves_no_result(monkeypatch, rng):
         width, direction, point = betas._min_width_strip_2d(ring)
         rep = sup_riesz_energy(m, 0.5, ScaleGrid(0.05, 1.0, 1.2), kappa=0.0)
         return (ball_masses(m, m.points, radii).tobytes(),
+                ball_masses(tent, tent.points, radii).tobytes(),
                 json.dumps(rep.to_json_dict(), sort_keys=True),
                 betas._beta2_profile(m, m.points, radii[1:]).tobytes(),
                 m.farthest_distances().tobytes(),
@@ -415,6 +442,40 @@ def test_chunk_bound_moves_no_result(monkeypatch, rng):
     before = run()
     monkeypatch.setattr(measures, "_CHUNK_CELLS", 64)
     assert run() == before
+
+
+def test_shell_pruning_moves_no_bit(monkeypatch, rng):
+    # small chunks give small boxes, so some atoms lie beyond the largest
+    # radius of a chunk and are left out; keeping them all gives the same bytes
+    from densq import ScaleGrid, betas, measures, sup_riesz_energy
+    m = random_measure(rng, n=150)
+    tent = build_gamma_curve(math.pi / 8, 2.0, 1 / 32)
+    generic_tent = WeightedPointMeasure(tent.points, tent.weights)
+    radii = np.array([0.0, 0.05, 0.2, 0.5])
+    monkeypatch.setattr(measures, "_CHUNK_CELLS", 2000)
+    near = measures._near_atoms
+    dropped = []
+
+    def run():
+        rep = sup_riesz_energy(m, 0.5, ScaleGrid(0.05, 0.5, 1.2), kappa=0.0)
+        return (ball_masses(m, m.points, radii).tobytes(),
+                ball_masses(generic_tent, tent.points, radii).tobytes(),
+                json.dumps(rep.to_json_dict(), sort_keys=True),
+                betas._beta2_profile(m, m.points, radii[1:]).tobytes())
+
+    def counted(points, centers, pad):
+        keep = near(points, centers, pad)
+        dropped.append(len(keep) - keep.sum())
+        return keep
+
+    monkeypatch.setattr(measures, "_near_atoms", counted)
+    pruned = run()
+    assert sum(dropped) > 0
+    monkeypatch.setattr(measures, "_near_atoms",
+                        lambda points, centers, pad: np.ones(len(points), dtype=bool))
+    assert run() == pruned
+    # an infinite radius keeps every atom
+    assert near(m.points, m.points[:2], math.inf).all()
 
 # ---------------------------------------------------------------------------
 # smallest enclosing ball

@@ -20,12 +20,16 @@ import numpy as np
 POINT_BUDGET = 2_000_000
 
 # (center, atom) pairs of one pairwise pass x the values a shell pass bins per pair:
-# at ~44 ns each (0.425 s for 9.76e6 one-value pairs, one x86 core) 2^31 take ~94 s
+# at ~28 ns each (0.468 s for 1.68e7 one-value pairs, one x86 core) 2^31 take ~60 s
 PAIR_BUDGET = 2 ** 31
 
 # pairs per chunk of a pairwise pass (summed over the value arrays a shell pass
 # bins together): bounds the temporaries to a few MB each, and moves no result
 _CHUNK_CELLS = 2 ** 18
+
+# kept pairs per block of a radial-shell chunk, and entries of the largest
+# bucket table of its shell lookup: each stays within about 1 MB, in cache
+_BLOCK_CELLS = _SHELL_TABLE_CAP = 2 ** 16
 
 # relative and absolute slack of the smallest enclosing ball's containment test
 _ENCLOSING_TOL = 1e-12
@@ -133,22 +137,19 @@ class WeightedPointMeasure:
 
     @functools.cached_property
     def _far_candidates(self) -> np.ndarray:
-        """The two extreme atoms of a 1-d set, the hull vertices in 2-d and
-        3-d, or every atom of a flat or degenerate set."""
-        if self.dim == 1:
-            x = self.points[:, 0]
-            return self.points[[np.argmin(x), np.argmax(x)]]
+        """The hull vertices in 2-d and 3-d, else the atoms near either end of
+        the principal axis (`_line_ends`)."""
         cand = _hull_vertices(self.points)
-        return self.points if cand is None else cand
+        return _line_ends(self.points) if cand is None else cand
 
     def farthest_distances(self, indices=None) -> np.ndarray:
         """Per atom i in `indices` (default: every atom), max_j |x_j - x_i|: the
         radius beyond which a ball at x_i contains the whole support.
 
         The farthest atom is a vertex of the convex hull, so only hull vertices
-        are scanned: in 1-d the two extreme atoms, where the rounded squared
-        distance is monotone on either side of each atom, so the scan is exact.
-        Flat or degenerate sets in 2-d and up scan every atom.
+        are scanned; sets with no full-dimensional hull (1-d sets, collinear
+        ones) scan the atoms near the ends of their principal axis. Either way
+        the stored-coordinate distances decide, so the result is exact.
         """
         centers = self.points if indices is None else self.points[indices]
         if self.segments is not None:
@@ -232,6 +233,21 @@ def _hull_vertices(points):
         return None
 
 
+def _line_ends(points):
+    """The atoms whose projection t on the principal axis lies within
+    2h + 64 eps S of either end (h the largest offset from the axis, S the
+    largest |x - mean|): no other atom is farthest from any atom. For y that
+    far below the end atom e and t_x <= t_y, |x - e|^2 - |x - y|^2 >=
+    32 eps S (t_e - t_x), more than rounding moves the two squared distances;
+    the rest of the slack covers the rounding of t and h."""
+    rel = points - points.mean(axis=0)
+    u = np.linalg.eigh(rel.T @ rel)[1][:, -1]
+    t = rel @ u
+    h = math.sqrt(((rel - t[:, None] * u) ** 2).sum(axis=1).max())
+    slack = 2 * h + 64 * np.finfo(float).eps * math.sqrt((rel ** 2).sum(axis=1).max())
+    return points[(t <= t.min() + slack) | (t >= t.max() - slack)]
+
+
 class BallIndex:
     """KD-tree accelerated, exactness-preserving closed-ball queries.
 
@@ -303,53 +319,97 @@ def ball_masses(measure: WeightedPointMeasure, centers: np.ndarray,
 def _shell_sums(points, weights, centers, radii, values, n_values):
     """Sums of per-(center, atom) values over closed balls, from one pass.
 
-    `values(diff, d2, w)` gets one chunk of centers and the atoms it keeps:
+    `values(diff, d2, w)` gets one block of centers and the atoms it keeps:
     `diff[k]` holds the k-th coordinate of x_atom - center and `d2` the
-    squared distances, each of shape (chunk, kept atoms), and `w` the kept
+    squared distances, each of shape (block, kept atoms), and `w` the kept
     atoms' weights; it returns `n_values` arrays of that shape (or
     broadcastable to it). The result has shape (n_values, n_centers, n_radii):
     entry [v, i, j] sums values[v][i, a] over the atoms a with d2 <= r_j^2.
 
-    Each atom falls in the shell of the first sorted radius it lies within
-    (`searchsorted(r2, d2, side="left")`, exactly the predicate d2 <= r^2, ties
-    included); the values are binned per shell and summed outward. A chunk
-    keeps only the atoms inside its centers' bounding box grown by the largest
-    radius (and a rounding margin): the others lie beyond every radius, in the
-    outer shell that is dropped, so leaving them out moves no bit. The work
-    budget counts every atom.
+    Each atom falls in the shell of the first sorted radius it lies within,
+    exactly the predicate d2 <= r^2, ties included (`_shell_lookup`); the
+    values are binned per shell and summed outward. A chunk keeps only the
+    atoms inside its centers' bounding box grown by the largest radius (and a
+    rounding margin): the others lie beyond every radius, in the outer shell
+    that is dropped, so leaving them out moves no bit. The work budget counts
+    every atom. The coordinate differences, d2 and the shell indices live in
+    buffers allocated once per pass; `values` must not keep them past its call.
     """
     radii = np.asarray(radii, dtype=float)
     r2 = radii * radii
     order = np.argsort(r2, kind="stable")
-    r2s = r2[order]
     m, (n, dim) = len(radii), centers.shape
     step = _pair_step(n, len(points) * n_values, "radial-shell (center, atom, value) cells")
+    shell_of = _shell_lookup(r2[order])
     scale = max(np.abs(points).max(), np.abs(centers).max(initial=0.0))
     # the box margin: 1e-9 relative dwarfs the rounding of its bounds and of d2
     pad = radii.max(initial=0.0)
     pad += 1e-9 * (pad + scale)
+    coords = np.ascontiguousarray(points.T)
+    cells = min(n * len(points), max(len(points), _BLOCK_CELLS))
+    fbuf, ibuf = np.empty((dim + 2, cells)), np.empty((2, cells), dtype=np.int64)
+    above = np.empty(cells, dtype=bool)
     out = np.empty((n_values, n, m))
-    for a in range(0, n, step):
-        c = centers[a:a + step]
-        rows = len(c)
-        pts, w = points, weights
-        keep = _near_atoms(points, c, pad)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        xs, w = coords, weights
+        keep = _near_atoms(points, centers[start:stop], pad)
         if not keep.all():
-            pts, w = points[keep], weights[keep]
-        diff = [pts[None, :, k] - c[:, k, None] for k in range(dim)]
-        # one coordinate at a time rounds exactly as .sum(-1) does, which the
-        # ball index and brute-force scans use, without its slow strided reduce
-        d2 = diff[0] ** 2
-        for dk in diff[1:]:
-            d2 += dk ** 2
-        shell = np.searchsorted(r2s, d2, side="left")
-        shell += (np.arange(rows) * (m + 1))[:, None]
-        shell = shell.ravel()
-        for v, val in enumerate(values(diff, d2, w)):
-            bins = np.bincount(shell, weights=np.broadcast_to(val, d2.shape).ravel(),
-                               minlength=rows * (m + 1)).reshape(rows, m + 1)
-            out[v, a:a + rows][:, order] = np.cumsum(bins[:, :m], axis=1)
+            xs, w = coords[:, keep], weights[keep]
+        # blocks of at most _BLOCK_CELLS kept pairs, or one row
+        block = max(1, _BLOCK_CELLS // max(xs.shape[1], 1))
+        for a in range(start, stop, block):
+            c = centers[a:min(a + block, stop)]
+            rows = len(c)
+            size = rows * xs.shape[1]
+            *diff, d2, tmp = (b[:size].reshape(rows, -1) for b in fbuf)
+            for k in range(dim):
+                np.subtract(xs[k], c[:, k, None], out=diff[k])
+            # one coordinate at a time rounds exactly as .sum(-1) does, which the
+            # ball index and brute-force scans use, without its slow strided reduce
+            np.square(diff[0], out=d2)
+            for dk in diff[1:]:
+                d2 += np.square(dk, out=tmp)
+            shell = shell_of(d2.ravel(), ibuf[0, :size], ibuf[1, :size], tmp.ravel(),
+                             above[:size]).reshape(rows, -1)
+            shell += (np.arange(rows) * (m + 1))[:, None]
+            for v, val in enumerate(values(diff, d2, w)):
+                val = np.broadcast_to(val, d2.shape).ravel()
+                bins = np.bincount(shell.ravel(), weights=val,
+                                   minlength=rows * (m + 1)).reshape(rows, m + 1)
+                out[v, a:a + rows][:, order] = np.cumsum(bins[:, :m], axis=1)
     return out
+
+
+def _shell_lookup(r2s):
+    """For sorted nonnegative r2s, a function shell(d2, out, key, cut, above)
+    returning searchsorted(r2s, d2, side="left") for nonnegative d2, in the
+    int64 `out` when a table serves (key, cut, above: int64, float and bool
+    scratch of d2's length).
+
+    Nonnegative doubles order as their int64 bits. At the coarsest `shift`
+    that gives each radius a bucket of its own, tab[b] counts the radii below
+    bucket b = bits >> shift (less r2s[0]'s, clipped); d2 lies above those and
+    at most one more, which d2 > r2s[tab[b]] decides. Radii no table of
+    _SHELL_TABLE_CAP entries separates (duplicates, near-ties far from the
+    rest) keep the binary search."""
+    bits = r2s.view(np.int64)
+    # a >> s differs from b >> s for every s up to the top bit of a ^ b
+    shift = int(np.bitwise_xor(bits[1:], bits[:-1]).min(initial=1 << 62)).bit_length() - 1
+    if not len(r2s) or shift < 0 or (bits[-1] >> shift) - (bits[0] >> shift) >= _SHELL_TABLE_CAP:
+        return lambda d2, *_: np.searchsorted(r2s, d2, side="left")
+    lo = bits[0] >> shift
+    tab = np.searchsorted(bits >> shift, np.arange(lo, (bits[-1] >> shift) + 1), side="left")
+    cuts = np.append(r2s, np.inf)[tab]
+
+    def shell(d2, out, key, cut, above):
+        np.right_shift(d2.view(np.int64), shift, out=key)
+        key -= lo
+        np.take(tab, key, out=out, mode="clip")
+        np.take(cuts, key, out=cut, mode="clip")
+        out += np.greater(d2, cut, out=above)
+        return out
+    return shell
 
 
 def _near_atoms(points, centers, pad):

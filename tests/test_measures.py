@@ -354,9 +354,9 @@ def test_farthest_distances(rng):
     d2 = ((m.points[:, None, :] - m.points[None, :, :]) ** 2).sum(-1)
     np.testing.assert_allclose(m.farthest_distances(),
                                np.sqrt(d2.max(axis=1)), rtol=1e-12)
-    # generic sets scan hull vertices only, 1-d sets their two extreme atoms,
-    # and other sets with no full-dimensional hull every atom (a flat line
-    # rebuilt without its segment layout); all equal brute force exactly
+    # generic sets scan hull vertices only, sets with no full-dimensional hull
+    # (1-d sets, a flat line rebuilt without its segment layout) the atoms
+    # near the ends of their principal axis; all equal brute force exactly
     line = build_flat(2, 1, 1.0, 1 / 64)
     generic = WeightedPointMeasure(line.points, line.weights)
     assert generic.segments is None
@@ -379,6 +379,53 @@ def test_farthest_distances_in_1d_scan_the_two_extreme_atoms(rng, monkeypatch):
     idx = rng.choice(m.n_atoms, 64, replace=False)
     d2 = (m.points - m.points[idx, 0]) ** 2
     np.testing.assert_array_equal(far[idx], np.sqrt(d2.max(axis=0)))
+
+
+def _rotation(dim, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(dim, dim)))
+    return q
+
+
+def test_farthest_distances_on_collinear_sets_equal_brute_force(tmp_path):
+    # rotated lines, generated and read back from CSV, a 3-d straight polyline
+    # without its segments, lines with small offsets off the axis, and a plane
+    line = build_flat(3, 1, 1.0, 1 / 128).points
+    sets = [line[:, :2] @ _rotation(2, 1).T + [0.3, -2.0],
+            line @ _rotation(3, 2).T + 5.0,
+            build_polyline([[0.1, 0.2, 0.3], [1.1, -0.7, 2.3]], 1 / 200).points,
+            np.linspace(0.0, 1.0, 301)[:, None] * [1.0, 3.0] + [0.0, 1e-3],
+            line[:, :2] + np.random.default_rng(3).uniform(0, 1e-7, (len(line), 2)),
+            build_flat(3, 2, 1.0, 1 / 16).points @ _rotation(3, 4).T]
+    for k, pts in enumerate(sets):
+        m = WeightedPointMeasure(pts, np.ones(len(pts)))
+        m.save_csv(tmp_path / f"{k}.csv")
+        for m in (m, WeightedPointMeasure.load_csv(tmp_path / f"{k}.csv")):
+            assert m.segments is None
+            d2 = ((m.points[:, None, :] - m.points[None, :, :]) ** 2).sum(-1)
+            np.testing.assert_array_equal(m.farthest_distances(), np.sqrt(d2.max(axis=1)))
+    # exact lines keep a few atoms at either end, a plane most of its atoms
+    assert len(m._far_candidates) > m.n_atoms // 2
+    assert len(WeightedPointMeasure(sets[1], np.ones(len(line)))._far_candidates) <= 6
+
+
+@pytest.mark.parametrize("spacing", [1 / 4096, 1 / 32768])
+def test_farthest_distances_on_long_collinear_lines_scan_a_few_atoms(rng, monkeypatch,
+                                                                     spacing):
+    # 8,193 and 65,537 atoms: scanning every atom took 3.6 s and 4.3e9 pairs
+    # (twice the default budget); a few candidates per atom suffice
+    import time
+    from scipy.spatial import ConvexHull  # noqa: F401  (import outside the timing)
+    line = build_flat(2, 1, 1.0, spacing)
+    pts = line.points @ _rotation(2, 5).T
+    m = WeightedPointMeasure(pts, line.weights)
+    monkeypatch.setattr(ms, "PAIR_BUDGET", 8 * m.n_atoms)
+    start = time.perf_counter()
+    far = m.farthest_distances()
+    if spacing == 1 / 4096:
+        assert time.perf_counter() - start < 0.1
+    idx = rng.choice(m.n_atoms, 64, replace=False)
+    d2 = ((m.points[None, :, :] - m.points[idx, None, :]) ** 2).sum(-1)
+    np.testing.assert_array_equal(far[idx], np.sqrt(d2.max(axis=1)))
 
 
 def test_segment_layout_must_hold_the_atoms_one_to_one():

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -389,13 +390,13 @@ def _rotation(dim, seed):
 def test_farthest_distances_on_collinear_sets_equal_brute_force(tmp_path):
     # rotated lines, generated and read back from CSV, a 3-d straight polyline
     # without its segments, lines with small offsets off the axis, and a plane
-    line = build_flat(3, 1, 1.0, 1 / 128).points
+    line = build_flat(3, 1, 1.0, 1 / 64).points
     sets = [line[:, :2] @ _rotation(2, 1).T + [0.3, -2.0],
             line @ _rotation(3, 2).T + 5.0,
             build_polyline([[0.1, 0.2, 0.3], [1.1, -0.7, 2.3]], 1 / 200).points,
             np.linspace(0.0, 1.0, 301)[:, None] * [1.0, 3.0] + [0.0, 1e-3],
             line[:, :2] + np.random.default_rng(3).uniform(0, 1e-7, (len(line), 2)),
-            build_flat(3, 2, 1.0, 1 / 16).points @ _rotation(3, 4).T]
+            build_flat(3, 2, 1.0, 1 / 8).points @ _rotation(3, 4).T]
     for k, pts in enumerate(sets):
         m = WeightedPointMeasure(pts, np.ones(len(pts)))
         m.save_csv(tmp_path / f"{k}.csv")
@@ -403,8 +404,7 @@ def test_farthest_distances_on_collinear_sets_equal_brute_force(tmp_path):
             assert m.segments is None
             d2 = ((m.points[:, None, :] - m.points[None, :, :]) ** 2).sum(-1)
             np.testing.assert_array_equal(m.farthest_distances(), np.sqrt(d2.max(axis=1)))
-    # exact lines keep a few atoms at either end, a plane most of its atoms
-    assert len(m._far_candidates) > m.n_atoms // 2
+    # an exact line keeps a few atoms at either end
     assert len(WeightedPointMeasure(sets[1], np.ones(len(line)))._far_candidates) <= 6
 
 
@@ -413,7 +413,6 @@ def test_farthest_distances_on_long_collinear_lines_scan_a_few_atoms(rng, monkey
                                                                      spacing):
     # 8,193 and 65,537 atoms: scanning every atom took 3.6 s and 4.3e9 pairs
     # (twice the default budget); a few candidates per atom suffice
-    import time
     from scipy.spatial import ConvexHull  # noqa: F401  (import outside the timing)
     line = build_flat(2, 1, 1.0, spacing)
     pts = line.points @ _rotation(2, 5).T

@@ -152,7 +152,6 @@ def beta_p(measure: WeightedPointMeasure, x, r: float,
     # local refinement around the best direction
     for _ in range(12):
         span /= 2.0
-        improved = False
         for sign in (-1.0, 1.0):
             u = best[1]
             if d == 2:
@@ -165,9 +164,7 @@ def beta_p(measure: WeightedPointMeasure, x, r: float,
                 u = u / np.linalg.norm(u)
             cand = line(u)
             if cand[0] < best[0]:
-                best, improved = cand, True
-        if not improved and span < 1e-8:
-            break
+                best = cand
     val = (best[0] / r ** (p + 1.0)) ** (1.0 / p)
     fit = LineFit(point=x + best[2], direction=best[1], objective=val,
                   method="direction_scan", upper_bound=True)

@@ -8,10 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
-from pathlib import Path
 
 from . import measures as ms
 from . import multiscale as msc
@@ -63,25 +60,9 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _atomic_write(path: str | Path, writer) -> None:
-    """Write via a temp file + rename so failures leave no partial output."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        os.close(fd)
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _cmd_gen(args) -> int:
-    spec = ms.MeasureSpec.from_json_dict(_load_json(args.spec))
-    measure = spec.build()
-    _atomic_write(args.out, measure.save_csv)
+    measure = ms.MeasureSpec.from_json_dict(_load_json(args.spec)).build()
+    measure.save_csv(args.out)
     print(f"atoms: {measure.n_atoms}")
     print(f"total_mass: {measure.total_mass!r}")
     print(f"min_spacing: {measure.min_spacing!r}")
@@ -98,6 +79,8 @@ def _default_grid(measure, args):
 
 
 def _cmd_energy(args) -> int:
+    if args.per_point_csv and args.kind not in ("sf", "wolff"):
+        raise ValueError(f"--per-point-csv applies to sf and wolff, not {args.kind}")
     measure = ms.WeightedPointMeasure.load_csv(args.measure)
     grid = _default_grid(measure, args)
     if args.kind in ("sf", "wolff", "riesz-sup"):
@@ -120,35 +103,31 @@ def _cmd_energy(args) -> int:
             rep = bt.beta_energy(measure, grid, p=args.p, kappa=args.kappa)
         else:
             energy = msc.square_function_energy if args.kind == "sf" else msc.wolff_energy
-            rep = energy(measure, args.s, grid, p=args.p, kappa=args.kappa,
-                         include_per_point=bool(args.per_point_csv))
+            rep = energy(measure, args.s, grid, p=args.p, kappa=args.kappa)
         obj = rep.to_json_dict()
         summary = {"total": rep.total, "tail": rep.tail}
-    _atomic_write(args.out, lambda p: Path(p).write_text(
-        json.dumps(obj, sort_keys=True, indent=1) + "\n"))
-    if args.per_point_csv and args.kind in ("sf", "wolff"):
-        _atomic_write(args.per_point_csv, rep.save_per_point_csv)
+    ms._write_json(args.out, obj)
+    if args.per_point_csv:
+        rep.save_per_point_csv(args.per_point_csv)
     print("\n".join(f"{key}: {value!r}" for key, value in summary.items()))
     return 0
 
 
 def _cmd_exp(args, threads: int, verbose: bool) -> int:
-    defaults, runner = EXPERIMENTS[args.name]
+    runner = EXPERIMENTS[args.name][1]
     config = _load_json(args.config) if args.config else None
     result = runner(config, threads=threads)
     result.emit(args.out_dir)
     if verbose:
         print(json.dumps(result.config, sort_keys=True))
-    failed = []
     for c in result.checks:
         status = {True: "PASS", False: "FAIL", None: "INFO"}[c["passed"]]
         print(f"[{status}] {c['name']}: value={c['value']} band={c['band']}")
-        if c["passed"] is False:
-            failed.append(c["name"])
-    if failed:
-        print(f"failed bands: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
+    if result.passed:
+        return 0
+    failed = ", ".join(c["name"] for c in result.checks if c["passed"] is False)
+    print(f"failed bands: {failed}", file=sys.stderr)
+    return 1
 
 
 def main(argv=None) -> int:

@@ -4,8 +4,6 @@ bands, slope fits, and file reports (result.json, raw.csv, plot.svg).
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -61,12 +59,12 @@ class SweepResult:
     config: dict
     parameters: dict
     totals: dict
-    fits: dict
     checks: list
     raw_columns: list
     raw_rows: list
+    plot: dict
+    fits: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
-    plot: dict | None = None
 
     @property
     def passed(self) -> bool:
@@ -81,21 +79,32 @@ class SweepResult:
         return {"passed": self.passed, **out}
 
     def emit(self, out_dir: str | Path) -> None:
+        """result.json, raw.csv and plot.svg in out_dir, each written atomically."""
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "result.json").write_text(
-            json.dumps(self.to_json_dict(), sort_keys=True, indent=1) + "\n")
-        with (out / "raw.csv").open("w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(self.raw_columns)
-            for row in self.raw_rows:
-                wr.writerow([repr(v) if isinstance(v, float) else v for v in row])
-        if self.plot:
-            write_scatter_svg(out / "plot.svg", **self.plot)
+        ms._write_json(out / "result.json", self.to_json_dict())
+        ms._write_csv(out / "raw.csv", self.raw_columns, self.raw_rows)
+        write_scatter_svg(out / "plot.svg", **self.plot)
+
+
+def _table(rows: list) -> dict:
+    """raw_columns and raw_rows from rows keyed by the column names, in column order."""
+    return {"raw_columns": list(rows[0]), "raw_rows": [list(r.values()) for r in rows]}
 
 
 def _check(name: str, passed, value, band: str) -> dict:
     return {"name": name, "passed": passed, "value": value, "band": band}
+
+
+def _at_most(name: str, value, band, strict: bool = False) -> dict:
+    """value < band if strict, else value <= band."""
+    passed = value < float(band) if strict else value <= float(band)
+    return _check(name, passed, value, f"{'<' if strict else '<='} {band}")
+
+
+def _within(name: str, value, band) -> dict:
+    """lo <= value <= hi for band = [lo, hi]."""
+    lo, hi = (float(v) for v in band)
+    return _check(name, lo <= value <= hi, value, f"[{lo}, {hi}]")
 
 
 def _decreasing(xs) -> bool:
@@ -197,7 +206,7 @@ def write_scatter_svg(path, series, xlabel: str, ylabel: str, title: str = "",
                    f'fill="{color}"/>')
         out.append(f'<text x="{W-mr-135}" y="{ylab}">{s["label"]}</text>')
     out.append("</svg>")
-    Path(path).write_text("\n".join(out) + "\n")
+    ms._atomic_write(path, lambda fh: fh.write("\n".join(out) + "\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +232,7 @@ def run_comparability(config: dict | None = None, threads: int = 1) -> SweepResu
     common scale window resolved at both depths.
     """
     cfg = _merge_config(COMPARABILITY_DEFAULTS, config, "comparability")
-    dim = int(cfg["dim"])
+    dim, q, kappa = int(cfg["dim"]), float(cfg["q"]), float(cfg["kappa"])
     for s in cfg["s_list"]:
         if float(s) == int(s):
             raise ValueError(
@@ -236,51 +245,40 @@ def run_comparability(config: dict | None = None, threads: int = 1) -> SweepResu
         s = float(s)
         deep = ms.build_cantor(dim, s, int(cfg["depth"]))
         shallow = ms.build_cantor(dim, s, int(cfg["drift_depth"]))
-        grid = msc.ScaleGrid.default_for(deep, q=float(cfg["q"]),
-                                         kappa=float(cfg["kappa"]))
-        sf, wf = msc.square_function_and_wolff_energy(deep, s, grid,
-                                                      kappa=float(cfg["kappa"]))
+        grid = msc.ScaleGrid.default_for(deep, q=q, kappa=kappa)
+        sf, wf = msc.square_function_and_wolff_energy(deep, s, grid, kappa=kappa)
         # drift check on a window resolved at both depths: discrete sums only,
         # so tails (identical functionals of the total mass) do not mask it
-        common = msc.ScaleGrid(msc.resolved_floor(shallow, float(cfg["kappa"])),
-                               8.0 * deep.support_radius, float(cfg["q"]))
+        common = msc.ScaleGrid(msc.resolved_floor(shallow, kappa),
+                               8.0 * deep.support_radius, q)
         ratios = []
         for m in (shallow, deep):
-            sf_c, wf_c = msc.square_function_and_wolff_energy(
-                m, s, common, kappa=float(cfg["kappa"]))
+            sf_c, wf_c = msc.square_function_and_wolff_energy(m, s, common, kappa=kappa)
             ratios.append(sf_c.discrete_total / wf_c.discrete_total)
-        return {"s": s, "sf": sf.total, "wolff": wf.total,
+        return {"s": s, "sf_total": sf.total, "wolff_total": wf.total,
                 "ratio": sf.total / wf.total,
-                "ratio_shallow": ratios[0], "ratio_deep": ratios[1],
+                "ratio_common_shallow": ratios[0], "ratio_common_deep": ratios[1],
                 "drift": abs(ratios[1] / ratios[0] - 1.0)}
 
     rows = _map_ordered(one, list(cfg["s_list"]), threads)
     ratios = [r["ratio"] for r in rows]
     spread = max(ratios) / min(ratios)
-    checks = [_check("ratio_spread", spread <= float(cfg["ratio_spread_band"]),
-                     spread, f"<= {cfg['ratio_spread_band']}")]
-    for r in rows:
-        checks.append(_check(f"depth_drift_s={r['s']:g}",
-                             r["drift"] <= float(cfg["drift_band"]), r["drift"],
-                             f"<= {cfg['drift_band']}"))
+    checks = [_at_most("ratio_spread", spread, cfg["ratio_spread_band"])]
+    checks += [_at_most(f"depth_drift_s={r['s']:g}", r["drift"], cfg["drift_band"])
+               for r in rows]
     return SweepResult(
         name="comparability",
         config=cfg,
         parameters={"s": [r["s"] for r in rows]},
-        totals={"square_function": [r["sf"] for r in rows],
-                "wolff": [r["wolff"] for r in rows],
+        totals={"square_function": [r["sf_total"] for r in rows],
+                "wolff": [r["wolff_total"] for r in rows],
                 "ratio": ratios},
-        fits={},
         checks=checks,
-        raw_columns=["s", "sf_total", "wolff_total", "ratio",
-                     "ratio_common_shallow", "ratio_common_deep", "drift"],
-        raw_rows=[[r["s"], r["sf"], r["wolff"], r["ratio"], r["ratio_shallow"],
-                   r["ratio_deep"], r["drift"]] for r in rows],
+        **_table(rows),
         notes=["ratio = full-grid totals incl. analytic tails; drift compares "
                "discrete sums on a scale window resolved at both depths"],
         plot={"series": [{"label": "SF/Wolff ratio",
-                          "xs": [r["s"] for r in rows], "ys": ratios,
-                          "fit": None}],
+                          "xs": [r["s"] for r in rows], "ys": ratios}],
               "xlabel": "s", "ylabel": "energy ratio",
               "title": "square-function vs Wolff comparability",
               "logx": False, "logy": True},
@@ -335,14 +333,15 @@ def run_integer_degeneracy(config: dict | None = None, threads: int = 1) -> Swee
             sf, wf = msc.square_function_and_wolff_energy(m, s, grid,
                                                           eval_indices=mask)
             model = 4.0 * eval_mass * math.log(r_hi / r_lo)
-            out.append({"n": n_points, "h": h, "widen": wfac,
+            out.append({"n_points": n_points, "h": h, "widen": wfac,
                         "r_lo": r_lo, "r_hi": r_hi,
-                        "sf": sf.discrete_total, "wolff": wf.discrete_total,
-                        "ratio": sf.discrete_total / wf.discrete_total,
+                        "sf_discrete": sf.discrete_total,
+                        "wolff_discrete": wf.discrete_total,
+                        "sf_wolff_ratio": sf.discrete_total / wf.discrete_total,
                         "wolff_over_model": wf.discrete_total / model})
         # fixed-range run for the h -> 0 collapse check
-        fr = msc.ScaleGrid(float(cfg["fixed_range"][0]) * E / 1.0,
-                           float(cfg["fixed_range"][1]) * E / 1.0, q)
+        lo, hi = (float(v) * E for v in cfg["fixed_range"])
+        fr = msc.ScaleGrid(lo, hi, q)
         sf_fixed = msc.square_function_energy(m, s, fr, eval_indices=mask)
         return out, sf_fixed.discrete_total
 
@@ -350,12 +349,9 @@ def run_integer_degeneracy(config: dict | None = None, threads: int = 1) -> Swee
     rows = [r for res, _ in results for r in res]
     fixed_sf = [fx for _, fx in results]
     fine = results[-1][0]
-    checks = []
-    ratio_final = fine[-1]["ratio"]
-    checks.append(_check("sf_wolff_ratio_finest",
-                         ratio_final < float(cfg["sf_wolff_band"]), ratio_final,
-                         f"< {cfg['sf_wolff_band']}"))
-    ratios = [r["ratio"] for r in fine]
+    checks = [_at_most("sf_wolff_ratio_finest", fine[-1]["sf_wolff_ratio"],
+                       cfg["sf_wolff_band"], strict=True)]
+    ratios = [r["sf_wolff_ratio"] for r in fine]
     checks.append(_check("ratio_strictly_decreasing_with_range", _decreasing(ratios),
                          ratios, "strictly decreasing"))
     wom = fine[-1]["wolff_over_model"]
@@ -370,19 +366,14 @@ def run_integer_degeneracy(config: dict | None = None, threads: int = 1) -> Swee
         parameters={"resolutions": [int(v) for v in cfg["resolutions"]],
                     "widen_factors": widen},
         totals={"sf_fixed_range": fixed_sf},
-        fits={},
         checks=checks,
-        raw_columns=["n_points", "h", "widen", "r_lo", "r_hi", "sf_discrete",
-                     "wolff_discrete", "sf_wolff_ratio", "wolff_over_model"],
-        raw_rows=[[r["n"], r["h"], r["widen"], r["r_lo"], r["r_hi"], r["sf"],
-                   r["wolff"], r["ratio"], r["wolff_over_model"]] for r in rows],
+        **_table(rows),
         notes=["discrete (in-range) sums only: the analytic tails reflect the "
                "lattice truncation, not the flat continuum measure"],
-        plot={"series": [{"label": f"n={r['n']}",
+        plot={"series": [{"label": f"n={res[0]['n_points']}",
                           "xs": [x["r_hi"] / x["r_lo"] for x in res],
-                          "ys": [x["ratio"] for x in res], "fit": None}
-                         for res, _ in results
-                         for r in [res[0]]],
+                          "ys": [x["sf_wolff_ratio"] for x in res]}
+                         for res, _ in results],
               "xlabel": "scale range ratio", "ylabel": "SF / Wolff",
               "title": "integer-dimension degeneracy", "logx": True, "logy": True},
     )
@@ -458,9 +449,10 @@ def run_tent_counterexample(config: dict | None = None, threads: int = 1) -> Swe
                                     weighting="mu_alpha")
         bt_rep = bt.beta_energy(m_bt, pair_grid, p=2.0,
                                 eval_indices=window_mask(m_bt))
-        return {"alpha": a, "L": L, "sf": sf_g, "sf_mu": sf_m,
-                "riesz": rz_rep.energy_at_best, "beta": bt_rep.total,
-                "riesz_pair": (rz_rep.best_pair.eps1, rz_rep.best_pair.eps2)}
+        return {"alpha": a, "sin_alpha": math.sin(a), "half_extent": L,
+                "sf": sf_g, "sf_mu": sf_m, "sup_riesz": rz_rep.energy_at_best,
+                "beta2": bt_rep.total, "riesz_eps1": rz_rep.best_pair.eps1,
+                "riesz_eps2": rz_rep.best_pair.eps2}
 
     jobs = [(a, L) for L in L_values for a in alphas]
     outs = _map_ordered(one, jobs, threads)
@@ -468,68 +460,55 @@ def run_tent_counterexample(config: dict | None = None, threads: int = 1) -> Swe
     doubled = outs[len(alphas):]
     sin_a = [math.sin(a) for a in alphas]
 
+    # raw column -> key of totals and fits
+    energies = {"sf": "square_function", "sup_riesz": "sup_riesz", "beta2": "beta2",
+                "sf_mu": "square_function_mu"}
+    totals = {label: [r[key] for r in base] for key, label in energies.items()}
     fits = {}
-    for key, label in (("sf", "square_function"), ("riesz", "sup_riesz"),
-                       ("beta", "beta2"), ("sf_mu", "square_function_mu")):
-        slope, intercept, resid = fit_loglog_slope(sin_a, [r[key] for r in base])
+    for label, ys in totals.items():
+        slope, intercept, resid = fit_loglog_slope(sin_a, ys)
         fits[label] = {"slope": slope, "intercept": intercept, "residual": resid}
 
-    checks = []
-    for label, band_key in (("square_function", "sf_slope_band"),
-                            ("sup_riesz", "riesz_slope_band"),
-                            ("beta2", "beta_slope_band")):
-        lo, hi = (float(v) for v in cfg[band_key])
-        sl = fits[label]["slope"]
-        checks.append(_check(f"{label}_slope", lo <= sl <= hi, sl, f"[{lo}, {hi}]"))
-    gap = fits["square_function_mu"]["slope"] - fits["beta2"]["slope"]
-    glo, ghi = (float(v) for v in cfg["gap_band"])
-    checks.append(_check("sf_over_beta_slope_gap", glo <= gap <= ghi, gap,
-                         f"[{glo}, {ghi}]"))
-    for name, num, den in (("riesz", "sf", "riesz"), ("beta", "sf_mu", "beta")):
+    checks = [_within(f"{label}_slope", fits[label]["slope"], cfg[band_key])
+              for label, band_key in (("square_function", "sf_slope_band"),
+                                      ("sup_riesz", "riesz_slope_band"),
+                                      ("beta2", "beta_slope_band"))]
+    checks.append(_within("sf_over_beta_slope_gap", fits["square_function_mu"]["slope"]
+                          - fits["beta2"]["slope"], cfg["gap_band"]))
+    for name, num, den in (("riesz", "sf", "sup_riesz"), ("beta", "sf_mu", "beta2")):
         ratio = [r[num] / r[den] for r in base]
         checks.append(_check(f"sf_over_{name}_monotone_to_zero", _decreasing(ratio),
                              ratio, "strictly decreasing as alpha shrinks"))
-    band = float(cfg["l_stability_band"])
-    for key in ("sf", "sf_mu", "riesz", "beta"):
+    for name, key in (("sf", "sf"), ("sf_mu", "sf_mu"), ("riesz", "sup_riesz"),
+                      ("beta", "beta2")):
         worst, detail = 0.0, None
         for rb, rd in zip(base, doubled):
             rel = abs(rd[key] / rb[key] - 1.0)
             if rel > worst:
                 worst, detail = rel, {"alpha": rb["alpha"], "base": rb[key],
                                       "doubled": rd[key]}
-        checks.append(_check(f"l_stability_{key}", worst < band,
-                             {"max_rel_change": worst, "worst_case": detail},
-                             f"< {band}"))
+        checks.append({**_at_most(f"l_stability_{name}", worst,
+                                  float(cfg["l_stability_band"]), strict=True),
+                       "value": {"max_rel_change": worst, "worst_case": detail}})
 
     return SweepResult(
         name="tent-counterexample",
-        config={k: v for k, v in cfg.items()},
+        config=cfg,
         parameters={"alpha": alphas, "sin_alpha": sin_a,
                     "window": window, "half_extents": L_values},
-        totals={"square_function": [r["sf"] for r in base],
-                "square_function_mu": [r["sf_mu"] for r in base],
-                "sup_riesz": [r["riesz"] for r in base],
-                "beta2": [r["beta"] for r in base]},
+        totals=totals,
         fits=fits,
         checks=checks,
-        raw_columns=["alpha", "sin_alpha", "half_extent", "sf", "sf_mu",
-                     "sup_riesz", "beta2", "riesz_eps1", "riesz_eps2"],
-        raw_rows=[[r["alpha"], math.sin(r["alpha"]), r["L"], r["sf"], r["sf_mu"],
-                   r["riesz"], r["beta"], r["riesz_pair"][0], r["riesz_pair"][1]]
-                  for r in outs],
+        **_table(outs),
         notes=["energies are window-restricted discrete sums; tails are "
                "truncation artifacts of the infinite model curve and excluded"],
-        plot={"series": [
-            {"label": "square function", "xs": sin_a,
-             "ys": [r["sf"] for r in base],
-             "fit": (fits["square_function"]["slope"],
-                     fits["square_function"]["intercept"])},
-            {"label": "sup Riesz", "xs": sin_a, "ys": [r["riesz"] for r in base],
-             "fit": (fits["sup_riesz"]["slope"], fits["sup_riesz"]["intercept"])},
-            {"label": "beta2 energy", "xs": sin_a, "ys": [r["beta"] for r in base],
-             "fit": (fits["beta2"]["slope"], fits["beta2"]["intercept"])},
-        ], "xlabel": "sin(alpha)", "ylabel": "energy",
-            "title": "tent-curve energies vs slope angle"},
+        plot={"series": [{"label": label, "xs": sin_a, "ys": totals[key],
+                          "fit": (fits[key]["slope"], fits[key]["intercept"])}
+                         for label, key in (("square function", "square_function"),
+                                            ("sup Riesz", "sup_riesz"),
+                                            ("beta2 energy", "beta2"))],
+              "xlabel": "sin(alpha)", "ylabel": "energy",
+              "title": "tent-curve energies vs slope angle"},
     )
 
 
@@ -555,7 +534,7 @@ def run_small_s_comparability(config: dict | None = None,
     """sup Riesz, Wolff, and square-function energies on one small-s Cantor
     measure: all three pairwise ratios inside a band, stable under depth."""
     cfg = _merge_config(SMALL_S_DEFAULTS, config, "small-s")
-    s = float(cfg["s"])
+    s, q, kappa = float(cfg["s"]), float(cfg["q"]), float(cfg["kappa"])
     if not 0 < s < 1:
         raise ValueError("small-s comparability requires 0 < s < 1")
     near_integer = min(s - math.floor(s), math.ceil(s) - s) \
@@ -563,50 +542,45 @@ def run_small_s_comparability(config: dict | None = None,
 
     def one(depth):
         m = ms.build_cantor(int(cfg["dim"]), s, int(depth))
-        grid = msc.ScaleGrid.default_for(m, q=float(cfg["q"]),
-                                         kappa=float(cfg["kappa"]))
-        sf, wf = msc.square_function_and_wolff_energy(m, s, grid,
-                                                      kappa=float(cfg["kappa"]))
+        grid = msc.ScaleGrid.default_for(m, q=q, kappa=kappa)
+        sf, wf = msc.square_function_and_wolff_energy(m, s, grid, kappa=kappa)
         rz_rep = rz.sup_riesz_energy(m, s, grid, max_radii=int(cfg["max_radii"]),
-                                     kappa=float(cfg["kappa"]))
-        return {"depth": int(depth), "sf": sf.total, "wolff": wf.total,
-                "riesz": rz_rep.energy_at_best}
+                                     kappa=kappa)
+        return {"depth": int(depth), "sf_total": sf.total, "wolff_total": wf.total,
+                "sup_riesz": rz_rep.energy_at_best}
 
-    shallow, deep = _map_ordered(one, [cfg["drift_depth"], cfg["depth"]], threads)
+    rows = _map_ordered(one, [cfg["drift_depth"], cfg["depth"]], threads)
+    shallow, deep = rows
     band = float(cfg["ratio_band"])
-    pairs = [("riesz", "wolff"), ("riesz", "sf"), ("sf", "wolff")]
+    column = {"riesz": "sup_riesz", "sf": "sf_total", "wolff": "wolff_total"}
     checks = []
-    for a, b in pairs:
-        ratio = deep[a] / deep[b]
-        ok = None if near_integer else (1.0 / band <= ratio <= band)
-        checks.append(_check(f"ratio_{a}_over_{b}", ok, ratio,
-                             f"[{1/band:.4g}, {band}]"
-                             + (" (reported only: near-integer s)" if near_integer
-                                else "")))
-        drift = abs((deep[a] / deep[b]) / (shallow[a] / shallow[b]) - 1.0)
-        ok_d = None if near_integer else drift <= float(cfg["drift_band"])
-        checks.append(_check(f"drift_{a}_over_{b}", ok_d, drift,
-                             f"<= {cfg['drift_band']}"))
+    for a, b in [("riesz", "wolff"), ("riesz", "sf"), ("sf", "wolff")]:
+        ratio = deep[column[a]] / deep[column[b]]
+        drift = abs(ratio / (shallow[column[a]] / shallow[column[b]]) - 1.0)
+        checks += [_check(f"ratio_{a}_over_{b}", 1.0 / band <= ratio <= band, ratio,
+                          f"[{1/band:.4g}, {band}]"
+                          + (" (reported only: near-integer s)" if near_integer
+                             else "")),
+                   _at_most(f"drift_{a}_over_{b}", drift, cfg["drift_band"])]
+    if near_integer:    # bands reported without pass/fail
+        for c in checks:
+            c["passed"] = None
     return SweepResult(
         name="small-s",
         config=cfg,
         parameters={"s": s, "depths": [shallow["depth"], deep["depth"]]},
-        totals={"sf": [shallow["sf"], deep["sf"]],
-                "wolff": [shallow["wolff"], deep["wolff"]],
-                "sup_riesz": [shallow["riesz"], deep["riesz"]]},
-        fits={},
+        totals={key: [r[col] for r in rows] for key, col in (
+            ("sf", "sf_total"), ("wolff", "wolff_total"), ("sup_riesz", "sup_riesz"))},
         checks=checks,
-        raw_columns=["depth", "sf_total", "wolff_total", "sup_riesz"],
-        raw_rows=[[r["depth"], r["sf"], r["wolff"], r["riesz"]]
-                  for r in (shallow, deep)],
+        **_table(rows),
         notes=(["bands reported without pass/fail: s within "
                 f"{cfg['near_integer_margin']} of an integer"] if near_integer
                else []),
         plot={"series": [{"label": name, "xs": [shallow["depth"], deep["depth"]],
-                          "ys": [r[key] for r in (shallow, deep)], "fit": None}
-                         for name, key in (("square function", "sf"),
-                                           ("Wolff", "wolff"),
-                                           ("sup Riesz", "riesz"))],
+                          "ys": [r[key] for r in rows]}
+                         for name, key in (("square function", "sf_total"),
+                                           ("Wolff", "wolff_total"),
+                                           ("sup Riesz", "sup_riesz"))],
               "xlabel": "depth", "ylabel": "energy",
               "title": f"three-way comparability at s={s:g}",
               "logx": False, "logy": True},
@@ -630,12 +604,7 @@ IDENTITY_DEFAULTS = {
 }
 
 
-def _profile_by_name(name: str) -> msc.RadialProfile:
-    if name == "gaussian":
-        return msc.RadialProfile.gaussian()
-    if name == "bump":
-        return msc.RadialProfile.bump()
-    raise ValueError(f"unknown profile {name!r}")
+_PROFILES = {"gaussian": msc.RadialProfile.gaussian, "bump": msc.RadialProfile.bump}
 
 
 def run_identity_suite(config: dict | None = None, threads: int = 1) -> SweepResult:
@@ -645,7 +614,10 @@ def run_identity_suite(config: dict | None = None, threads: int = 1) -> SweepRes
     cfg = _merge_config(IDENTITY_DEFAULTS, config, "identity")
     rng = np.random.default_rng(int(cfg["seed"]))
     dim = int(cfg["dim"])
-    profiles = [(name, _profile_by_name(name)) for name in cfg["profiles"]]
+    for name in cfg["profiles"]:
+        if name not in _PROFILES:
+            raise ValueError(f"unknown profile {name!r}")
+    profiles = [(name, _PROFILES[name]()) for name in cfg["profiles"]]
     for _, prof in profiles:
         prof.check_derivative(np.linspace(0.05, prof.support * 0.999, 200))
 
@@ -670,13 +642,13 @@ def run_identity_suite(config: dict | None = None, threads: int = 1) -> SweepRes
             for name, prof in profiles:
                 resid = msc.verify_convolution_identity(
                     m, prof, x, R, s, quad_points=int(cfg["quad_points"]))
-                rows.append([mi, qi, name, s, R, resid])
+                rows.append({"measure": mi, "query": qi, "profile": name, "s": s,
+                             "R": R, "residual": resid})
         return rows
 
     all_rows = [row for rows in _map_ordered(one, jobs, threads) for row in rows]
-    max_resid = max(row[-1] for row in all_rows)
-    checks = [_check("max_relative_residual", max_resid < float(cfg["tol"]),
-                     max_resid, f"< {cfg['tol']}")]
+    max_resid = max(row["residual"] for row in all_rows)
+    checks = [_at_most("max_relative_residual", max_resid, cfg["tol"], strict=True)]
     return SweepResult(
         name="identity",
         config=cfg,
@@ -684,14 +656,13 @@ def run_identity_suite(config: dict | None = None, threads: int = 1) -> SweepRes
                     "n_queries": int(cfg["n_queries"]),
                     "profiles": list(cfg["profiles"])},
         totals={"max_residual": [max_resid]},
-        fits={},
         checks=checks,
-        raw_columns=["measure", "query", "profile", "s", "R", "residual"],
-        raw_rows=all_rows,
+        **_table(all_rows),
         plot={"series": [{"label": name,
-                          "xs": [r[4] for r in all_rows if r[2] == name],
-                          "ys": [max(r[5], 1e-19) for r in all_rows if r[2] == name],
-                          "fit": None} for name, _ in profiles],
+                          "xs": [r["R"] for r in all_rows if r["profile"] == name],
+                          "ys": [max(r["residual"], 1e-19) for r in all_rows
+                                 if r["profile"] == name]}
+                         for name, _ in profiles],
               "xlabel": "query scale R", "ylabel": "relative residual",
               "title": "smoothing identity residuals"},
     )

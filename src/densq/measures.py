@@ -11,6 +11,8 @@ import functools
 import itertools
 import json
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,6 +53,43 @@ def _pair_step(rows, cols, what):
     return max(1, min(rows, _CHUNK_CELLS // cols))
 
 
+def _atomic_write(path, write) -> None:
+    """Call write(fh) on a text file opened beside `path` (no newline
+    translation), then rename it into place: a failed write leaves neither the
+    target nor the temp file. The file gets the mode a plain open would give."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            umask = os.umask(0o022)     # read the umask: os has no getter
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _write_json(path, obj) -> None:
+    """A report: sorted keys, one-space indent and a trailing newline."""
+    text = json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    _atomic_write(path, lambda fh: fh.write(text))
+
+
+def _write_csv(path, header, rows) -> None:
+    """A header line, then one line per row; floats, of any float subclass, as
+    repr(float(v)), the shortest text that reads back to the same double."""
+    def write(fh):
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
+                     for row in rows)
+    _atomic_write(path, write)
+
+
 @dataclass(frozen=True)
 class SegmentLattice:
     """Atoms of one straight segment: sorted arc offsets from `origin` along `direction`.
@@ -76,7 +115,7 @@ class WeightedPointMeasure:
     def __init__(self, points, weights, segments: list[SegmentLattice] | None = None):
         points = np.atleast_2d(np.asarray(points, dtype=float)) + 0.0
         weights = np.asarray(weights, dtype=float)
-        if points.ndim != 2 or points.shape[0] == 0:
+        if points.ndim != 2 or 0 in points.shape:
             raise ValueError("need at least one atom with coordinate vectors")
         if weights.shape != (points.shape[0],):
             raise ValueError("weights must match points one-to-one")
@@ -167,12 +206,8 @@ class WeightedPointMeasure:
         return float(self.farthest_distances().max())
 
     def save_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow([f"x{i}" for i in range(self.dim)] + ["w"])
-            for p, w in zip(self.points, self.weights):
-                wr.writerow([repr(float(v)) for v in p] + [repr(float(w))])
+        _write_csv(path, [f"x{i}" for i in range(self.dim)] + ["w"],
+                   (p.tolist() + [w] for p, w in zip(self.points, self.weights)))
 
     @classmethod
     def load_csv(cls, path: str | Path) -> "WeightedPointMeasure":

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import WeightedPointMeasure, ball_masses
+from .measures import WeightedPointMeasure, _write_csv, ball_masses
 
 DEFAULT_KAPPA = 4.0
 
@@ -172,12 +172,7 @@ class EnergyReport:
     def save_per_point_csv(self, path) -> None:
         if self.per_point is None:
             raise ValueError("report carries no per-point breakdown")
-        import csv
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["atom_index", "contribution"])
-            for i, v in enumerate(self.per_point):
-                wr.writerow([i, repr(float(v))])
+        _write_csv(path, ["atom_index", "contribution"], enumerate(self.per_point))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +211,7 @@ def _density_and_gap(measure, centers, sample, s):
     return th_r, th_r - m[:, len(sample):] / (2.0 * sample) ** s
 
 
-def _energies(measure, s, grid, p, kinds, eval_indices, kappa, include_per_point):
+def _energies(measure, s, grid, p, kinds, eval_indices, kappa):
     """Reports of the given kinds, all read from one ball-mass profile at the
     sample radii and their doubles, so each report is the same whichever
     others are asked for with it."""
@@ -238,11 +233,9 @@ def _energies(measure, s, grid, p, kinds, eval_indices, kappa, include_per_point
         if kind == "square_function":
             integrand = np.abs(gap) ** p
             tail_coeff = (measure.total_mass * (1.0 - 2.0 ** (-s))) ** p
-        elif kind == "wolff":
+        else:       # wolff
             integrand = np.abs(th_r) ** p
             tail_coeff = measure.total_mass ** p
-        else:
-            raise ValueError(f"unknown energy kind {kind!r}")
 
         contrib = integrand * width * wc[:, None]
         tail_i = wc * tail_coeff / (p * s * T ** (p * s))
@@ -250,14 +243,13 @@ def _energies(measure, s, grid, p, kinds, eval_indices, kappa, include_per_point
             kind, s, p, grid, measure, kappa, floor, int(len(wc)),
             list(zip(sample.tolist(), contrib.sum(axis=0).tolist())),
             tail=float(tail_i.sum()),
-            per_point=contrib.sum(axis=1) + tail_i if include_per_point else None))
+            per_point=contrib.sum(axis=1) + tail_i))
     return reports
 
 
 def square_function_energy(measure: WeightedPointMeasure, s: float, grid: ScaleGrid,
                            p: float = 2.0, eval_indices=None,
-                           kappa: float = DEFAULT_KAPPA,
-                           include_per_point: bool = False) -> EnergyReport:
+                           kappa: float = DEFAULT_KAPPA) -> EnergyReport:
     """Integral of |theta(x,r) - theta(x,2r)|^p d(mu) dr/r plus analytic tail.
 
     The scale integral uses geometric-midpoint sampling of each grid cell with
@@ -265,26 +257,24 @@ def square_function_energy(measure: WeightedPointMeasure, s: float, grid: ScaleG
     the per-atom support-covering radius, beyond which the integrand is the
     exact power law integrated in closed form (the tail).
     """
-    return _energies(measure, s, grid, p, ("square_function",), eval_indices, kappa,
-                     include_per_point)[0]
+    return _energies(measure, s, grid, p, ("square_function",), eval_indices, kappa)[0]
 
 
 def wolff_energy(measure: WeightedPointMeasure, s: float, grid: ScaleGrid,
-                 p: float = 2.0, eval_indices=None, kappa: float = DEFAULT_KAPPA,
-                 include_per_point: bool = False) -> EnergyReport:
+                 p: float = 2.0, eval_indices=None,
+                 kappa: float = DEFAULT_KAPPA) -> EnergyReport:
     """Integral of theta(x,r)^p d(mu) dr/r plus analytic tail."""
-    return _energies(measure, s, grid, p, ("wolff",), eval_indices, kappa,
-                     include_per_point)[0]
+    return _energies(measure, s, grid, p, ("wolff",), eval_indices, kappa)[0]
 
 
 def square_function_and_wolff_energy(
         measure: WeightedPointMeasure, s: float, grid: ScaleGrid, p: float = 2.0,
-        eval_indices=None, kappa: float = DEFAULT_KAPPA,
-        include_per_point: bool = False) -> tuple[EnergyReport, EnergyReport]:
+        eval_indices=None,
+        kappa: float = DEFAULT_KAPPA) -> tuple[EnergyReport, EnergyReport]:
     """(square_function_energy, wolff_energy) from one ball-mass pass; each
     report is bit-identical to the one the single function returns."""
     return tuple(_energies(measure, s, grid, p, ("square_function", "wolff"),
-                           eval_indices, kappa, include_per_point))
+                           eval_indices, kappa))
 
 
 # ---------------------------------------------------------------------------

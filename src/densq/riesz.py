@@ -124,11 +124,11 @@ def sup_riesz_energy(measure: WeightedPointMeasure, s: float, scale_grid: ScaleG
         raise ValueError(
             f"grid r_min {scale_grid.r_min:.3g} below the resolved floor "
             f"{floor:.3g} (= kappa*min_spacing); pass kappa=0 to override")
-    if len(radii) < 2:
-        raise ValueError("need at least two usable radii")
     if len(radii) > max_radii:
         sel = np.unique(np.linspace(0, len(radii) - 1, max_radii).round().astype(int))
         radii = radii[sel]
+    if len(radii) < 2:
+        raise ValueError(f"need at least two usable radii; max_radii={max_radii}")
     E = _pair_energy_matrix(measure, s, radii, eval_indices)
     ai, bi = np.unravel_index(int(np.argmax(E)), E.shape)
     grid_list = [(float(radii[a]), float(radii[b]), float(E[a, b]))

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import signal
+import stat
 
 import numpy as np
 import pytest
@@ -300,3 +302,107 @@ def test_exp_unknown_name_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("exp", "nonsense", "--out-dir", str(tmp_path))
     assert exc.value.code == 2
+
+
+@pytest.fixture
+def cantor_csv(tmp_path):
+    path = tmp_path / "cantor.csv"
+    build_cantor(2, 0.5, 3).save_csv(path)
+    return path
+
+
+@pytest.mark.parametrize("kind", ["beta", "riesz-sup"])
+def test_energy_per_point_csv_refused_for_beta_and_riesz_sup(cantor_csv, tmp_path,
+                                                             capsys, kind):
+    # the flag used to be ignored: exit 0 and no per-point file
+    out, pp = tmp_path / "o.json", tmp_path / "pp.csv"
+    rc = run_cli("energy", str(cantor_csv), "--kind", kind, "--s", "0.5",
+                 "--r-min", "0.05", "--r-max", "1.0", "--out", str(out),
+                 "--per-point-csv", str(pp))
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and kind in err[0]
+    assert "--per-point-csv" in err[0]
+    assert not out.exists() and not pp.exists()
+
+
+@pytest.mark.parametrize("kind", ["sf", "wolff"])
+def test_energy_per_point_csv_sums_to_the_total(cantor_csv, tmp_path, kind):
+    out, pp = tmp_path / "o.json", tmp_path / "pp.csv"
+    assert run_cli("energy", str(cantor_csv), "--kind", kind, "--s", "0.5",
+                   "--out", str(out), "--per-point-csv", str(pp)) == 0
+    lines = pp.read_text().splitlines()
+    assert lines[0] == "atom_index,contribution" and len(lines) == 65
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(64))
+    total = math.fsum(float(line.split(",")[1]) for line in lines[1:])
+    assert total == pytest.approx(json.loads(out.read_text())["total"], rel=1e-12)
+
+
+@pytest.mark.parametrize("bound", [["--r-min", "0.1"], ["--r-max", "1.0"]])
+def test_energy_one_grid_bound_usage_error(cantor_csv, tmp_path, capsys, bound):
+    out = tmp_path / "o.json"
+    rc = run_cli("energy", str(cantor_csv), "--kind", "wolff", "--s", "0.5", *bound,
+                 "--out", str(out))
+    assert rc == 2
+    assert "pass both --r-min and --r-max, or neither" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["sf", "wolff", "riesz-sup"])
+def test_energy_missing_s_usage_error(cantor_csv, tmp_path, capsys, kind):
+    out = tmp_path / "o.json"
+    assert run_cli("energy", str(cantor_csv), "--kind", kind, "--out", str(out)) == 2
+    assert f"--s is required for kind={kind}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exp_verbose_prints_the_config_first(tmp_path, capsys):
+    cfg = {"n_measures": 2, "n_atoms": 20, "n_queries": 2, "quad_points": 64}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    rc = run_cli("--verbose", "exp", "identity", "--config", str(tmp_path / "cfg.json"),
+                 "--out-dir", str(tmp_path / "out"))
+    assert rc == 0
+    first, *rest = capsys.readouterr().out.splitlines()
+    echoed = json.loads(first)
+    assert {k: echoed[k] for k in cfg} == cfg and "tol" in echoed
+    assert first == json.dumps(echoed, sort_keys=True)
+    assert rest[0].startswith("[PASS] max_relative_residual")
+
+
+@pytest.mark.parametrize("max_radii", [0, 1])
+def test_exp_small_s_max_radii_below_two_usage_error(tmp_path, capsys, max_radii):
+    # the check ran before the coarsening, so it never fired: 1 gave "need 0 <
+    # eps1 < eps2" and 0 "attempt to get argmax of an empty sequence"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_radii": max_radii, "depth": 3, "drift_depth": 2}))
+    rc = run_cli("exp", "small-s", "--config", str(cfg), "--out-dir",
+                 str(tmp_path / "out"))
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: need at least two usable radii; max_radii={max_radii}"]
+
+
+def test_written_files_get_the_mode_of_a_plain_open(tmp_path, cantor_csv):
+    # the temp file of an atomic write is created owner-only; the rename must
+    # not carry that mode over to gen and energy outputs
+    umask = os.umask(0o022)
+    os.umask(umask)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "dirac",
+                                "params": {"dim": 2, "location": [0, 0], "mass": 1}}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_measures": 1, "n_atoms": 10, "n_queries": 1,
+                               "quad_points": 64}))
+    out = tmp_path / "out"
+    assert run_cli("gen", str(spec), "--out", str(out / "d.csv")) == 0
+    assert run_cli("energy", str(cantor_csv), "--kind", "sf", "--s", "0.5",
+                   "--out", str(out / "e.json"),
+                   "--per-point-csv", str(out / "pp.csv")) == 0
+    assert run_cli("exp", "identity", "--config", str(cfg),
+                   "--out-dir", str(out / "exp")) == 0
+    written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert written == ["d.csv", "e.json", "exp/plot.svg", "exp/raw.csv",
+                       "exp/result.json", "pp.csv"]
+    for path in out.rglob("*"):
+        if path.is_file():
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path

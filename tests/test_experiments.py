@@ -10,7 +10,7 @@ from densq import (
     run_integer_degeneracy,
     run_small_s_comparability,
 )
-from densq.experiments import EXPERIMENTS, _merge_config, write_scatter_svg
+from densq.experiments import EXPERIMENTS, SweepResult, _merge_config, write_scatter_svg
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +151,41 @@ def test_small_s_near_integer_reported_only():
     res = run_small_s_comparability({"s": 0.99, "depth": 3, "drift_depth": 2})
     assert all(c["passed"] is None for c in res.checks)
     assert res.passed   # informational checks never fail the run
+
+
+def _sweep(**kw):
+    return SweepResult(**{"name": "demo", "config": {}, "parameters": {}, "totals": {},
+                          "checks": [], "raw_columns": ["a", "b"],
+                          "raw_rows": [[1, 0.5]],
+                          "plot": {"series": [{"label": "a", "xs": [1, 2],
+                                               "ys": [1, 2]}],
+                                   "xlabel": "x", "ylabel": "y"}, **kw})
+
+
+def test_emit_failure_leaves_no_partial_file(tmp_path):
+    # raw.csv used to be written in place: a bad row left half a table
+    with pytest.raises(TypeError):
+        _sweep(raw_rows=[[1, 0.5], None]).emit(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["result.json"]
+
+
+def test_emit_writes_float_subclasses_as_floats(tmp_path):
+    # repr(np.float64(0.5)) is "np.float64(0.5)" under numpy 2
+    res = _sweep(raw_rows=[[np.int64(1), np.float64(0.5)]])
+    assert res.fits == {} and res.notes == []
+    res.emit(tmp_path)
+    assert (tmp_path / "raw.csv").read_text() == "a,b\n1,0.5\n"
+    assert json.loads((tmp_path / "result.json").read_text())["fits"] == {}
+
+
+def test_svg_writer_without_a_plottable_point(tmp_path):
+    # log axes drop every point that is not positive: the axes fall back to a
+    # unit box and no marker is drawn
+    write_scatter_svg(tmp_path / "p.svg", [{"label": "zero", "xs": [1, 2], "ys": [0, 0]}],
+                      xlabel="x", ylabel="y")
+    text = (tmp_path / "p.svg").read_text()
+    assert text.startswith("<svg") and text.endswith("</svg>\n")
+    assert "<circle" not in text
 
 
 def test_svg_writer_lin_axes(tmp_path):

@@ -1,0 +1,170 @@
+"""Input checks that the rest of the suite never reaches: each bad input raises
+its own message, and where the command line reaches the check, the call exits
+2 with a single `error:` line and writes no output file."""
+import json
+import re
+
+import numpy as np
+import pytest
+
+from densq import (
+    RadialProfile,
+    ScaleGrid,
+    WeightedPointMeasure,
+    ad_regularity_diagnostic,
+    beta_energy,
+    build_cantor,
+    build_gamma_curve,
+    find_thin_boundary_radius,
+    local_energy_ratio,
+    smoothed_density_difference,
+    verify_convolution_identity,
+)
+from densq.cli import main
+
+
+def _usage_error(capsys, argv, message):
+    """Run the CLI; it must exit 2 with one `error:` line holding message."""
+    assert main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert message in err[0]
+
+
+# ---------------------------------------------------------------------------
+# through the command line
+
+GEN_CASES = [
+    ({"kind": "cantor", "params": {"dim": 0, "s": 0.5, "depth": 2}},
+     "need dim >= 1 and depth >= 0"),
+    ({"kind": "cantor", "params": {"dim": 2, "s": 0.5, "depth": -1}},
+     "need dim >= 1 and depth >= 0"),
+    ({"kind": "cantor", "params": {"dim": 2, "s": 0.5, "depth": 2, "branching": 1}},
+     "branching must be in [2, 2^dim]; got 1"),
+    ({"kind": "flat", "params": {"dim": 2, "k": 1, "half_extent": 0.0, "spacing": 0.1}},
+     "half_extent and spacing must be positive"),
+    ({"kind": "dirac", "params": {"dim": 2, "location": [0.0, 0.0], "mass": 0.0}},
+     "mass must be positive"),
+    ({"kind": "polyline", "params": {"vertices": [[0.0, 0.0]], "spacing": 0.1}},
+     "polyline needs at least two vertices"),
+    ({"kind": "polyline", "params": {"vertices": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+                                     "spacing": 0.1}},
+     "polyline edge 0 has zero length"),
+    ({"kind": "polyline", "params": {"vertices": [[0.0, 0.0], [1.0, 0.0]],
+                                     "spacing": 0.0}},
+     "spacing must be positive"),
+    ({"kind": "gamma_curve", "params": {"alpha": 0.4, "half_extent": 0.5,
+                                        "spacing": 1 / 32}},
+     "half_extent must be >= 1"),
+    ([{"kind": "dirac"}], "measure spec must be a JSON object"),
+    ({"kind": "cantor"}, "measure spec needs 'kind' and 'params'"),
+]
+
+
+@pytest.mark.parametrize("spec, message", GEN_CASES)
+def test_gen_rejects_bad_specs(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "m.csv"
+    _usage_error(capsys, ["gen", path, "--out", out], message)
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x0,x1,w\n0.0,0.0,1.0\n1.0,1.0\n", "row with 2 fields, expected 3"),
+    ("x0,x1,w\n", "need at least one atom with coordinate vectors"),
+])
+def test_energy_rejects_malformed_measure_csv(tmp_path, capsys, text, message):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    _usage_error(capsys, ["energy", path, "--kind", "wolff", "--s", "0.5",
+                          "--out", tmp_path / "o.json"], message)
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_load_csv_rejects_a_short_row(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("x0,x1,w\n0.0,0.0,1.0\n1.0,1.0\n")
+    with pytest.raises(ValueError, match="row with 2 fields, expected 3"):
+        WeightedPointMeasure.load_csv(path)
+
+
+EXP_CASES = [
+    ("comparability", {"s_list": [0.5, 2.5], "depth": 2, "drift_depth": 1},
+     "s=2.5 outside (0, 2)"),
+    ("tent-counterexample", {"alpha_list": [0.1, 0.2, 0.3]},
+     "need at least 4 alpha values for the slope fits"),
+    ("tent-counterexample", {"alpha_list": [0.1, 0.2, 0.3, 1.0]},
+     "alpha values must lie in (0, pi/4]"),
+    ("tent-counterexample", {"half_extent": 2.0},
+     "half_extent too small for the scale caps"),
+    ("small-s", {"s": 1.5}, "small-s comparability requires 0 < s < 1"),
+    ("identity", {"profiles": ["gaussian", "box"]}, "unknown profile 'box'"),
+]
+
+
+@pytest.mark.parametrize("name, config, message", EXP_CASES)
+def test_exp_rejects_bad_configs(tmp_path, capsys, name, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    _usage_error(capsys, ["exp", name, "--config", cfg, "--out-dir", tmp_path / "out"],
+                 message)
+    assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# API only
+
+def _bad_derivative():
+    return RadialProfile(value=lambda u: np.asarray(u) ** 2,
+                         derivative=lambda u: np.asarray(u), support=1.0, name="bad")
+
+
+def _tiny_support():
+    # support below PROFILE_DERIV_LO: the derivative has nowhere to live
+    g = RadialProfile.gaussian()
+    return RadialProfile(value=g.value, derivative=g.derivative, support=1e-7,
+                         name="tiny")
+
+
+_M = build_cantor(2, 0.5, 3)
+_X = _M.points[0]
+
+API_CASES = [
+    (lambda: WeightedPointMeasure(np.zeros((0, 2)), np.zeros(0)),
+     "need at least one atom with coordinate vectors"),
+    (lambda: WeightedPointMeasure([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0, 1.0]),
+     "weights must match points one-to-one"),
+    (lambda: build_gamma_curve(0.4, 2.0, 1 / 32, weighting="lebesgue"),
+     "unknown weighting 'lebesgue'"),
+    (lambda: RadialProfile.bump(inner=2.0, outer=1.0), "need 0 < inner < outer"),
+    (lambda: _bad_derivative().check_derivative(np.linspace(0.1, 0.9, 5)),
+     "profile bad: derivative inconsistent"),
+    (lambda: smoothed_density_difference(_M, RadialProfile.gaussian(), _X, 0.0, 0.5),
+     "t must be positive"),
+    (lambda: verify_convolution_identity(_M, RadialProfile.gaussian(), _X, 0.0, 0.5),
+     "R must be positive"),
+    (lambda: verify_convolution_identity(_M, _tiny_support(), _X, 0.1, 0.5),
+     "profile tiny has empty derivative range"),
+    (lambda: find_thin_boundary_radius(_M, _X, 0.0), "r must be positive"),
+    (lambda: find_thin_boundary_radius(_M, _X, 0.1, lambda_grid=[]),
+     "lambda_grid must be a nonempty subset of (0, 1]"),
+    (lambda: find_thin_boundary_radius(_M, _X, 0.1, lambda_grid=[0.5, 2.0]),
+     "lambda_grid must be a nonempty subset of (0, 1]"),
+    (lambda: local_energy_ratio(_M, _X, 0.1, 0.5, delta_param=1.0),
+     "delta_param must lie in (0, 1)"),
+    (lambda: local_energy_ratio(_M, _X, 0.0, 0.5, delta_param=0.5),
+     "r0 must be positive"),
+    # every grid radius is past the support diameter (about 1.2)
+    (lambda: ad_regularity_diagnostic(_M, 0.5, ScaleGrid(10.0, 20.0)),
+     "no grid radii inside the resolved range"),
+    (lambda: beta_energy(_M, ScaleGrid(0.1, 1.0)).save_per_point_csv("unused.csv"),
+     "report carries no per-point breakdown"),
+]
+
+
+@pytest.mark.parametrize("call, message", API_CASES)
+def test_api_rejects_bad_inputs(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+

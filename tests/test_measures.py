@@ -635,6 +635,31 @@ def test_csv_rejects_bad_header(tmp_path):
         WeightedPointMeasure.load_csv(p)
 
 
+def test_atomic_write_failure_leaves_neither_target_nor_temp_file(tmp_path):
+    target = tmp_path / "sub" / "out.txt"
+
+    def fail(fh):
+        fh.write("partial")
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError, match="writer failed"):
+        ms._atomic_write(target, fail)
+    assert list((tmp_path / "sub").iterdir()) == []
+    # a failed rewrite keeps the old file whole
+    ms._atomic_write(target, lambda fh: fh.write("whole"))
+    with pytest.raises(RuntimeError, match="writer failed"):
+        ms._atomic_write(target, fail)
+    assert target.read_text() == "whole"
+    assert list((tmp_path / "sub").iterdir()) == [target]
+
+
+def test_csv_writer_spells_float_subclasses_as_floats(tmp_path):
+    path = tmp_path / "t.csv"
+    ms._write_csv(path, ["i", "x", "name"],
+                  [[np.int64(3), np.float64(0.1), "a"], [4, 1e-300, "b,c"]])
+    assert path.read_text() == 'i,x,name\n3,0.1,a\n4,1e-300,"b,c"\n'
+
+
 def test_measure_spec_round_trip():
     spec = MeasureSpec("cantor", {"dim": 2, "s": 0.5, "depth": 3}, seed=7)
     text = spec.to_json()

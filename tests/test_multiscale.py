@@ -163,7 +163,7 @@ def test_energy_report_invariants(rng):
     m = random_measure(rng, n=40)
     grid = ScaleGrid(0.05, 3.0, 1.15)
     for fn in (square_function_energy, wolff_energy):
-        rep = fn(m, 0.6, grid, include_per_point=True)
+        rep = fn(m, 0.6, grid)
         recon = math.fsum(v for _, v in rep.per_scale) + rep.tail
         assert rep.total == pytest.approx(recon, rel=1e-12)
         assert all(v >= 0 for _, v in rep.per_scale)
@@ -284,10 +284,9 @@ def test_energy_eval_indices_subset(rng):
     m = random_measure(rng, n=30)
     grid = ScaleGrid(0.1, 2.0, 1.2)
     idx = np.arange(10)
-    rep = square_function_energy(m, 0.5, grid, eval_indices=idx,
-                                 include_per_point=True)
+    rep = square_function_energy(m, 0.5, grid, eval_indices=idx)
     assert rep.per_point.shape == (10,)
-    full = square_function_energy(m, 0.5, grid, include_per_point=True)
+    full = square_function_energy(m, 0.5, grid)
     np.testing.assert_allclose(rep.per_point, full.per_point[:10], rtol=1e-12)
 
 
@@ -397,6 +396,29 @@ def test_eval_indices_out_of_range_rejected():
             square_function_energy(m, 0.5, ScaleGrid(0.1, 1.0, 1.2), eval_indices=bad)
 
 
+def test_boolean_eval_mask_equals_its_index_array():
+    m = build_cantor(2, 0.5, 3)
+    grid = ScaleGrid(0.05, 1.0, 1.2)
+    mask = m.points[:, 0] < 0.5
+    idx = np.flatnonzero(mask)
+    assert 0 < idx.size < m.n_atoms
+    np.testing.assert_array_equal(as_atom_indices(mask, m.n_atoms), idx)
+    for fn in (square_function_energy, wolff_energy):
+        by_mask, by_idx = fn(m, 0.5, grid, eval_indices=mask), fn(m, 0.5, grid,
+                                                                  eval_indices=idx)
+        assert by_mask.to_json_dict() == by_idx.to_json_dict()
+        np.testing.assert_array_equal(by_mask.per_point, by_idx.per_point)
+    assert (beta_energy(m, grid, eval_indices=mask).to_json_dict()
+            == beta_energy(m, grid, eval_indices=idx).to_json_dict())
+    assert (sup_riesz_energy(m, 0.5, grid, eval_indices=mask).to_json_dict()
+            == sup_riesz_energy(m, 0.5, grid, eval_indices=idx).to_json_dict())
+    assert (ad_regularity_diagnostic(m, 0.5, grid, eval_indices=mask)
+            == ad_regularity_diagnostic(m, 0.5, grid, eval_indices=idx))
+    for bad in (mask[:-1], np.append(mask, True)):
+        with pytest.raises(ValueError, match="boolean eval mask must have one entry"):
+            wolff_energy(m, 0.5, grid, eval_indices=bad)
+
+
 def test_energy_report_assemble_sums_and_echoes():
     m = build_cantor(2, 0.5, 2)
     grid = ScaleGrid(0.1, 1.0, 1.2)
@@ -419,11 +441,9 @@ def test_pair_reports_equal_single_functionals(rng):
              (g, 1.0, ScaleGrid(0.1, 1.0, 1.1),
               np.flatnonzero(np.abs(g.points[:, 0]) <= 1.5))]
     for m, s, grid, ev in cases:
-        sf, wf = square_function_and_wolff_energy(m, s, grid, eval_indices=ev,
-                                                  include_per_point=True)
-        sf1 = square_function_energy(m, s, grid, eval_indices=ev,
-                                     include_per_point=True)
-        wf1 = wolff_energy(m, s, grid, eval_indices=ev, include_per_point=True)
+        sf, wf = square_function_and_wolff_energy(m, s, grid, eval_indices=ev)
+        sf1 = square_function_energy(m, s, grid, eval_indices=ev)
+        wf1 = wolff_energy(m, s, grid, eval_indices=ev)
         for pair_rep, single in ((sf, sf1), (wf, wf1)):
             assert pair_rep.to_json_dict() == single.to_json_dict()
             assert pair_rep.total == single.total
@@ -702,7 +722,7 @@ def test_ad_diagnostic_dirac_unbounded():
 def _floor_readers(m, grid, win, kappa):
     """The reports of every function that reads the resolution floor."""
     sf, wf = square_function_and_wolff_energy(m, 1.0, grid, eval_indices=win,
-                                              kappa=kappa, include_per_point=True)
+                                              kappa=kappa)
     out = [sf.to_json_dict(), wf.to_json_dict(), sf.per_point.tobytes(),
            wf.per_point.tobytes(),
            beta_energy(m, grid, eval_indices=win, kappa=kappa).to_json_dict(),

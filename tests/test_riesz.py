@@ -184,6 +184,19 @@ def test_sup_riesz_coarsening_cap(rng):
     assert len(rep.grid_of_pairs) == len(rep.grid_radii) * (len(rep.grid_radii) - 1) // 2
 
 
+@pytest.mark.parametrize("max_radii", [0, 1])
+def test_sup_riesz_coarsening_below_two_radii_raises(rng, max_radii):
+    # the two-radii check ran before the coarsening, where a ScaleGrid always
+    # has two: 1 failed in TruncationPair and 0 in argmax of an empty matrix
+    m = random_measure(rng, n=15)
+    with pytest.raises(ValueError, match=f"need at least two usable radii; "
+                                         f"max_radii={max_radii}"):
+        sup_riesz_energy(m, 0.5, ScaleGrid(0.01, 3.0, 1.02), kappa=0.0,
+                         max_radii=max_radii)
+    assert len(sup_riesz_energy(m, 0.5, ScaleGrid(0.01, 3.0, 1.02), kappa=0.0,
+                                max_radii=2).grid_radii) == 2
+
+
 def test_rotation_equivariance_axis_permutation(rng):
     m = random_measure(rng, n=30)
     swapped = WeightedPointMeasure(m.points[:, ::-1], m.weights)

@@ -135,7 +135,12 @@ def write_scatter_svg(path, series, xlabel: str, ylabel: str, title: str = "",
     ml, mr, mt, mb = 70, 20, 30, 50
     xs_all = np.concatenate([np.asarray(s["xs"], float) for s in series])
     ys_all = np.concatenate([np.asarray(s["ys"], float) for s in series])
-    good = (xs_all > 0) & (ys_all > 0) if (logx or logy) else np.full(xs_all.shape, True)
+
+    def shown(xs, ys):
+        """Mask of the points a logarithmic axis can place."""
+        return ((xs > 0) | (not logx)) & ((ys > 0) | (not logy))
+
+    good = shown(xs_all, ys_all)
     xs_all, ys_all = xs_all[good], ys_all[good]
     if xs_all.size == 0:
         xs_all, ys_all = np.array([1.0]), np.array([1.0])
@@ -186,10 +191,10 @@ def write_scatter_svg(path, series, xlabel: str, ylabel: str, title: str = "",
         color = _PALETTE[i % len(_PALETTE)]
         xs = np.asarray(s["xs"], float)
         ys = np.asarray(s["ys"], float)
-        for x, y in zip(xs, ys):
-            if (not logx or x > 0) and (not logy or y > 0):
-                out.append(f'<circle cx="{px(x):.1f}" cy="{py(y):.1f}" r="3.5" '
-                           f'fill="{color}"/>')
+        good = shown(xs, ys)
+        for x, y in zip(xs[good], ys[good]):
+            out.append(f'<circle cx="{px(x):.1f}" cy="{py(y):.1f}" r="3.5" '
+                       f'fill="{color}"/>')
         fit = s.get("fit")
         if fit is not None and logx and logy:
             slope, intercept = fit
@@ -339,6 +344,9 @@ def run_integer_degeneracy(config: dict | None = None, threads: int = 1) -> Swee
                         "wolff_discrete": wf.discrete_total,
                         "sf_wolff_ratio": sf.discrete_total / wf.discrete_total,
                         "wolff_over_model": wf.discrete_total / model})
+        if not out:
+            raise ValueError(f"resolution {n_points}: every widen factor gives "
+                             f"r_hi <= r_lo * q = {r_lo * q!r}, no scale range")
         # fixed-range run for the h -> 0 collapse check
         lo, hi = (float(v) * E for v in cfg["fixed_range"])
         fr = msc.ScaleGrid(lo, hi, q)
@@ -435,13 +443,13 @@ def run_tent_counterexample(config: dict | None = None, threads: int = 1) -> Swe
         a, L = args
         sf_grid = msc.ScaleGrid(sf_lo, sf_hi, q)
         pair_grid = msc.ScaleGrid(pr_lo, pr_hi, q)
+        # mu_alpha reweights the arc-length curve: the two share their atoms,
+        # the window and the segment counts of their one ball-mass query
         g_fine = ms.build_gamma_curve(a, L, float(cfg["sf_spacing"]))
-        sf_g = msc.square_function_energy(
-            g_fine, 1.0, sf_grid, eval_indices=window_mask(g_fine)).discrete_total
-        m_fine = ms.build_gamma_curve(a, L, float(cfg["sf_spacing"]),
-                                      weighting="mu_alpha")
-        sf_m = msc.square_function_energy(
-            m_fine, 1.0, sf_grid, eval_indices=window_mask(m_fine)).discrete_total
+        fine_idx = window_mask(g_fine)
+        sf_g, sf_m = [msc.square_function_energy(m, 1.0, sf_grid,
+                                                 eval_indices=fine_idx).discrete_total
+                      for m in (g_fine, g_fine.reweighted(ms.mu_alpha_factors(a)))]
         g_rz = ms.build_gamma_curve(a, L, float(cfg["riesz_spacing"]))
         rz_rep = rz.sup_riesz_energy(g_rz, 1.0, pair_grid,
                                      eval_indices=window_mask(g_rz))

@@ -6,6 +6,7 @@ index and a brute-force scan select exactly the same atoms.
 """
 from __future__ import annotations
 
+import copy
 import csv
 import functools
 import itertools
@@ -13,7 +14,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,14 @@ class SegmentLattice:
     weight: float
 
 
+class _Layout:
+    """A segment layout's shared state, held by the measure and every
+    reweighting of it: the last segment-count query, one (key, per-segment
+    counts) pair (`_segment_ball_masses`)."""
+
+    last = None
+
+
 class WeightedPointMeasure:
     """Finite atomic approximation of a Radon measure: N points with positive weights.
 
@@ -133,8 +142,35 @@ class WeightedPointMeasure:
         self.total_mass = math.fsum(weights.tolist())
         # merging invalidates the per-segment atom layout
         self.segments = None if merged else segments
+        self._layout = None if self.segments is None else _Layout()
         self._index: BallIndex | None = None
         self._min_spacing: float | None = None
+
+    def reweighted(self, factors) -> "WeightedPointMeasure":
+        """The same atoms with segment s's weight times factors[s].
+
+        The result shares the read-only points, the segment geometry and the
+        layout (with its ball counts) and every cache that depends on the
+        points alone; the points were checked and merged when this measure was
+        built, so nothing is checked or merged again.
+        """
+        if self.segments is None:
+            raise ValueError("reweighting needs a segment layout")
+        factors = np.asarray(factors, dtype=float)
+        if factors.shape != (len(self.segments),):
+            raise ValueError(f"need one factor per segment ({len(self.segments)}); "
+                             f"got shape {factors.shape}")
+        if not np.all((factors > 0) & (factors < math.inf)):
+            raise ValueError("factors must be positive and finite")
+        out = copy.copy(self)
+        out.segments = [replace(sg, weight=sg.weight * f)
+                        for sg, f in zip(self.segments, factors.tolist())]
+        out.weights = np.repeat([sg.weight for sg in out.segments],
+                                [len(sg.arcs) for sg in out.segments])
+        out.weights.setflags(write=False)
+        out.total_mass = math.fsum(out.weights.tolist())
+        out._index = None       # it holds the weights
+        return out
 
     @property
     def n_atoms(self) -> int:
@@ -456,25 +492,70 @@ def _near_atoms(points, centers, pad):
             & (points <= centers.max(axis=0) + pad)).all(axis=1)
 
 
+def _sq_rows(v):
+    """Per row, the sum of squares taken one coordinate at a time: it rounds as
+    (v ** 2).sum(axis=1) does, without that strided reduce."""
+    out = v[:, 0] ** 2
+    for k in range(1, v.shape[1]):
+        out += v[:, k] ** 2
+    return out
+
+
 def _segment_foot(sg, centers):
     """(t0, p2) per center: the arc offset of its foot on the segment's line,
     and its squared distance from that line."""
     rel = centers - sg.origin[None, :]
     t0 = rel @ sg.direction
-    return t0, np.clip((rel ** 2).sum(axis=1) - t0 ** 2, 0.0, None)
+    return t0, np.clip(_sq_rows(rel) - t0 ** 2, 0.0, None)
 
 
 def _segment_ball_masses(measure, centers, radii):
-    """Closed-ball masses on a segment-lattice measure: one pass per segment
-    over all radii, in chunks of centers.
+    """Closed-ball masses on a segment-lattice measure: sum_s w_s * count_s in
+    segment order, from zeros, where count_s[i, j] is the number of segment s's
+    atoms in the ball (centers[i], radii[j]) (`_segment_counts`).
+
+    The counts depend on the geometry alone, so the layout, which every
+    reweighting of the measure shares, keeps the last query's counts, keyed by
+    the exact bytes of `centers` and `radii`; a repeat query sums them again
+    instead of counting. Each segment's counts take the smallest unsigned
+    dtype that holds its atom count, and they are kept only when all of them
+    take no more bytes than the float64 result.
+    """
+    n, m = len(centers), len(radii)
+    segments, out = measure.segments, np.zeros((n, m))
+    # 2^15 (center, radius) cells per chunk keep the temporaries in cache
+    rows = max(1, _CHUNK_CELLS // 8 // max(m, 1))
+    key = (centers.shape, centers.tobytes(), radii.tobytes())
+    last = measure._layout.last     # one read: a store replaces the pair whole
+    if last is not None and last[0] == key:
+        counts = last[1]
+    else:
+        reach = float(np.sqrt(_sq_rows(centers)).max(initial=0.0))
+        ends = list(itertools.accumulate((len(sg.arcs) for sg in segments), initial=0))
+        counts = (_segment_counts(measure.points[lo:hi], sg, centers, radii, reach, rows)
+                  for sg, lo, hi in zip(segments, ends, ends[1:]))
+        if n * m * sum(np.min_scalar_type(len(sg.arcs)).itemsize
+                       for sg in segments) <= out.nbytes:
+            counts = list(counts)
+            measure._layout.last = (key, counts)
+    for sg, count in zip(segments, counts):
+        for a in range(0, n, rows):
+            out[a:a + rows] += sg.weight * count[a:a + rows]
+    return out
+
+
+def _segment_counts(pts, sg, centers, radii, reach, rows):
+    """(n_centers, n_radii) counts of the atoms `pts` of segment `sg` in the
+    closed balls, in the smallest unsigned dtype that holds len(pts); `reach`
+    bounds |c| over the centers. One pass over all radii, `rows` centers at a
+    time.
 
     A ball meets the segment's line in the arcs [t0 - u, t0 + u],
     u = sqrt(r^2 - p2). Atom k sits near arcs[0] + k * step, so the atoms more
     than a slack tau inside either end are counted by index arithmetic, those
     more than tau outside are not, and only the few within tau of an end are
     re-decided with the stored-coordinate predicate |x_i - c|^2 <= r^2. The
-    count thus equals a brute-force scan, ties included. Segment s holds rows
-    offset_s + k of `measure.points`.
+    count thus equals a brute-force scan, ties included.
 
     tau, in arc units, covers the largest deviation of `arcs` from the
     lattice, the rounding of t0, p2, the lattice index and the stored
@@ -483,50 +564,42 @@ def _segment_ball_masses(measure, centers, radii):
     centers.
     """
     r2 = radii * radii
-    n, m = len(centers), len(radii)
-    # 2^15 (center, radius) cells per chunk keep the temporaries in cache
-    rows = max(1, _CHUNK_CELLS // 8 // max(m, 1))
-    out = np.zeros((n, m))
-    reach = float(np.sqrt((centers ** 2).sum(axis=1)).max(initial=0.0))
+    n, arcs, k = len(centers), sg.arcs, len(sg.arcs)
+    out = np.empty((n, len(radii)), dtype=np.min_scalar_type(k))
     c_eps = 16 * np.finfo(float).eps
-    offset = 0
-    for sg in measure.segments:
-        arcs, k = sg.arcs, len(sg.arcs)
-        pts = measure.points[offset:offset + k]
-        offset += k
-        step = (arcs[-1] - arcs[0]) / (k - 1) if k > 1 else 1.0
-        scale = reach + float(np.sqrt((sg.origin ** 2).sum())) + max(-arcs[0], arcs[-1])
-        tau = (float(np.abs(arcs - (arcs[0] + np.arange(k) * step)).max())
-               + c_eps * scale + math.sqrt(c_eps) * scale)
-        t0, p2 = _segment_foot(sg, centers)
-        tq, d = (t0 - arcs[0]) / step, tau / step
-        # past 2 * scale a ball holds the whole segment; the cap keeps u finite
-        r2_cap = np.minimum(r2, 4.0 * scale * scale)
-        for a in range(0, n, rows):
-            c = centers[a:a + rows]
-            uq = np.subtract(r2_cap, p2[a:a + rows, None])
-            np.maximum(uq, 0.0, out=uq)
-            np.sqrt(uq, out=uq)
-            uq /= step
-            lo, hi = tq[a:a + rows, None] - uq, tq[a:a + rows, None] + uq
-            # atoms first <= i < stop lie more than tau inside [t0 - u, t0 + u]
-            first, stop = lo + d, hi + (1.0 - d)
-            np.ceil(first, out=first)
-            np.floor(stop, out=stop)
-            # cells with an atom within tau of an end: first - 1 >= lo - d or
-            # stop <= hi + d
-            near = np.flatnonzero((first - lo >= 1.0 - d) | (stop - hi <= d))
-            np.clip(first, 0, k, out=first)
-            np.clip(stop, 0, k, out=stop)
-            count = np.maximum(stop - first, 0.0)
-            if near.size:
-                lo, hi = lo.reshape(-1)[near], hi.reshape(-1)[near]
-                first, stop = first.reshape(-1)[near], stop.reshape(-1)[near]
-                # the atoms within tau below first, and above stop (or first)
-                _redecide(count, near, np.ceil(lo - d), first, pts, c, r2)
-                _redecide(count, near, np.maximum(stop, first), np.floor(hi + d) + 1.0,
-                          pts, c, r2)
-            out[a:a + rows] += sg.weight * count
+    step = (arcs[-1] - arcs[0]) / (k - 1) if k > 1 else 1.0
+    scale = reach + float(np.sqrt((sg.origin ** 2).sum())) + max(-arcs[0], arcs[-1])
+    tau = (float(np.abs(arcs - (arcs[0] + np.arange(k) * step)).max())
+           + c_eps * scale + math.sqrt(c_eps) * scale)
+    t0, p2 = _segment_foot(sg, centers)
+    tq, d = (t0 - arcs[0]) / step, tau / step
+    # past 2 * scale a ball holds the whole segment; the cap keeps u finite
+    r2_cap = np.minimum(r2, 4.0 * scale * scale)
+    for a in range(0, n, rows):
+        c = centers[a:a + rows]
+        uq = np.subtract(r2_cap, p2[a:a + rows, None])
+        np.maximum(uq, 0.0, out=uq)
+        np.sqrt(uq, out=uq)
+        uq /= step
+        lo, hi = tq[a:a + rows, None] - uq, tq[a:a + rows, None] + uq
+        # atoms first <= i < stop lie more than tau inside [t0 - u, t0 + u]
+        first, stop = lo + d, hi + (1.0 - d)
+        np.ceil(first, out=first)
+        np.floor(stop, out=stop)
+        # cells with an atom within tau of an end: first - 1 >= lo - d or
+        # stop <= hi + d
+        near = np.flatnonzero((first - lo >= 1.0 - d) | (stop - hi <= d))
+        np.clip(first, 0, k, out=first)
+        np.clip(stop, 0, k, out=stop)
+        count = np.maximum(stop - first, 0.0)
+        if near.size:
+            lo, hi = lo.reshape(-1)[near], hi.reshape(-1)[near]
+            first, stop = first.reshape(-1)[near], stop.reshape(-1)[near]
+            # the atoms within tau below first, and above stop (or first)
+            _redecide(count, near, np.ceil(lo - d), first, pts, c, r2)
+            _redecide(count, near, np.maximum(stop, first), np.floor(hi + d) + 1.0,
+                      pts, c, r2)
+        out[a:a + rows] = count
     return out
 
 
@@ -540,11 +613,7 @@ def _redecide(count, cell, start, end, pts, centers, r2):
     while cell.size:
         more = start < end
         cell, start, end = cell[more], start[more], end[more]
-        dx = pts[start] - centers[cell // m]
-        d2 = dx[:, 0] ** 2
-        for j in range(1, dx.shape[1]):
-            d2 += dx[:, j] ** 2
-        flat[cell] += d2 <= r2[cell % m]
+        flat[cell] += _sq_rows(pts[start] - centers[cell // m]) <= r2[cell % m]
         start += 1
 
 
@@ -690,7 +759,7 @@ def build_dirac(dim: int, location, mass: float) -> WeightedPointMeasure:
     return WeightedPointMeasure(loc, np.array([mass]))
 
 
-def _sample_polyline(vertices, spacing, weight_scale=None):
+def _sample_polyline(vertices, spacing):
     """Midpoint arc-length samples per edge; weight = local arc share.
 
     Mass is conserved exactly per edge: n * (length/n) = length.
@@ -699,8 +768,6 @@ def _sample_polyline(vertices, spacing, weight_scale=None):
     if vertices.shape[0] < 2:
         raise ValueError("polyline needs at least two vertices")
     nseg = vertices.shape[0] - 1
-    if weight_scale is None:
-        weight_scale = [1.0] * nseg
     pts_all, w_all, segments = [], [], []
     total = 0
     for i in range(nseg):
@@ -717,9 +784,9 @@ def _sample_polyline(vertices, spacing, weight_scale=None):
         arcs = (np.arange(n) + 0.5) * step
         direction = seg / length
         pts_all.append(a[None, :] + arcs[:, None] * direction[None, :])
-        w_all.append(np.full(n, step * weight_scale[i]))
+        w_all.append(np.full(n, step))
         segments.append(SegmentLattice(origin=a, direction=direction, arcs=arcs,
-                                       weight=step * weight_scale[i]))
+                                       weight=step))
     return WeightedPointMeasure(np.concatenate(pts_all), np.concatenate(w_all),
                                 segments=segments)
 
@@ -736,9 +803,10 @@ def build_gamma_curve(alpha: float, half_extent: float, spacing: float,
     """Tent graph: flat on [-L,-1/2] and [1/2,L], slopes +-tan(alpha) on the
     tent of base width 1, apex height tan(alpha)/2.
 
-    weighting='hausdorff' gives arc-length mass; 'mu_alpha' multiplies tent
-    sample weights by cos(alpha), making the measure 1-AD regular (the
-    projection of the tent mass onto the axis has unit density).
+    weighting='hausdorff' gives arc-length mass; 'mu_alpha' is that measure
+    reweighted by `mu_alpha_factors`, cos(alpha) on the tent's two sides,
+    making it 1-AD regular (the projection of the tent mass onto the axis has
+    unit density).
     """
     if not 0 < alpha <= math.pi / 4:
         raise ValueError("alpha must lie in (0, pi/4]")
@@ -751,11 +819,15 @@ def build_gamma_curve(alpha: float, half_extent: float, spacing: float,
     apex = 0.5 * math.tan(alpha)
     verts = np.array([[-half_extent, 0.0], [-0.5, 0.0], [0.0, apex],
                       [0.5, 0.0], [half_extent, 0.0]])
-    scale = None
-    if weighting == "mu_alpha":
-        c = math.cos(alpha)
-        scale = [1.0, c, c, 1.0]
-    return _sample_polyline(verts, spacing, weight_scale=scale)
+    curve = _sample_polyline(verts, spacing)
+    return curve.reweighted(mu_alpha_factors(alpha)) if weighting == "mu_alpha" else curve
+
+
+def mu_alpha_factors(alpha: float) -> list[float]:
+    """Per-segment factors that take the arc-length tent of angle alpha to
+    mu_alpha: 1 on the flat segments, cos(alpha) on the tent's sides."""
+    c = math.cos(alpha)
+    return [1.0, c, c, 1.0]
 
 
 # ---------------------------------------------------------------------------

@@ -145,10 +145,12 @@ class EnergyReport:
     clipped_low_r: dict
     params_echo: dict
     per_point: np.ndarray | None = None
+    eval_indices: np.ndarray | None = None  # the atom of each per_point entry
 
     @classmethod
     def assemble(cls, kind, s, p, grid, measure, kappa, floor, eval_count,
-                 per_scale, tail=0.0, per_point=None) -> "EnergyReport":
+                 per_scale, tail=0.0, per_point=None,
+                 eval_indices=None) -> "EnergyReport":
         """The report of per-scale values and a tail: the total is their
         exactly rounded sum."""
         params_echo = {"kind": kind, "s": s, "p": p, "grid": grid.summary(),
@@ -158,21 +160,25 @@ class EnergyReport:
         return cls(kind=kind, s=s, p=p, grid=grid.summary(),
                    total=math.fsum([v for _, v in per_scale] + [tail]), tail=tail,
                    per_scale=per_scale, clipped_low_r=grid.low_r_clip(floor),
-                   params_echo=params_echo, per_point=per_point)
+                   params_echo=params_echo, per_point=per_point,
+                   eval_indices=eval_indices)
 
     @property
     def discrete_total(self) -> float:
         return math.fsum(v for _, v in self.per_scale)
 
     def to_json_dict(self) -> dict:
-        """Every field but the per-point array."""
+        """Every field but the per-point arrays."""
         return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name != "per_point"}
+                if f.name not in ("per_point", "eval_indices")}
 
     def save_per_point_csv(self, path) -> None:
-        if self.per_point is None:
+        """One row per evaluated atom: its index in the measure and its
+        contribution."""
+        if self.per_point is None or self.eval_indices is None:
             raise ValueError("report carries no per-point breakdown")
-        _write_csv(path, ["atom_index", "contribution"], enumerate(self.per_point))
+        _write_csv(path, ["atom_index", "contribution"],
+                   zip(self.eval_indices.tolist(), self.per_point))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +249,7 @@ def _energies(measure, s, grid, p, kinds, eval_indices, kappa):
             kind, s, p, grid, measure, kappa, floor, int(len(wc)),
             list(zip(sample.tolist(), contrib.sum(axis=0).tolist())),
             tail=float(tail_i.sum()),
-            per_point=contrib.sum(axis=1) + tail_i))
+            per_point=contrib.sum(axis=1) + tail_i, eval_indices=eval_indices))
     return reports
 
 

@@ -289,6 +289,17 @@ def test_exp_integer_s_refused(tmp_path, capsys):
     assert "integer" in capsys.readouterr().err
 
 
+def test_exp_integer_degeneracy_unresolvable_resolution_usage_error(tmp_path, capsys):
+    # 21 atoms put r_lo = 6 h above every widened r_hi / q: no row to report
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"resolutions": [21]}))
+    rc = run_cli("exp", "integer-degeneracy", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "out"))
+    assert rc == 2
+    assert "resolution 21" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exp_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mystery_knob": 1}))

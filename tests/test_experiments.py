@@ -195,3 +195,13 @@ def test_svg_writer_lin_axes(tmp_path):
                       xlabel="x", ylabel="y", logx=False, logy=False)
     text = (tmp_path / "p.svg").read_text()
     assert "<svg" in text and "</svg>" in text
+
+
+def test_svg_writer_markers_stay_in_the_box_with_a_linear_x_axis(tmp_path):
+    # only y is logarithmic: x = 0 is plottable, so it is inside the x span and
+    # its marker right of the y axis (x = 70)
+    write_scatter_svg(tmp_path / "p.svg", [{"label": "a", "xs": [0, 1, 2], "ys": [1, 2, 4]}],
+                      xlabel="x", ylabel="y", logx=False)
+    cx = [float(line.split('cx="')[1].split('"')[0])
+          for line in (tmp_path / "p.svg").read_text().splitlines() if "<circle" in line]
+    assert len(cx) == 3 and min(cx) >= 70

@@ -280,6 +280,16 @@ def test_sf_energy_matches_direct_quadrature_oracle():
     assert rep.discrete_total == pytest.approx(total, rel=1e-9)
 
 
+def test_per_point_csv_names_the_evaluated_atoms(tmp_path):
+    m = build_cantor(2, 0.5, 3)
+    rep = square_function_energy(m, 0.5, ScaleGrid(0.05, 1.0), eval_indices=[5, 9])
+    rep.save_per_point_csv(tmp_path / "pp.csv")
+    lines = (tmp_path / "pp.csv").read_text().splitlines()
+    assert lines == ["atom_index,contribution"] + [
+        f"{i},{float(v)!r}" for i, v in zip([5, 9], rep.per_point)]
+    assert "eval_indices" not in rep.to_json_dict()
+
+
 def test_energy_eval_indices_subset(rng):
     m = random_measure(rng, n=30)
     grid = ScaleGrid(0.1, 2.0, 1.2)

@@ -1,0 +1,176 @@
+"""Reweighted segment measures and the per-segment ball counts their layout
+shares: the mu_alpha tent built by reweighting, byte-identical ball masses from
+kept and fresh counts, the memory rule, bad factors, and concurrent queries."""
+import math
+import os
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from densq import ball_masses, build_cantor, build_gamma_curve, build_polyline
+from densq import measures as ms
+
+
+def _reference_mu_alpha(alpha, half_extent, spacing):
+    """The mu_alpha tent sampled directly: midpoints of each edge, weight
+    step * factor, the factor cos(alpha) on the two tent sides."""
+    apex = 0.5 * math.tan(alpha)
+    verts = np.array([[-half_extent, 0.0], [-0.5, 0.0], [0.0, apex],
+                      [0.5, 0.0], [half_extent, 0.0]])
+    c = math.cos(alpha)
+    pts, ws, seg_w = [], [], []
+    for a, b, f in zip(verts[:-1], verts[1:], [1.0, c, c, 1.0]):
+        length = float(np.linalg.norm(b - a))
+        n = max(1, math.ceil(min(length / spacing * (1.0 - 1e-12), ms.POINT_BUDGET + 1)))
+        step = length / n
+        arcs = (np.arange(n) + 0.5) * step
+        pts.append(a[None, :] + arcs[:, None] * ((b - a) / length)[None, :])
+        ws.append(np.full(n, step * f))
+        seg_w.append(step * f)
+    weights = np.concatenate(ws)
+    return np.concatenate(pts), weights, math.fsum(weights.tolist()), seg_w
+
+
+@pytest.mark.parametrize("alpha, spacing", [(math.pi / 4, 1 / 32), (0.1234, 1 / 200),
+                                            (math.pi / 64, 1e-3)])
+def test_mu_alpha_build_equals_the_direct_sampling_bit_for_bit(alpha, spacing):
+    mu = build_gamma_curve(alpha, 3.0, spacing, weighting="mu_alpha")
+    pts, weights, total, seg_w = _reference_mu_alpha(alpha, 3.0, spacing)
+    assert mu.points.tobytes() == pts.tobytes()
+    assert mu.weights.tobytes() == weights.tobytes()
+    assert mu.total_mass == total
+    assert [sg.weight for sg in mu.segments] == seg_w
+
+
+def test_reweighted_shares_the_geometry_and_leaves_the_source_alone():
+    g = build_gamma_curve(0.3, 2.0, 1 / 64)
+    weights, index = g.weights.copy(), g.ball_index()
+    m = g.reweighted([2.0, 0.5, 0.25, 1.0])
+    assert m.points is g.points and m._layout is g._layout
+    for a, b in zip(g.segments, m.segments):
+        assert a.origin is b.origin and a.direction is b.direction and a.arcs is b.arcs
+    assert g.weights.tobytes() == weights.tobytes() and g.ball_index() is index
+    assert not m.weights.flags.writeable
+    # the ball index reads the new weights
+    assert m.ball_index().mass_in_ball([0.0, 0.0], 10.0) == pytest.approx(m.total_mass)
+
+
+@pytest.mark.parametrize("factors", [[1.0, 1.0, 1.0], [1.0] * 5, [[1.0] * 4],
+                                     [1.0, 0.0, 1.0, 1.0], [1.0, -0.5, 1.0, 1.0],
+                                     [1.0, math.nan, 1.0, 1.0], [1.0, math.inf, 1.0, 1.0]])
+def test_reweighted_rejects_bad_factors(factors):
+    with pytest.raises(ValueError):
+        build_gamma_curve(0.3, 2.0, 1 / 32).reweighted(factors)
+
+
+def test_reweighted_needs_a_segment_layout():
+    with pytest.raises(ValueError, match="segment layout"):
+        build_cantor(2, 0.5, 2).reweighted([1.0])
+
+
+def _tie_query(m, seed):
+    """Centers on atoms and off the curve, and radii at atom distances, one
+    ulp either side of them, 0 and inf."""
+    rng = np.random.default_rng(seed)
+    on = m.points[rng.choice(m.n_atoms, 6, replace=False)]
+    centers = np.concatenate([on, on + rng.uniform(-0.05, 0.05, on.shape)])
+    d = np.sqrt(((centers[:, None, :] - m.points[None, :, :]) ** 2).sum(-1))
+    tied = d[np.arange(len(centers)), rng.integers(0, m.n_atoms, len(centers))]
+    radii = np.concatenate([tied, np.nextafter(tied, 0.0), np.nextafter(tied, np.inf),
+                            [0.0, np.inf]])
+    return centers, radii
+
+
+def _brute(m, centers, radii):
+    """Per segment, weight x the atoms with |x_i - c|^2 <= r^2, summed in
+    segment order from zeros."""
+    d2 = ((centers[:, None, :] - m.points[None, :, :]) ** 2).sum(-1)
+    rows = np.cumsum([0] + [len(sg.arcs) for sg in m.segments])
+    out = np.zeros((len(centers), len(radii)))
+    for s, sg in enumerate(m.segments):
+        out += sg.weight * (d2[:, rows[s]:rows[s + 1], None] <= radii * radii).sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kept_and_fresh_counts_give_the_same_bytes_as_brute_force(seed):
+    alpha = 0.05 + 0.7 * seed / 4
+    g = build_gamma_curve(alpha, 1.5, 1 / 96)
+    factors = ms.mu_alpha_factors(alpha)
+    centers, radii = _tie_query(g, seed)
+    first = ball_masses(g, centers, radii)
+    kept = g._layout.last
+    assert kept is not None
+    m = g.reweighted(factors)
+    hit = ball_masses(m, centers.copy(), radii.copy())
+    assert g._layout.last is kept       # read, not counted again
+    fresh = ball_masses(build_gamma_curve(alpha, 1.5, 1 / 96, weighting="mu_alpha"),
+                        centers, radii)
+    assert hit.tobytes() == fresh.tobytes() == _brute(m, centers, radii).tobytes()
+    assert first.tobytes() == _brute(g, centers, radii).tobytes()
+    # a query that differs from the kept one in the radii alone, or in the
+    # centers alone, counts again
+    for c, r in ((centers, radii[::-1]), (centers[::-1], radii)):
+        ball_masses(m, centers, radii)
+        assert ball_masses(m, c, r).tobytes() == _brute(m, c, r).tobytes()
+
+
+def test_counts_take_the_smallest_unsigned_dtype():
+    # 96 atoms per unit: flat segments of 336 atoms, tent sides of 51
+    g = build_gamma_curve(0.3, 4.0, 1 / 96)
+    ball_masses(g, g.points[:3], np.array([0.5, 1.0]))
+    counts = g._layout.last[1]
+    assert [c.dtype for c in counts] == [np.min_scalar_type(len(sg.arcs))
+                                        for sg in g.segments]
+    assert {c.dtype for c in counts} == {np.dtype(np.uint8), np.dtype(np.uint16)}
+
+
+@pytest.mark.parametrize("n_edges, kept", [(8, True), (9, False)])
+def test_counts_are_kept_only_within_the_result_bytes(n_edges, kept):
+    # each edge holds fewer than 256 atoms, so its counts take a byte a cell:
+    # eight edges take as many bytes as the float64 result, nine more
+    verts = [[float(i), (i % 2) * 0.5] for i in range(n_edges + 1)]
+    m = build_polyline(verts, 1 / 16)
+    centers, radii = m.points[::7], np.array([0.25, 1.0, 3.0])
+    out = ball_masses(m, centers, radii)
+    assert (m._layout.last is not None) == kept
+    assert out.tobytes() == _brute(m, centers, radii).tobytes()
+
+
+def test_concurrent_queries_on_one_layout_match_the_single_thread_ones():
+    weightings = ["hausdorff", "mu_alpha"]
+    g = build_gamma_curve(0.4, 1.5, 1 / 128)
+    views = [g, g.reweighted(ms.mu_alpha_factors(0.4))]
+    queries = [_tie_query(g, seed) for seed in range(3)]
+    # single-thread results, each on a measure of its own
+    expect = [[ball_masses(build_gamma_curve(0.4, 1.5, 1 / 128, weighting=w), c, r)
+               for c, r in queries] for w in weightings]
+    errors, rounds = [], 40
+
+    def worker(t):
+        try:
+            for i in range(rounds):
+                v, qi = (t + i) % 2, (t + 2 * i) % len(queries)
+                got = ball_masses(views[v], *queries[qi])
+                if got.tobytes() != expect[v][qi].tobytes():
+                    errors.append((t, i))
+        except Exception as exc:     # surfaced below, not lost in the thread
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,))
+                   for t in range((os.cpu_count() or 1) + 2)]
+        for th in threads:
+            th.start()
+        deadline = time.monotonic() + 60
+        for th in threads:
+            th.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert errors == []

@@ -167,8 +167,15 @@ class WeightedPointMeasure:
                         for sg, f in zip(self.segments, factors.tolist())]
         out.weights = np.repeat([sg.weight for sg in out.segments],
                                 [len(sg.arcs) for sg in out.segments])
+        if not np.all((out.weights > 0) & (out.weights < math.inf)):
+            raise ValueError("reweighted weights must be positive and finite")
         out.weights.setflags(write=False)
-        out.total_mass = math.fsum(out.weights.tolist())
+        # segment s holds n_s copies of w_s = p_s / 2^k_s: their exact sum over
+        # one power-of-two denominator, rounded once by the correctly rounded
+        # int / int, is the fsum over the atoms at O(segments) cost
+        ratios = [(len(sg.arcs), *sg.weight.as_integer_ratio()) for sg in out.segments]
+        den = max(d for _, _, d in ratios)
+        out.total_mass = sum(n * p * (den // d) for n, p, d in ratios) / den
         out._index = None       # it holds the weights
         return out
 

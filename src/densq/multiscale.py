@@ -186,8 +186,8 @@ class EnergyReport:
 
 def density(measure: WeightedPointMeasure, x, r: float, s: float) -> float:
     """Average s-dimensional density mass(B(x,r)) / r^s."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    _check_scale("radius", r)
+    _check_s(s)
     return measure.ball_index().mass_in_ball(x, r) / r ** s
 
 
@@ -200,8 +200,21 @@ def density_difference(measure: WeightedPointMeasure, x, r: float, s: float) -> 
 # energies
 
 def _check_s(s: float) -> None:
-    if not s > 0:
-        raise ValueError(f"s must be positive; got {s}")
+    if not 0 < s < math.inf:
+        raise ValueError(f"s must be positive and finite; got {s}")
+
+
+def _check_scale(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive, finite and not nan; got {value}")
+
+
+def _check_point(measure: WeightedPointMeasure, x) -> np.ndarray:
+    """x as a float vector; it must be finite and of length measure.dim."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (measure.dim,) or not np.isfinite(x).all():
+        raise ValueError(f"x must be a finite vector of length {measure.dim}")
+    return x
 
 
 def _check_p(p: float) -> None:
@@ -288,7 +301,8 @@ def square_function_and_wolff_energy(
 
 @dataclass
 class RadialProfile:
-    """Smooth radial profile phi with an explicit derivative evaluator.
+    """Smooth radial profile phi with an explicit derivative evaluator; both
+    act elementwise on arrays of any shape.
 
     `support` bounds where phi is non-negligible; `flat_zero_radius` is a
     radius below which phi' vanishes identically (0.0 if none, and then
@@ -349,8 +363,9 @@ class RadialProfile:
             inside = (v > 0.0) & (v < 1.0)
             out = np.zeros_like(v)
             vi = v[inside]
-            a, b = f(1.0 - vi), f(vi)
-            ap, bp = a / (1.0 - vi) ** 2, b / vi ** 2
+            c = 1.0 - vi       # vi and c lie in (0, 1): no mask, unlike f's
+            a, b = np.exp(-1.0 / c), np.exp(-1.0 / vi)
+            ap, bp = a / c ** 2, b / vi ** 2
             # d/dv [a/(a+b)] with da/dv = -ap, db/dv = bp
             out[inside] = (-ap * b - a * bp) / (a + b) ** 2 / span
             return out
@@ -381,12 +396,18 @@ class RadialProfile:
 def smoothed_density_difference(measure: WeightedPointMeasure, phi: RadialProfile,
                                 x, t: float, s: float) -> float:
     """Sum_i w_i (t^-s phi(d_i/t) - (2t)^-s phi(d_i/(2t))), d_i = |x_i - x|."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    x = np.asarray(x, dtype=float)
+    _check_scale("t", t)
+    _check_s(s)
+    x = _check_point(measure, x)
     d = np.sqrt(((measure.points - x) ** 2).sum(axis=1))
-    vals = (measure.weights * (phi.value(d / t) / t ** s
-                               - phi.value(d / (2.0 * t)) / (2.0 * t) ** s))
+    return _smoothed_sum(phi, d, measure.weights, t, s)
+
+
+def _smoothed_sum(phi, d, w, t, s):
+    """The smoothed difference at scale t of atoms of weights w at distances d;
+    exactly rounded, so the atoms' order does not matter."""
+    v1, v2 = phi.value(np.stack([d / t, d / (2.0 * t)]))
+    vals = w * (v1 / t ** s - v2 / (2.0 * t) ** s)
     return math.fsum(vals.tolist())
 
 
@@ -404,13 +425,27 @@ def verify_convolution_identity(measure: WeightedPointMeasure, phi: RadialProfil
     max(|lhs|, |rhs|, IDENTITY_RESIDUAL_FLOOR * total_mass / R^s). The
     integral runs over a log grid of `quad_points` base nodes covering where
     phi' is non-negligible, refined at the integrand's jump radii (atom
-    distances), with Gauss-Legendre panels.
+    distances), with Gauss-Legendre panels. The jump radii are panel edges, so
+    the masses M(tR) and M(2tR) are constant on each panel and are read once,
+    at its midpoint; and the powers cancel,
+    t^s D(x, tR) = (M(tR) - 2^-s M(2tR)) / R^s, so each panel contributes its
+    constant times a Gauss-Legendre quadrature of phi' alone.
     """
+    lhs, rhs = _identity_sides(measure, phi, x, R, s, quad_points)
+    denom = max(abs(lhs), abs(rhs),
+                IDENTITY_RESIDUAL_FLOOR * measure.total_mass / R ** s)
+    return abs(lhs - rhs) / denom
+
+
+def _identity_sides(measure, phi, x, R, s, quad_points):
+    """(lhs, rhs) of the identity of `verify_convolution_identity`, both read
+    from one sort of the atoms by distance from x."""
     if quad_points < 16:
         raise ValueError("quad_points must be >= 16")
-    if R <= 0:
-        raise ValueError("R must be positive")
-    d2s, cumw = _sorted_masses(measure.points, measure.weights, x)
+    _check_scale("R", R)
+    _check_s(s)
+    d2s, w, cumw = _sorted_masses(measure.points, measure.weights,
+                                  _check_point(measure, x))
     d = np.sqrt(d2s)
 
     lo, hi = phi.deriv_range()
@@ -423,27 +458,21 @@ def verify_convolution_identity(measure: WeightedPointMeasure, phi: RadialProfil
 
     a, b = edges[:-1], edges[1:]
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    tt = mid[:, None] + half[:, None] * _GL_NODES[None, :]   # (panels, 8)
-    flat = tt.reshape(-1)
-    u1, u2 = flat * R, 2.0 * flat * R
-    m1 = _mass_within(d2s, cumw, u1 * u1)
-    m2 = _mass_within(d2s, cumw, u2 * u2)
-    delta = m1 / u1 ** s - m2 / u2 ** s
-    g = flat ** s * phi.derivative(flat) * delta
-    rhs = -float(((g.reshape(tt.shape) * _GL_WEIGHTS[None, :]).sum(axis=1)
-                  * half).sum())
-    lhs = smoothed_density_difference(measure, phi, x, R, s)
-    denom = max(abs(lhs), abs(rhs),
-                IDENTITY_RESIDUAL_FLOOR * measure.total_mass / R ** s)
-    return abs(lhs - rhs) / denom
+    r2 = (mid * R) ** 2     # and (2 mid R)^2 = 4 r2 exactly
+    delta = _mass_within(d2s, cumw, r2) - 2.0 ** -s * _mass_within(d2s, cumw, 4.0 * r2)
+    tt = mid + half * _GL_NODES[:, None]     # (8, panels): row k holds node k
+    quad = (phi.derivative(tt) * _GL_WEIGHTS[:, None]).sum(axis=0) * half
+    return _smoothed_sum(phi, d, w, R, s), -float((delta * quad).sum()) / R ** s
 
 
 def _sorted_masses(points, weights, x):
-    """(d2s, cumw): squared distances from x in ascending order, and
-    cumw[k] = weight of the k nearest atoms (cumw[0] = 0)."""
+    """(d2s, ws, cumw): squared distances from x in ascending order, the
+    atoms' weights in that order, and cumw[k] = weight of the k nearest atoms
+    (cumw[0] = 0)."""
     d2 = ((points - np.asarray(x, dtype=float)) ** 2).sum(axis=1)
     order = np.argsort(d2, kind="stable")
-    return d2[order], np.concatenate([[0.0], np.cumsum(weights[order])])
+    ws = weights[order]
+    return d2[order], ws, np.concatenate([[0.0], np.cumsum(ws)])
 
 
 def _mass_within(d2s, cumw, r2):
@@ -476,8 +505,7 @@ def find_thin_boundary_radius(measure: WeightedPointMeasure, x, r: float,
     for every lam in the grid. THIN_BOUNDARY_CANDIDATES candidates are equispaced
     in [r, 2r].
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
+    _check_scale("r", r)
     if t_thin is None:
         t_thin = 32.0 * measure.dim
     if lambda_grid is None:
@@ -485,11 +513,11 @@ def find_thin_boundary_radius(measure: WeightedPointMeasure, x, r: float,
     lams = np.asarray(sorted(lambda_grid, reverse=True), dtype=float)
     if lams.size == 0 or np.any(lams <= 0) or np.any(lams > 1):
         raise ValueError("lambda_grid must be a nonempty subset of (0, 1]")
-    x = np.asarray(x, dtype=float)
+    x = _check_point(measure, x)
     idx = measure.ball_index().ball_atoms(x, 4.0 * r)
     if measure.weights[idx].sum() <= 0 or idx.size == 0:
         raise ValueError("mass(x, 4r) must be positive")
-    d2s, cumw = _sorted_masses(measure.points[idx], measure.weights[idx], x)
+    d2s, _, cumw = _sorted_masses(measure.points[idx], measure.weights[idx], x)
 
     n, k = THIN_BOUNDARY_CANDIDATES, len(lams)
     candidates = r + (r / (n - 1)) * np.arange(n)

@@ -15,9 +15,11 @@ from densq import (
     beta_energy,
     build_cantor,
     build_gamma_curve,
+    density_difference,
     find_thin_boundary_radius,
     local_energy_ratio,
     smoothed_density_difference,
+    square_function_energy,
     verify_convolution_identity,
 )
 from densq.cli import main
@@ -129,6 +131,7 @@ def _tiny_support():
 
 _M = build_cantor(2, 0.5, 3)
 _X = _M.points[0]
+NAN, INF = float("nan"), float("inf")
 
 API_CASES = [
     (lambda: WeightedPointMeasure(np.zeros((0, 2)), np.zeros(0)),
@@ -146,7 +149,27 @@ API_CASES = [
      "R must be positive"),
     (lambda: verify_convolution_identity(_M, _tiny_support(), _X, 0.1, 0.5),
      "profile tiny has empty derivative range"),
+    (lambda: verify_convolution_identity(_M, RadialProfile.gaussian(), _X, NAN, 0.5),
+     "R must be positive, finite and not nan; got nan"),
+    (lambda: verify_convolution_identity(_M, RadialProfile.gaussian(), _X, INF, 0.5),
+     "R must be positive, finite and not nan; got inf"),
+    (lambda: verify_convolution_identity(_M, RadialProfile.gaussian(), _X, 0.5, NAN),
+     "s must be positive and finite; got nan"),
+    (lambda: verify_convolution_identity(_M, RadialProfile.bump(), [0.1, NAN], 0.5, 0.5),
+     "x must be a finite vector of length 2"),
+    (lambda: verify_convolution_identity(_M, RadialProfile.bump(), [0.1, 0.2, 0.3],
+                                         0.5, 0.5),
+     "x must be a finite vector of length 2"),
+    (lambda: smoothed_density_difference(_M, RadialProfile.gaussian(), _X, NAN, 0.5),
+     "t must be positive, finite and not nan; got nan"),
+    (lambda: smoothed_density_difference(_M, RadialProfile.gaussian(), _X, INF, 0.5),
+     "t must be positive, finite and not nan; got inf"),
     (lambda: find_thin_boundary_radius(_M, _X, 0.0), "r must be positive"),
+    (lambda: find_thin_boundary_radius(_M, _X, INF),
+     "r must be positive, finite and not nan; got inf"),
+    (lambda: square_function_energy(_M, INF, ScaleGrid(0.1, 1.0)),
+     "s must be positive and finite; got inf"),
+    (lambda: density_difference(_M, _X, 0.1, INF), "s must be positive and finite; got inf"),
     (lambda: find_thin_boundary_radius(_M, _X, 0.1, lambda_grid=[]),
      "lambda_grid must be a nonempty subset of (0, 1]"),
     (lambda: find_thin_boundary_radius(_M, _X, 0.1, lambda_grid=[0.5, 2.0]),

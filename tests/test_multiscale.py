@@ -526,6 +526,110 @@ def test_convolution_identity_refuses_few_nodes(rng):
                                     0.5, quad_points=8)
 
 
+def _per_node_rhs(measure, phi, x, R, s, quad_points):
+    """The identity's scale integral evaluated node by node: both masses
+    looked up and t^s D(x, tR) formed at every Gauss-Legendre node."""
+    d2 = ((measure.points - np.asarray(x, dtype=float)) ** 2).sum(axis=1)
+    order = np.argsort(d2, kind="stable")
+    d2s = d2[order]
+    cumw = np.concatenate([[0.0], np.cumsum(measure.weights[order])])
+    d = np.sqrt(d2s)
+    lo, hi = phi.deriv_range()
+    base = np.exp(np.linspace(math.log(lo), math.log(hi), quad_points))
+    jumps = np.concatenate([d / R, d / (2.0 * R)])
+    edges = np.unique(np.concatenate([base, jumps[(jumps > lo) & (jumps < hi)]]))
+    a, b = edges[:-1], edges[1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    t = (mid[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
+    u1, u2 = t * R, 2.0 * t * R
+    m1 = cumw[np.searchsorted(d2s, u1 * u1, side="right")]
+    m2 = cumw[np.searchsorted(d2s, u2 * u2, side="right")]
+    g = t ** s * phi.derivative(t) * (m1 / u1 ** s - m2 / u2 ** s)
+    return -float(((g.reshape(-1, 8) * weights[None, :]).sum(axis=1) * half).sum())
+
+
+def _identity_cases(rng):
+    """(measure, x): a random measure seen from off the atoms and from an
+    atom, and atoms at equal distances from x, some at twice the others (so
+    a jump radius d/R and a doubled one d'/(2R) coincide)."""
+    m = random_measure(rng, n=60)
+    ring = np.array([[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5],
+                     [1.0, 0.0], [0.0, -1.0], [0.25, 0.0], [-0.25, 0.0]])
+    tied = WeightedPointMeasure(ring + 0.125, np.full(len(ring), 0.125))
+    return [(m, np.array([0.2, -0.3])), (m, m.points[7]), (tied, np.array([0.125, 0.125]))]
+
+
+@pytest.mark.parametrize("quad_points", [64, 512])
+@pytest.mark.parametrize("profile", [RadialProfile.gaussian, RadialProfile.bump])
+def test_identity_panel_rhs_matches_the_per_node_integral(rng, profile, quad_points):
+    phi = profile()
+    for m, x in _identity_cases(rng):
+        for R, s in [(0.07, 0.4), (0.6, 1.0), (2.5, 1.7)]:
+            lhs, rhs = multiscale._identity_sides(m, phi, x, R, s, quad_points)
+            ref = _per_node_rhs(m, phi, x, R, s, quad_points)
+            assert abs(rhs - ref) <= 1e-13 * max(abs(ref), m.total_mass / R ** s)
+            assert lhs == smoothed_density_difference(m, phi, x, R, s)
+
+
+@pytest.mark.parametrize("profile", [RadialProfile.gaussian, RadialProfile.bump])
+def test_identity_detects_a_slightly_wrong_derivative(rng, profile):
+    # the rhs integrates phi' by quadrature; a check that used phi's values at
+    # the panel edges instead would pass whatever the derivative said
+    phi = profile()
+    off = RadialProfile(value=phi.value,
+                        derivative=lambda u: (1.0 + 1e-4) * phi.derivative(u),
+                        support=phi.support, name="scaled",
+                        flat_zero_radius=phi.flat_zero_radius)
+    for m, x in _identity_cases(rng):
+        assert verify_convolution_identity(m, phi, x, 0.6, 0.8) < 1e-10
+        assert verify_convolution_identity(m, off, x, 0.6, 0.8) > 1e-6
+
+
+def _reference_gaussian(u):
+    """(phi, phi') of the Gaussian profile, written out."""
+    return (np.exp(-np.asarray(u, dtype=float) ** 2),
+            -2.0 * np.asarray(u, dtype=float) * np.exp(-np.asarray(u, dtype=float) ** 2))
+
+
+def _reference_bump(u, inner=0.5, outer=2.0):
+    """(phi, phi') of the bump profile, written out with a masked exp helper
+    for both, so that its zero at 0 is explicit."""
+    span = outer - inner
+
+    def f(x):
+        out = np.zeros_like(x)
+        pos = x > 0
+        out[pos] = np.exp(-1.0 / x[pos])
+        return out
+
+    u = np.asarray(u, dtype=float)
+    v = np.clip((u - inner) / span, 0.0, 1.0)
+    a, b = f(1.0 - v), f(v)
+    value = a / (a + b)
+    v = (u - inner) / span
+    inside = (v > 0.0) & (v < 1.0)
+    deriv = np.zeros_like(v)
+    vi = v[inside]
+    a, b = f(1.0 - vi), f(vi)
+    ap, bp = a / (1.0 - vi) ** 2, b / vi ** 2
+    deriv[inside] = (-ap * b - a * bp) / (a + b) ** 2 / span
+    return value, deriv
+
+
+def test_profile_evaluators_equal_their_reference_formulas_bit_for_bit():
+    special = np.array([0.0, 0.5, 2.0, 8.0])   # 0, bump inner and outer, cutoff
+    grid = np.concatenate([np.linspace(0.0, 9.0, 4001), special,
+                           np.nextafter(special, -np.inf), np.nextafter(special, np.inf),
+                           [-0.3, 1e-300, 0.5 + 1e-12, 2.0 - 1e-12]])
+    for u in (grid, np.stack([grid, grid[::-1]])):   # the identity passes 2-d arrays
+        for phi, reference in ((RadialProfile.gaussian(), _reference_gaussian),
+                               (RadialProfile.bump(), _reference_bump)):
+            value, deriv = reference(u)
+            assert phi.value(u).tobytes() == value.tobytes()
+            assert phi.derivative(u).tobytes() == deriv.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # thin boundary search
 

@@ -66,6 +66,39 @@ def test_reweighted_rejects_bad_factors(factors):
         build_gamma_curve(0.3, 2.0, 1 / 32).reweighted(factors)
 
 
+def test_reweighted_rejects_weights_that_underflow_or_overflow():
+    # atoms of weight about 1/32 times 5e-324 round to 0; the flat segments of
+    # a polyline at spacing 16 hold one atom of weight 7.5, times 1e308 is inf
+    with pytest.raises(ValueError, match="weights must be positive and finite"):
+        build_gamma_curve(0.3, 2.0, 1 / 32).reweighted([1.0, 5e-324, 1.0, 1.0])
+    g = build_polyline([[-8.0, 0.0], [-0.5, 0.0], [0.0, 0.5], [0.5, 0.0], [8.0, 0.0]], 16.0)
+    with pytest.raises(ValueError, match="weights must be positive and finite"):
+        g.reweighted([1e308, 1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("factors", [
+    ms.mu_alpha_factors(0.4),
+    [1.0, 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53, 3.0],
+    [1e16, 1.0, 1e-16, 1.0 / 3.0],
+    [2.0 ** 600, 2.0 ** -600, 1.0, 0.1],
+    [1.0 / 3.0, 1.0 / 7.0, 1.0 / 11.0, 1.0 / 13.0],
+])
+@pytest.mark.parametrize("alpha, spacing", [(0.3, 1 / 64), (math.pi / 4, 1 / 200),
+                                            (0.05, 1e-3)])
+def test_reweighted_total_is_the_fsum_over_the_atoms_bit_for_bit(factors, alpha, spacing):
+    m = build_gamma_curve(alpha, 2.0, spacing).reweighted(factors)
+    assert m.total_mass == math.fsum(m.weights.tolist())
+
+
+def test_reweighted_total_matches_fsum_on_random_factors():
+    rng = np.random.default_rng(7)
+    g = build_gamma_curve(0.2, 3.0, 1 / 300)
+    for _ in range(50):
+        factors = 2.0 ** rng.uniform(-40, 40, 4) * rng.uniform(1, 2, 4)
+        m = g.reweighted(factors)
+        assert m.total_mass == math.fsum(m.weights.tolist())
+
+
 def test_reweighted_needs_a_segment_layout():
     with pytest.raises(ValueError, match="segment layout"):
         build_cantor(2, 0.5, 2).reweighted([1.0])

@@ -1,8 +1,9 @@
 """Discrete measures in R^d: generators, spatial index, exact ball-mass queries.
 
 A measure is a finite list of weighted atoms. All ball queries use the closed
-convention |x_i - c| <= r, compared in squared distance so that the spatial
-index and a brute-force scan select exactly the same atoms.
+convention |x_i - c| <= r, compared in squared distance from the stored
+coordinates, so every engine and a brute-force scan select exactly the same
+atoms.
 """
 from __future__ import annotations
 
@@ -195,7 +196,8 @@ class WeightedPointMeasure:
             if self.n_atoms == 1:
                 self._min_spacing = 0.0
             else:
-                d, _ = self.ball_index().tree.query(self.points, k=2)
+                from scipy.spatial import cKDTree
+                d, _ = cKDTree(self.points).query(self.points, k=2)
                 self._min_spacing = float(d[:, 1].min())
         return self._min_spacing
 
@@ -327,48 +329,46 @@ def _line_ends(points):
 
 
 class BallIndex:
-    """KD-tree accelerated, exactness-preserving closed-ball queries.
+    """Exact closed-ball queries at one center: a scan of the stored coordinates.
 
-    The tree only prunes; membership is always decided by the same
-    squared-distance comparison a brute-force scan would use. The index holds
-    the measure's arrays, not the measure, so the two form no reference cycle.
+    Every query reads the squared distances `sq_dist`, summed one coordinate at
+    a time as the radial-shell pass sums them, so membership is the predicate
+    |x_i - c|^2 <= r^2 of every engine, ties included. The index holds the
+    measure's arrays, not the measure, so the two form no reference cycle.
     """
 
     def __init__(self, measure: WeightedPointMeasure):
-        from scipy.spatial import cKDTree
-        self.points = measure.points
+        self.coords = np.ascontiguousarray(measure.points.T)
         self.weights = measure.weights
-        self.tree = cKDTree(measure.points)
 
-    def _candidates(self, center, r_outer: float):
-        """(ascending indices, squared distances) of the atoms the tree finds
-        within a slightly padded r_outer of center."""
-        center = np.asarray(center, dtype=float).reshape(-1)
-        if center.shape[0] != self.points.shape[1]:
-            raise ValueError(f"center has dim {center.shape[0]}, "
-                             f"measure dim {self.points.shape[1]}")
-        cand = np.array(self.tree.query_ball_point(center, r_outer * (1.0 + 1e-9)),
-                        dtype=np.intp)
-        cand.sort()
-        return cand, ((self.points[cand] - center) ** 2).sum(axis=1)
+    def sq_dist(self, center) -> np.ndarray:
+        """|x_i - center|^2 per atom, summed one coordinate at a time as
+        `_sq_rows(points - center)` sums them; center must be a finite vector
+        of length dim."""
+        center = np.asarray(center, dtype=float)
+        c, dim = center.tolist(), len(self.coords)
+        if center.shape != (dim,) or not all(map(math.isfinite, c)):
+            raise ValueError(f"x must be a finite vector of length {dim}")
+        d2 = (self.coords[0] - c[0]) ** 2
+        for xk, ck in zip(self.coords[1:], c[1:]):
+            d2 += (xk - ck) ** 2
+        return d2
 
     def ball_atoms(self, center, r: float) -> np.ndarray:
-        """Indices of atoms with |x_i - center| <= r (closed ball)."""
+        """Indices of atoms with |x_i - center| <= r (closed ball), ascending."""
         if not r >= 0:
             raise ValueError(f"radius must be nonnegative (and not nan); got {r}")
-        cand, d2 = self._candidates(center, r)
-        return cand[d2 <= r * r]
+        return np.flatnonzero(self.sq_dist(center) <= r * r)
 
     def mass_in_ball(self, center, r: float) -> float:
-        idx = self.ball_atoms(center, r)
-        return float(self.weights[idx].sum())
+        return float(self.weights[self.ball_atoms(center, r)].sum())
 
     def annulus_atoms(self, center, r_inner: float, r_outer: float) -> np.ndarray:
-        """Atoms with r_inner < |x_i - center| <= r_outer."""
+        """Atoms with r_inner < |x_i - center| <= r_outer, ascending."""
         if not 0 <= r_inner <= r_outer:
             raise ValueError("need 0 <= r_inner <= r_outer")
-        cand, d2 = self._candidates(center, r_outer)
-        return cand[(d2 > r_inner * r_inner) & (d2 <= r_outer * r_outer)]
+        d2 = self.sq_dist(center)
+        return np.flatnonzero((d2 > r_inner * r_inner) & (d2 <= r_outer * r_outer))
 
 
 def mass_in_ball(index: BallIndex, center, r: float) -> float:
@@ -443,8 +443,8 @@ def _shell_sums(points, weights, centers, radii, values, n_values):
             *diff, d2, tmp = (b[:size].reshape(rows, -1) for b in fbuf)
             for k in range(dim):
                 np.subtract(xs[k], c[:, k, None], out=diff[k])
-            # one coordinate at a time rounds exactly as .sum(-1) does, which the
-            # ball index and brute-force scans use, without its slow strided reduce
+            # one coordinate at a time (as `BallIndex.sq_dist`) rounds exactly as
+            # .sum(-1), which brute-force scans use, without its slow strided reduce
             np.square(diff[0], out=d2)
             for dk in diff[1:]:
                 d2 += np.square(dk, out=tmp)
@@ -525,8 +525,7 @@ def _segment_ball_masses(measure, centers, radii):
     reweighting of the measure shares, keeps the last query's counts, keyed by
     the exact bytes of `centers` and `radii`; a repeat query sums them again
     instead of counting. Each segment's counts take the smallest unsigned
-    dtype that holds its atom count, and they are kept only when all of them
-    take no more bytes than the float64 result.
+    dtype that holds its atom count.
     """
     n, m = len(centers), len(radii)
     segments, out = measure.segments, np.zeros((n, m))
@@ -539,12 +538,9 @@ def _segment_ball_masses(measure, centers, radii):
     else:
         reach = float(np.sqrt(_sq_rows(centers)).max(initial=0.0))
         ends = list(itertools.accumulate((len(sg.arcs) for sg in segments), initial=0))
-        counts = (_segment_counts(measure.points[lo:hi], sg, centers, radii, reach, rows)
-                  for sg, lo, hi in zip(segments, ends, ends[1:]))
-        if n * m * sum(np.min_scalar_type(len(sg.arcs)).itemsize
-                       for sg in segments) <= out.nbytes:
-            counts = list(counts)
-            measure._layout.last = (key, counts)
+        counts = [_segment_counts(measure.points[lo:hi], sg, centers, radii, reach, rows)
+                  for sg, lo, hi in zip(segments, ends, ends[1:])]
+        measure._layout.last = (key, counts)
     for sg, count in zip(segments, counts):
         for a in range(0, n, rows):
             out[a:a + rows] += sg.weight * count[a:a + rows]
@@ -766,11 +762,11 @@ def build_dirac(dim: int, location, mass: float) -> WeightedPointMeasure:
     return WeightedPointMeasure(loc, np.array([mass]))
 
 
-def _sample_polyline(vertices, spacing):
-    """Midpoint arc-length samples per edge; weight = local arc share.
-
-    Mass is conserved exactly per edge: n * (length/n) = length.
-    """
+def build_polyline(vertices, spacing: float) -> WeightedPointMeasure:
+    """Arc-length measure on a polyline: per edge, n midpoint samples of step
+    length/n ~ spacing, each weighing its step, so mass is exact per edge."""
+    if spacing <= 0:
+        raise ValueError("spacing must be positive")
     vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
     if vertices.shape[0] < 2:
         raise ValueError("polyline needs at least two vertices")
@@ -798,13 +794,6 @@ def _sample_polyline(vertices, spacing):
                                 segments=segments)
 
 
-def build_polyline(vertices, spacing: float) -> WeightedPointMeasure:
-    """Arc-length measure on a polyline, sampled by midpoints with step ~ spacing."""
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
-    return _sample_polyline(vertices, spacing)
-
-
 def build_gamma_curve(alpha: float, half_extent: float, spacing: float,
                       weighting: str = "hausdorff") -> WeightedPointMeasure:
     """Tent graph: flat on [-L,-1/2] and [1/2,L], slopes +-tan(alpha) on the
@@ -826,7 +815,7 @@ def build_gamma_curve(alpha: float, half_extent: float, spacing: float,
     apex = 0.5 * math.tan(alpha)
     verts = np.array([[-half_extent, 0.0], [-0.5, 0.0], [0.0, apex],
                       [0.5, 0.0], [half_extent, 0.0]])
-    curve = _sample_polyline(verts, spacing)
+    curve = build_polyline(verts, spacing)
     return curve.reweighted(mu_alpha_factors(alpha)) if weighting == "mu_alpha" else curve
 
 

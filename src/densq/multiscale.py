@@ -209,14 +209,6 @@ def _check_scale(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive, finite and not nan; got {value}")
 
 
-def _check_point(measure: WeightedPointMeasure, x) -> np.ndarray:
-    """x as a float vector; it must be finite and of length measure.dim."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (measure.dim,) or not np.isfinite(x).all():
-        raise ValueError(f"x must be a finite vector of length {measure.dim}")
-    return x
-
-
 def _check_p(p: float) -> None:
     if not 1.0 <= p < math.inf:
         raise ValueError(f"p must be finite and >= 1; got {p}")
@@ -398,8 +390,7 @@ def smoothed_density_difference(measure: WeightedPointMeasure, phi: RadialProfil
     """Sum_i w_i (t^-s phi(d_i/t) - (2t)^-s phi(d_i/(2t))), d_i = |x_i - x|."""
     _check_scale("t", t)
     _check_s(s)
-    x = _check_point(measure, x)
-    d = np.sqrt(((measure.points - x) ** 2).sum(axis=1))
+    d = np.sqrt(measure.ball_index().sq_dist(x))
     return _smoothed_sum(phi, d, measure.weights, t, s)
 
 
@@ -444,8 +435,7 @@ def _identity_sides(measure, phi, x, R, s, quad_points):
         raise ValueError("quad_points must be >= 16")
     _check_scale("R", R)
     _check_s(s)
-    d2s, w, cumw = _sorted_masses(measure.points, measure.weights,
-                                  _check_point(measure, x))
+    d2s, w, cumw = _sorted_masses(measure.ball_index().sq_dist(x), measure.weights)
     d = np.sqrt(d2s)
 
     lo, hi = phi.deriv_range()
@@ -465,11 +455,10 @@ def _identity_sides(measure, phi, x, R, s, quad_points):
     return _smoothed_sum(phi, d, w, R, s), -float((delta * quad).sum()) / R ** s
 
 
-def _sorted_masses(points, weights, x):
-    """(d2s, ws, cumw): squared distances from x in ascending order, the
-    atoms' weights in that order, and cumw[k] = weight of the k nearest atoms
+def _sorted_masses(d2, weights):
+    """(d2s, ws, cumw): the atoms' squared distances d2 in ascending order, their
+    weights in that order, and cumw[k] = weight of the k nearest atoms
     (cumw[0] = 0)."""
-    d2 = ((points - np.asarray(x, dtype=float)) ** 2).sum(axis=1)
     order = np.argsort(d2, kind="stable")
     ws = weights[order]
     return d2[order], ws, np.concatenate([[0.0], np.cumsum(ws)])
@@ -513,11 +502,11 @@ def find_thin_boundary_radius(measure: WeightedPointMeasure, x, r: float,
     lams = np.asarray(sorted(lambda_grid, reverse=True), dtype=float)
     if lams.size == 0 or np.any(lams <= 0) or np.any(lams > 1):
         raise ValueError("lambda_grid must be a nonempty subset of (0, 1]")
-    x = _check_point(measure, x)
-    idx = measure.ball_index().ball_atoms(x, 4.0 * r)
-    if measure.weights[idx].sum() <= 0 or idx.size == 0:
+    d2 = measure.ball_index().sq_dist(x)
+    near = d2 <= (4.0 * r) * (4.0 * r)
+    if not near.any():
         raise ValueError("mass(x, 4r) must be positive")
-    d2s, _, cumw = _sorted_masses(measure.points[idx], measure.weights[idx], x)
+    d2s, _, cumw = _sorted_masses(d2[near], measure.weights[near])
 
     n, k = THIN_BOUNDARY_CANDIDATES, len(lams)
     candidates = r + (r / (n - 1)) * np.arange(n)
@@ -557,15 +546,14 @@ def local_energy_ratio(measure: WeightedPointMeasure, ball_center, r0: float,
     """
     if not 0 < delta_param < 1:
         raise ValueError("delta_param must lie in (0, 1)")
-    if r0 <= 0:
-        raise ValueError("r0 must be positive")
-    center = np.asarray(ball_center, dtype=float)
+    _check_scale("r0", r0)
+    _check_s(s)
     index = measure.ball_index()
-    m0 = index.mass_in_ball(center, r0)
+    m0 = index.mass_in_ball(ball_center, r0)
     if m0 <= 0:
         raise ValueError("degenerate ball: mass(B0) = 0")
     hi_r = r0 / delta_param
-    idx = index.ball_atoms(center, hi_r)
+    idx = index.ball_atoms(ball_center, hi_r)
     grid = ScaleGrid(delta_param * r0, hi_r, q)
     sample = grid.samples
     widths = grid.cell_widths(0.0, hi_r)
@@ -585,6 +573,7 @@ def ad_regularity_diagnostic(measure: WeightedPointMeasure, s: float,
     atom has no diameter, so all grid radii count (and the ratio correctly
     blows up like r^-s).
     """
+    _check_s(s)
     radii = grid.radii
     lo = _floor_for(measure, kappa, grid.r_min)
     diameter = measure.support_diameter

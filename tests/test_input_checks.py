@@ -10,16 +10,21 @@ import pytest
 from densq import (
     RadialProfile,
     ScaleGrid,
+    TruncationPair,
     WeightedPointMeasure,
     ad_regularity_diagnostic,
+    beta2,
     beta_energy,
+    beta_inf,
     build_cantor,
     build_gamma_curve,
+    density,
     density_difference,
     find_thin_boundary_radius,
     local_energy_ratio,
     smoothed_density_difference,
     square_function_energy,
+    truncated_riesz,
     verify_convolution_identity,
 )
 from densq.cli import main
@@ -178,12 +183,41 @@ API_CASES = [
      "delta_param must lie in (0, 1)"),
     (lambda: local_energy_ratio(_M, _X, 0.0, 0.5, delta_param=0.5),
      "r0 must be positive"),
+    (lambda: local_energy_ratio(_M, _X, INF, 0.5, delta_param=0.5),
+     "r0 must be positive, finite and not nan; got inf"),
+    (lambda: local_energy_ratio(_M, _X, 0.1, NAN, delta_param=0.5),
+     "s must be positive and finite; got nan"),
+    (lambda: local_energy_ratio(_M, _X, 0.1, INF, delta_param=0.5),
+     "s must be positive and finite; got inf"),
+    (lambda: local_energy_ratio(_M, _X, 0.1, -1.0, delta_param=0.5),
+     "s must be positive and finite; got -1.0"),
+    (lambda: ad_regularity_diagnostic(_M, NAN, ScaleGrid(0.1, 1.0)),
+     "s must be positive and finite; got nan"),
+    (lambda: ad_regularity_diagnostic(_M, INF, ScaleGrid(0.1, 1.0)),
+     "s must be positive and finite; got inf"),
+    (lambda: ad_regularity_diagnostic(_M, -1.0, ScaleGrid(0.1, 1.0)),
+     "s must be positive and finite; got -1.0"),
     # every grid radius is past the support diameter (about 1.2)
     (lambda: ad_regularity_diagnostic(_M, 0.5, ScaleGrid(10.0, 20.0)),
      "no grid radii inside the resolved range"),
     (lambda: beta_energy(_M, ScaleGrid(0.1, 1.0)).save_per_point_csv("unused.csv"),
      "report carries no per-point breakdown"),
 ]
+
+
+# every single-center query checks its center before it scans the atoms
+_CENTER_CALLS = [
+    lambda x: density(_M, x, 0.1, 0.5),
+    lambda x: density_difference(_M, x, 0.1, 0.5),
+    lambda x: beta2(_M, x, 0.5),
+    lambda x: beta_inf(_M, x, 0.5),
+    lambda x: truncated_riesz(_M, x, TruncationPair(0.1, 0.5), 0.5),
+    lambda x: _M.ball_index().ball_atoms(x, 0.5),
+    lambda x: _M.ball_index().mass_in_ball(x, 0.5),
+    lambda x: _M.ball_index().annulus_atoms(x, 0.1, 0.5),
+]
+API_CASES += [(lambda f=f, x=x: f(x), "x must be a finite vector of length 2")
+              for f in _CENTER_CALLS for x in ([0.1, NAN], [INF, 0.1], [0.1, 0.2, 0.3])]
 
 
 @pytest.mark.parametrize("call, message", API_CASES)

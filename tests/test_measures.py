@@ -279,6 +279,33 @@ def test_annulus_atoms_strict_inner(rng):
     assert 7 not in idx.annulus_atoms(c, 0.0, r_out)  # self at distance 0
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_scan_queries_equal_brute_force_at_tied_radii(rng, dim):
+    # radii at atom distances and one ulp either side, 0 and inf; centers on an
+    # atom and off the atoms
+    m = random_measure(rng, n=40, dim=dim)
+    index = m.ball_index()
+    for center in (m.points[3], rng.uniform(-1.0, 1.0, dim)):
+        d = np.sqrt(((m.points - center) ** 2).sum(axis=1))
+        radii = np.concatenate([d, np.nextafter(d, 0.0), np.nextafter(d, np.inf),
+                                [0.0, np.inf]])
+        for r in radii:
+            atoms = brute_ball_atoms(m, center, r)
+            assert index.ball_atoms(center, r).tolist() == atoms.tolist()
+            assert index.mass_in_ball(center, r) == float(m.weights[atoms].sum())
+        for r_in, r_out in itertools.combinations(np.sort(radii)[::5], 2):
+            expect = np.setdiff1d(brute_ball_atoms(m, center, r_out),
+                                  brute_ball_atoms(m, center, r_in))
+            assert index.annulus_atoms(center, r_in, r_out).tolist() == expect.tolist()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_sq_dist_rounds_as_the_radial_shell_pass(rng, dim):
+    m = random_measure(rng, n=30, dim=dim)
+    for c in (m.points[0], rng.uniform(-1.0, 1.0, dim)):
+        assert m.ball_index().sq_dist(c).tobytes() == ms._sq_rows(m.points - c).tobytes()
+
+
 def test_ball_masses_engines_agree(rng):
     # segment fast path vs brute force on a tent curve, generic path on cantor
     g = build_gamma_curve(math.pi / 8, 2.0, 1 / 32)
@@ -602,13 +629,13 @@ def test_csv_reload_drops_segments_but_keeps_ball_atoms(tmp_path):
 
 
 def test_measure_with_index_freed_without_cycle_collector():
-    # the ball index holds the measure's arrays, not the measure: reading
-    # min_spacing (which builds the index) leaves no reference cycle
+    # the ball index holds the measure's arrays, not the measure: building it
+    # leaves no reference cycle
     enabled = gc.isenabled()
     gc.disable()
     try:
         curve = build_gamma_curve(math.pi / 8, 2.0, 1 / 64)
-        assert curve.min_spacing > 0
+        assert curve.ball_index().mass_in_ball([0.0, 0.0], 1.0) > 0
         ref = weakref.ref(curve)
         del curve
         assert ref() is None

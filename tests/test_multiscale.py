@@ -8,10 +8,12 @@ from densq import (
     RadialProfile,
     ScaleGrid,
     ThinBoundaryNotFound,
+    TruncationPair,
     WeightedPointMeasure,
     ad_regularity_diagnostic,
     beta2,
     beta_energy,
+    beta_inf,
     build_cantor,
     build_dirac,
     build_flat,
@@ -25,6 +27,7 @@ from densq import (
     square_function_and_wolff_energy,
     square_function_energy,
     sup_riesz_energy,
+    truncated_riesz,
     verify_convolution_identity,
     wolff_energy,
 )
@@ -364,6 +367,32 @@ def test_nan_radius_rejected_by_pointwise_queries():
     for inner, outer in ((nan, 1.0), (0.1, nan), (nan, nan)):
         with pytest.raises(ValueError, match="r_inner <= r_outer"):
             index.annulus_atoms(x, inner, outer)
+
+
+def test_pointwise_queries_build_no_kd_tree(rng, monkeypatch):
+    # a KD-tree serves min_spacing alone; every single-center query scans
+    import scipy.spatial
+
+    def no_tree(*args, **kwargs):
+        raise AssertionError("a KD-tree was built")
+    monkeypatch.setattr(scipy.spatial, "cKDTree", no_tree)
+    m = random_measure(rng, n=200)
+    with pytest.raises(AssertionError, match="a KD-tree was built"):
+        m.min_spacing
+    index, x = m.ball_index(), m.points[0]
+    assert index.mass_in_ball(x, 0.5) == brute_mass(m, x, 0.5)
+    assert index.ball_atoms(x, 0.5).size > index.annulus_atoms(x, 0.1, 0.5).size
+    assert math.isfinite(density_difference(m, x, 0.3, 0.7))
+    assert beta2(m, x, 0.5)[0] >= 0 and beta_inf(m, x, 0.5)[0] >= 0
+    assert truncated_riesz(m, x, TruncationPair(0.1, 0.5), 0.7).shape == (2,)
+    try:
+        assert 0.2 <= find_thin_boundary_radius(m, x, 0.2) <= 0.4
+    except ThinBoundaryNotFound:
+        pass
+    assert math.isfinite(smoothed_density_difference(m, RadialProfile.gaussian(), x,
+                                                     0.3, 0.7))
+    assert verify_convolution_identity(m, RadialProfile.bump(), x, 0.3, 0.7) < 1e-6
+    assert local_energy_ratio(m, x, 0.2, 0.7, 0.5) > 0
 
 
 @pytest.mark.parametrize("kappa", [float("nan"), float("inf"), -1.0])

@@ -1,6 +1,7 @@
 """Reweighted segment measures and the per-segment ball counts their layout
 shares: the mu_alpha tent built by reweighting, byte-identical ball masses from
-kept and fresh counts, the memory rule, bad factors, and concurrent queries."""
+kept and fresh counts, kept counts of any size, bad factors, and concurrent
+queries."""
 import math
 import os
 import sys
@@ -161,16 +162,17 @@ def test_counts_take_the_smallest_unsigned_dtype():
     assert {c.dtype for c in counts} == {np.dtype(np.uint8), np.dtype(np.uint16)}
 
 
-@pytest.mark.parametrize("n_edges, kept", [(8, True), (9, False)])
-def test_counts_are_kept_only_within_the_result_bytes(n_edges, kept):
-    # each edge holds fewer than 256 atoms, so its counts take a byte a cell:
-    # eight edges take as many bytes as the float64 result, nine more
-    verts = [[float(i), (i % 2) * 0.5] for i in range(n_edges + 1)]
-    m = build_polyline(verts, 1 / 16)
-    centers, radii = m.points[::7], np.array([0.25, 1.0, 3.0])
-    out = ball_masses(m, centers, radii)
-    assert (m._layout.last is not None) == kept
-    assert out.tobytes() == _brute(m, centers, radii).tobytes()
+def test_a_repeat_query_reuses_uint32_counts_larger_than_the_result():
+    # two edges of 70,000 atoms count in uint32 and a short one in uint8: 9
+    # bytes a cell against the float64 result's 8, and the counts are kept
+    m = build_polyline([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1e-4]], 1 / 70_000)
+    centers, radii = m.points[::20_000], np.array([0.25, 1.0, 3.0])
+    first = ball_masses(m, centers, radii)
+    kept = m._layout.last
+    assert [c.dtype for c in kept[1]] == [np.uint32, np.uint32, np.uint8]
+    again = ball_masses(m.reweighted([1.0, 1.0, 1.0]), centers.copy(), radii.copy())
+    assert m._layout.last is kept       # read, not counted again
+    assert first.tobytes() == again.tobytes() == _brute(m, centers, radii).tobytes()
 
 
 def test_concurrent_queries_on_one_layout_match_the_single_thread_ones():

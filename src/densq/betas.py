@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import (WeightedPointMeasure, _check_budget, _hull_vertices,
-                       _min_enclosing_ball, _pair_step, _shell_sums)
+from .measures import (WeightedPointMeasure, _check_budget, _min_enclosing_ball,
+                       _pair_step, _shell_sums)
 from .multiscale import (DEFAULT_KAPPA, EnergyReport, ScaleGrid, as_atom_indices,
                          _check_p, _floor_for)
 
@@ -178,7 +178,8 @@ def _min_width_strip_2d(pts: np.ndarray):
     edges. A set without a 2-d hull (collinear, or fewer than three distinct
     points) has width 0 along the line through its two extreme points.
     """
-    hull = _hull_vertices(pts)
+    from .geometry import hull_vertices
+    hull = hull_vertices(pts)
     if hull is None:
         a = pts[np.argmax(((pts - pts[0]) ** 2).sum(axis=1))]
         d = pts[np.argmax(((pts - a) ** 2).sum(axis=1))] - a

@@ -81,16 +81,18 @@ def _default_grid(measure, args):
 def _cmd_energy(args) -> int:
     if args.per_point_csv and args.kind not in ("sf", "wolff"):
         raise ValueError(f"--per-point-csv applies to sf and wolff, not {args.kind}")
-    measure = ms.WeightedPointMeasure.load_csv(args.measure)
-    grid = _default_grid(measure, args)
+    # --s is checked before the CSV is read and the grid built
     if args.kind in ("sf", "wolff", "riesz-sup"):
         if args.s is None:
             raise ValueError(f"--s is required for kind={args.kind}")
+        msc._check_s(args.s)
         if args.kind == "sf" and float(args.s) == int(args.s):
             print(f"warning: s={args.s:g} is an integer; the square-function / "
                   "Wolff comparability requires non-integer s (flat measures "
                   "make the square function degenerate); computing anyway",
                   file=sys.stderr)
+    measure = ms.WeightedPointMeasure.load_csv(args.measure)
+    grid = _default_grid(measure, args)
     if args.kind == "riesz-sup":
         rep = rz.sup_riesz_energy(measure, args.s, grid, kappa=args.kappa)
         obj = rep.to_json_dict()

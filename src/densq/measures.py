@@ -31,8 +31,9 @@ PAIR_BUDGET = 2 ** 31
 # bins together): bounds the temporaries to a few MB each, and moves no result
 _CHUNK_CELLS = 2 ** 18
 
-# kept pairs per block of a radial-shell chunk, and entries of the largest
-# bucket table of its shell lookup: each stays within about 1 MB, in cache
+# kept pairs per block of a radial-shell chunk, entries of the largest bucket
+# table of its shell lookup, and (atom, edge) cells per block of the 2-d hull's
+# octagon filter (`geometry.hull_2d`): each stays within about 1 MB, in cache
 _BLOCK_CELLS = _SHELL_TABLE_CAP = 2 ** 16
 
 # relative and absolute slack of the smallest enclosing ball's containment test
@@ -191,10 +192,15 @@ class WeightedPointMeasure:
     @property
     def min_spacing(self) -> float:
         """Smallest pairwise distance; 0.0 for a single atom (no pairs, all
-        scales count as resolved)."""
+        scales count as resolved). A segment layout gives it from consecutive
+        atoms where its geometry allows (`geometry.segment_min_spacing`); any
+        other measure takes a KD-tree (scipy, loaded on first use)."""
         if self._min_spacing is None:
+            from .geometry import segment_min_spacing
             if self.n_atoms == 1:
                 self._min_spacing = 0.0
+            elif (d := segment_min_spacing(self.points, self.segments)) is not None:
+                self._min_spacing = d
             else:
                 from scipy.spatial import cKDTree
                 d, _ = cKDTree(self.points).query(self.points, k=2)
@@ -221,19 +227,18 @@ class WeightedPointMeasure:
 
     @functools.cached_property
     def _far_candidates(self) -> np.ndarray:
-        """The hull vertices in 2-d and 3-d, else the atoms near either end of
-        the principal axis (`_line_ends`)."""
-        cand = _hull_vertices(self.points)
-        return _line_ends(self.points) if cand is None else cand
+        from .geometry import far_atoms
+        return far_atoms(self.points)
 
     def farthest_distances(self, indices=None) -> np.ndarray:
         """Per atom i in `indices` (default: every atom), max_j |x_j - x_i|: the
         radius beyond which a ball at x_i contains the whole support.
 
-        The farthest atom is a vertex of the convex hull, so only hull vertices
-        are scanned; sets with no full-dimensional hull (1-d sets, collinear
-        ones) scan the atoms near the ends of their principal axis. Either way
-        the stored-coordinate distances decide, so the result is exact.
+        The farthest atom lies on the convex hull, so only the atoms that
+        `geometry.far_atoms` cannot rule out are scanned: the hull vertices of a
+        full-dimensional 3-d set, the atoms near the hull's corners in 2-d and
+        on planes, and those near either end of a line. Either way the
+        stored-coordinate distances decide, so the result is exact.
         """
         centers = self.points if indices is None else self.points[indices]
         if self.segments is not None:
@@ -297,35 +302,6 @@ def _merge_duplicates(points, weights):
     merged_w = np.zeros(len(first))
     np.add.at(merged_w, inverse, weights)
     return points[first[by_first]], merged_w[by_first], True
-
-
-def _hull_vertices(points):
-    """Convex-hull vertices of a full-dimensional 2-d or 3-d set, counterclockwise
-    in 2-d; None when the hull is degenerate (flat, collinear, too few points),
-    for 1-d sets, and above 3-d, where the hull's facet count can grow like
-    N^(d/2)."""
-    if points.shape[1] not in (2, 3):
-        return None
-    from scipy.spatial import ConvexHull, QhullError
-    try:
-        return points[ConvexHull(points).vertices]
-    except (QhullError, ValueError):
-        return None
-
-
-def _line_ends(points):
-    """The atoms whose projection t on the principal axis lies within
-    2h + 64 eps S of either end (h the largest offset from the axis, S the
-    largest |x - mean|): no other atom is farthest from any atom. For y that
-    far below the end atom e and t_x <= t_y, |x - e|^2 - |x - y|^2 >=
-    32 eps S (t_e - t_x), more than rounding moves the two squared distances;
-    the rest of the slack covers the rounding of t and h."""
-    rel = points - points.mean(axis=0)
-    u = np.linalg.eigh(rel.T @ rel)[1][:, -1]
-    t = rel @ u
-    h = math.sqrt(((rel - t[:, None] * u) ** 2).sum(axis=1).max())
-    slack = 2 * h + 64 * np.finfo(float).eps * math.sqrt((rel ** 2).sum(axis=1).max())
-    return points[(t <= t.min() + slack) | (t >= t.max() - slack)]
 
 
 class BallIndex:

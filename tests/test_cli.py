@@ -360,10 +360,20 @@ def test_energy_one_grid_bound_usage_error(cantor_csv, tmp_path, capsys, bound):
 
 
 @pytest.mark.parametrize("kind", ["sf", "wolff", "riesz-sup"])
-def test_energy_missing_s_usage_error(cantor_csv, tmp_path, capsys, kind):
+@pytest.mark.parametrize("s", [None, "inf", "nan", "-1"])
+def test_energy_bad_s_fails_before_the_measure_is_read(cantor_csv, tmp_path, capsys,
+                                                       monkeypatch, kind, s):
+    # --s inf used to escape as an OverflowError (exit 1), --s -1 to warn that
+    # it is an integer, and each only after the CSV was read and min_spacing run
+    def no_spacing(self):
+        raise AssertionError("min_spacing was computed")
+    monkeypatch.setattr(WeightedPointMeasure, "min_spacing", property(no_spacing))
     out = tmp_path / "o.json"
-    assert run_cli("energy", str(cantor_csv), "--kind", kind, "--out", str(out)) == 2
-    assert f"--s is required for kind={kind}" in capsys.readouterr().err
+    argv = ["energy", str(cantor_csv), "--kind", kind, "--out", str(out)]
+    assert run_cli(*argv, *([] if s is None else ["--s", s])) == 2
+    want = (f"--s is required for kind={kind}" if s is None
+            else f"s must be positive and finite; got {float(s)}")
+    assert capsys.readouterr().err == f"error: {want}\n"
     assert not out.exists()
 
 

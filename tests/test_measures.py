@@ -440,7 +440,6 @@ def test_farthest_distances_on_long_collinear_lines_scan_a_few_atoms(rng, monkey
                                                                      spacing):
     # 8,193 and 65,537 atoms: scanning every atom took 3.6 s and 4.3e9 pairs
     # (twice the default budget); a few candidates per atom suffice
-    from scipy.spatial import ConvexHull  # noqa: F401  (import outside the timing)
     line = build_flat(2, 1, 1.0, spacing)
     pts = line.points @ _rotation(2, 5).T
     m = WeightedPointMeasure(pts, line.weights)
@@ -734,13 +733,51 @@ def test_all_spec_kinds_build():
         assert m.n_atoms >= 1
 
 
-def test_import_loads_no_scipy():
-    # scipy loads on first use: the KD-tree, the hull and beta_p's line search
+# a sys.meta_path finder that refuses every scipy module
+_BLOCK_SCIPY = """
+import importlib.abc, sys
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(name + " is blocked")
+sys.meta_path.insert(0, BlockScipy())
+"""
+
+# four suites at small configs; their reports, as JSON, on stdout
+_SUITES = """
+import json, math
+from densq import experiments as ex
+results = [
+    ex.run_comparability({"s_list": [0.5, 1.2], "depth": 4, "drift_depth": 3}),
+    ex.run_small_s_comparability({"depth": 4, "drift_depth": 3}),
+    ex.run_tent_counterexample({"alpha_list": [math.pi / 4 * 2.0 ** -k for k in range(4)],
+                                "sf_spacing": 1e-3}),
+    ex.run_integer_degeneracy({"resolutions": [251]})]
+print(json.dumps([r.to_json_dict() for r in results], sort_keys=True))
+"""
+
+
+def _run_python(code):
     src = str(Path(densq.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy loads on first use, and only for: the KD-tree of min_spacing on
+    # measures without a segment layout (every CSV-read one), the hull of a
+    # 3-d set and beta_p's line search
     code = ("import sys, densq; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _run_python(code).strip() == "[]"
+
+
+def test_suites_run_without_scipy():
+    # the Cantor, tent and flat suites take their spacing from the generators
+    # and their farthest atoms from the numpy hull: with scipy blocked they
+    # report what they report with it
+    blocked = _run_python(_BLOCK_SCIPY + _SUITES)
+    assert blocked == _run_python(_SUITES)
+    assert len(json.loads(blocked)) == 4

@@ -443,13 +443,11 @@ def run_tent_counterexample(config: dict | None = None, threads: int = 1) -> Swe
         a, L = args
         sf_grid = msc.ScaleGrid(sf_lo, sf_hi, q)
         pair_grid = msc.ScaleGrid(pr_lo, pr_hi, q)
-        # mu_alpha reweights the arc-length curve: the two share their atoms,
-        # the window and the segment counts of their one ball-mass query
+        # mu_alpha reweights the arc-length curve: one query gives both
         g_fine = ms.build_gamma_curve(a, L, float(cfg["sf_spacing"]))
-        fine_idx = window_mask(g_fine)
-        sf_g, sf_m = [msc.square_function_energy(m, 1.0, sf_grid,
-                                                 eval_indices=fine_idx).discrete_total
-                      for m in (g_fine, g_fine.reweighted(ms.mu_alpha_factors(a)))]
+        sf_g, sf_m = [rep.discrete_total for rep in msc._energies(
+            (g_fine, g_fine.reweighted(ms.mu_alpha_factors(a))), 1.0, sf_grid, 2.0,
+            ("square_function",), window_mask(g_fine), msc.DEFAULT_KAPPA)]
         g_rz = ms.build_gamma_curve(a, L, float(cfg["riesz_spacing"]))
         rz_rep = rz.sup_riesz_energy(g_rz, 1.0, pair_grid,
                                      eval_indices=window_mask(g_rz))

@@ -107,14 +107,6 @@ class SegmentLattice:
     weight: float
 
 
-class _Layout:
-    """A segment layout's shared state, held by the measure and every
-    reweighting of it: the last segment-count query, one (key, per-segment
-    counts) pair (`_segment_ball_masses`)."""
-
-    last = None
-
-
 class WeightedPointMeasure:
     """Finite atomic approximation of a Radon measure: N points with positive weights.
 
@@ -144,17 +136,17 @@ class WeightedPointMeasure:
         self.total_mass = math.fsum(weights.tolist())
         # merging invalidates the per-segment atom layout
         self.segments = None if merged else segments
-        self._layout = None if self.segments is None else _Layout()
         self._index: BallIndex | None = None
         self._min_spacing: float | None = None
 
     def reweighted(self, factors) -> "WeightedPointMeasure":
         """The same atoms with segment s's weight times factors[s].
 
-        The result shares the read-only points, the segment geometry and the
-        layout (with its ball counts) and every cache that depends on the
-        points alone; the points were checked and merged when this measure was
-        built, so nothing is checked or merged again.
+        The result shares the read-only points, the segment geometry and every
+        cache that depends on the points alone; the points were checked and
+        merged when this measure was built, so nothing is checked or merged
+        again. Ball masses of a measure and its reweightings can be counted
+        together (`_segment_ball_masses`).
         """
         if self.segments is None:
             raise ValueError("reweighting needs a segment layout")
@@ -365,7 +357,7 @@ def ball_masses(measure: WeightedPointMeasure, centers: np.ndarray,
     if not np.all(radii >= 0):
         raise ValueError("radii must be nonnegative (and not nan)")
     if measure.segments is not None:
-        return _segment_ball_masses(measure, centers, radii)
+        return _segment_ball_masses(measure.points, [measure.segments], centers, radii)[0]
     return _shell_sums(measure.points, measure.weights, centers, radii,
                        lambda diff, d2, w: [w], 1)[0]
 
@@ -492,42 +484,33 @@ def _segment_foot(sg, centers):
     return t0, np.clip(_sq_rows(rel) - t0 ** 2, 0.0, None)
 
 
-def _segment_ball_masses(measure, centers, radii):
-    """Closed-ball masses on a segment-lattice measure: sum_s w_s * count_s in
-    segment order, from zeros, where count_s[i, j] is the number of segment s's
-    atoms in the ball (centers[i], radii[j]) (`_segment_counts`).
-
-    The counts depend on the geometry alone, so the layout, which every
-    reweighting of the measure shares, keeps the last query's counts, keyed by
-    the exact bytes of `centers` and `radii`; a repeat query sums them again
-    instead of counting. Each segment's counts take the smallest unsigned
-    dtype that holds its atom count.
+def _segment_ball_masses(points, layouts, centers, radii):
+    """Closed-ball masses on segment-lattice measures that share the atoms
+    `points` and one segment geometry (a measure and its reweightings), given
+    by their segment lists: per list, the (n_centers, n_radii) matrix
+    sum_s w_s * count_s in segment order, from zeros, where count_s[i, j] is the
+    number of segment s's atoms in the ball (centers[i], radii[j])
+    (`_segment_counts`). The counts depend on the geometry alone, so each
+    segment is counted once for every list, a chunk of centers at a time, and
+    no count outlives its chunk.
     """
     n, m = len(centers), len(radii)
-    segments, out = measure.segments, np.zeros((n, m))
+    outs = [np.zeros((n, m)) for _ in layouts]
     # 2^15 (center, radius) cells per chunk keep the temporaries in cache
     rows = max(1, _CHUNK_CELLS // 8 // max(m, 1))
-    key = (centers.shape, centers.tobytes(), radii.tobytes())
-    last = measure._layout.last     # one read: a store replaces the pair whole
-    if last is not None and last[0] == key:
-        counts = last[1]
-    else:
-        reach = float(np.sqrt(_sq_rows(centers)).max(initial=0.0))
-        ends = list(itertools.accumulate((len(sg.arcs) for sg in segments), initial=0))
-        counts = [_segment_counts(measure.points[lo:hi], sg, centers, radii, reach, rows)
-                  for sg, lo, hi in zip(segments, ends, ends[1:])]
-        measure._layout.last = (key, counts)
-    for sg, count in zip(segments, counts):
-        for a in range(0, n, rows):
-            out[a:a + rows] += sg.weight * count[a:a + rows]
-    return out
+    reach = float(np.sqrt(_sq_rows(centers)).max(initial=0.0))
+    ends = list(itertools.accumulate((len(sg.arcs) for sg in layouts[0]), initial=0))
+    for lo, hi, segs in zip(ends, ends[1:], zip(*layouts)):
+        for a, count in _segment_counts(points[lo:hi], segs[0], centers, radii, reach, rows):
+            for out, sg in zip(outs, segs):
+                out[a:a + rows] += sg.weight * count
+    return outs
 
 
 def _segment_counts(pts, sg, centers, radii, reach, rows):
-    """(n_centers, n_radii) counts of the atoms `pts` of segment `sg` in the
-    closed balls, in the smallest unsigned dtype that holds len(pts); `reach`
-    bounds |c| over the centers. One pass over all radii, `rows` centers at a
-    time.
+    """Counts of the atoms `pts` of segment `sg` in the closed balls, `rows`
+    centers at a time: yields (a, count), count[i, j] the atoms in the ball
+    (centers[a + i], radii[j]) as a float. `reach` bounds |c| over the centers.
 
     A ball meets the segment's line in the arcs [t0 - u, t0 + u],
     u = sqrt(r^2 - p2). Atom k sits near arcs[0] + k * step, so the atoms more
@@ -544,7 +527,6 @@ def _segment_counts(pts, sg, centers, radii, reach, rows):
     """
     r2 = radii * radii
     n, arcs, k = len(centers), sg.arcs, len(sg.arcs)
-    out = np.empty((n, len(radii)), dtype=np.min_scalar_type(k))
     c_eps = 16 * np.finfo(float).eps
     step = (arcs[-1] - arcs[0]) / (k - 1) if k > 1 else 1.0
     scale = reach + float(np.sqrt((sg.origin ** 2).sum())) + max(-arcs[0], arcs[-1])
@@ -578,8 +560,7 @@ def _segment_counts(pts, sg, centers, radii, reach, rows):
             _redecide(count, near, np.ceil(lo - d), first, pts, c, r2)
             _redecide(count, near, np.maximum(stop, first), np.floor(hi + d) + 1.0,
                       pts, c, r2)
-        out[a:a + rows] = count
-    return out
+        yield a, count
 
 
 def _redecide(count, cell, start, end, pts, centers, r2):
@@ -661,7 +642,8 @@ def build_cantor(dim: int, s_target: float, depth: int,
 
     Generation-`depth` cell centers, each with weight branching^(-depth);
     contraction ratio lambda = branching^(-1/s_target) so that the s-density of
-    generation cells is constant across generations.
+    generation cells is constant across generations. Atoms that collide at
+    coordinate resolution raise ValueError: merged, they are another measure.
     """
     if dim < 1 or depth < 0:
         raise ValueError("need dim >= 1 and depth >= 0")
@@ -688,6 +670,9 @@ def build_cantor(dim: int, s_target: float, depth: int,
     pts = pts + scale / 2.0
     w = np.full(len(pts), float(branching) ** (-depth))
     m = WeightedPointMeasure(pts, w)
+    if m.n_atoms < len(pts):
+        raise ValueError(f"depth {depth} at s={s_target} is finer than the coordinate "
+                         f"resolution: {m.n_atoms} of {len(pts)} atoms are distinct")
     # sibling cell centers: exact nearest-neighbor distance
     if depth >= 1:
         m._min_spacing = (1.0 - lam) * lam ** (depth - 1)
@@ -699,13 +684,15 @@ def build_flat(dim: int, k: int, half_extent: float, spacing: float,
     """Regular k-dimensional lattice on the coordinate k-plane through the origin.
 
     Each point carries weight spacing^k so ball masses approximate k-dimensional
-    Hausdorff measure. Optional jitter displaces points within their lattice
-    cell (seeded).
+    Hausdorff measure. Optional jitter in [0, 1] displaces points within their
+    lattice cell (seeded), by up to jitter * spacing / 2 along each axis.
     """
     if not 1 <= k < dim:
         raise ValueError("need 1 <= k < dim")
     if not (half_extent > 0 and spacing > 0):
         raise ValueError("half_extent and spacing must be positive")
+    if not 0.0 <= jitter <= 1.0:
+        raise ValueError(f"jitter must lie in [0, 1] (and not nan); got {jitter}")
     side = half_extent / spacing + 1e-9
     _check_budget(side, POINT_BUDGET, "flat lattice half-side atoms")  # before int()
     m_side = int(math.floor(side))

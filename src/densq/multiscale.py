@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import WeightedPointMeasure, _write_csv, ball_masses
+from .measures import WeightedPointMeasure, _segment_ball_masses, _write_csv, ball_masses
 
 DEFAULT_KAPPA = 4.0
 
@@ -214,47 +214,58 @@ def _check_p(p: float) -> None:
         raise ValueError(f"p must be finite and >= 1; got {p}")
 
 
-def _density_and_gap(measure, centers, sample, s):
+def _density_and_gap(masses, sample, s):
     """theta(x, r) and theta(x, r) - theta(x, 2r) at each center and sample
-    radius, from one ball-mass profile at the radii and their doubles."""
-    m = ball_masses(measure, centers, np.concatenate([sample, 2.0 * sample]))
-    th_r = m[:, :len(sample)] / sample ** s
-    return th_r, th_r - m[:, len(sample):] / (2.0 * sample) ** s
+    radius, from its ball-mass profile at the radii and their doubles."""
+    th_r = masses[:, :len(sample)] / sample ** s
+    return th_r, th_r - masses[:, len(sample):] / (2.0 * sample) ** s
 
 
-def _energies(measure, s, grid, p, kinds, eval_indices, kappa):
-    """Reports of the given kinds, all read from one ball-mass profile at the
-    sample radii and their doubles, so each report is the same whichever
-    others are asked for with it."""
+def _energies(family, s, grid, p, kinds, eval_indices, kappa):
+    """Reports of the given kinds for each measure of `family` in turn (a
+    measure and its reweightings: they share their atoms), all read from one
+    ball-mass query at the sample radii and their doubles, so each report is
+    the same whichever others are asked for with it."""
     _check_s(s)
     _check_p(p)
+    measure = family[0]
+    if any(m.points is not measure.points for m in family[1:]):
+        raise ValueError("measures asked for together must share their atoms")
     sample = grid.samples
     floor = _floor_for(measure, kappa, grid.r_min)
     eval_indices = as_atom_indices(eval_indices, measure.n_atoms)
-    wc = measure.weights[eval_indices]
 
     # analytic tail begins where the ball is guaranteed to hold the support,
     # but never before the grid starts
     T = np.maximum(measure.farthest_distances(eval_indices), grid.r_min)
     width = grid.cell_widths(floor, T[:, None])
 
-    th_r, gap = _density_and_gap(measure, measure.points[eval_indices], sample, s)
+    centers, radii = measure.points[eval_indices], np.concatenate([sample, 2.0 * sample])
+    if len(family) == 1 or measure.segments is None:
+        masses = [ball_masses(m, centers, radii) for m in family]
+    else:   # each segment counted once for all the weightings
+        masses = _segment_ball_masses(measure.points, [m.segments for m in family],
+                                      centers, radii)
     reports = []
-    for kind in kinds:
-        if kind == "square_function":
-            integrand = np.abs(gap) ** p
-            tail_coeff = (measure.total_mass * (1.0 - 2.0 ** (-s))) ** p
-        else:       # wolff
-            integrand = np.abs(th_r) ** p
-            tail_coeff = measure.total_mass ** p
+    for measure in family:
+        th_r, gap = _density_and_gap(masses.pop(0), sample, s)
+        wc = measure.weights[eval_indices]
+        for kind in kinds:
+            if kind == "square_function":
+                integrand = np.abs(gap) ** p
+                tail_coeff = (measure.total_mass * (1.0 - 2.0 ** (-s))) ** p
+            else:       # wolff
+                integrand = np.abs(th_r) ** p
+                tail_coeff = measure.total_mass ** p
 
-        contrib = integrand * width * wc[:, None]
-        tail_i = wc * tail_coeff / (p * s * T ** (p * s))
-        reports.append(EnergyReport.assemble(
-            kind, s, p, grid, measure, kappa, floor, int(len(wc)),
-            list(zip(sample.tolist(), contrib.sum(axis=0).tolist())),
-            tail=float(tail_i.sum()),
-            per_point=contrib.sum(axis=1) + tail_i, eval_indices=eval_indices))
+            contrib = integrand * width * wc[:, None]
+            tail_i = wc * tail_coeff / (p * s * T ** (p * s))
+            reports.append(EnergyReport.assemble(
+                kind, s, p, grid, measure, kappa, floor, int(len(wc)),
+                list(zip(sample.tolist(), contrib.sum(axis=0).tolist())),
+                tail=float(tail_i.sum()),
+                per_point=contrib.sum(axis=1) + tail_i, eval_indices=eval_indices))
+        del th_r, gap, integrand, contrib       # one measure's matrices at a time
     return reports
 
 
@@ -268,14 +279,14 @@ def square_function_energy(measure: WeightedPointMeasure, s: float, grid: ScaleG
     the per-atom support-covering radius, beyond which the integrand is the
     exact power law integrated in closed form (the tail).
     """
-    return _energies(measure, s, grid, p, ("square_function",), eval_indices, kappa)[0]
+    return _energies((measure,), s, grid, p, ("square_function",), eval_indices, kappa)[0]
 
 
 def wolff_energy(measure: WeightedPointMeasure, s: float, grid: ScaleGrid,
                  p: float = 2.0, eval_indices=None,
                  kappa: float = DEFAULT_KAPPA) -> EnergyReport:
     """Integral of theta(x,r)^p d(mu) dr/r plus analytic tail."""
-    return _energies(measure, s, grid, p, ("wolff",), eval_indices, kappa)[0]
+    return _energies((measure,), s, grid, p, ("wolff",), eval_indices, kappa)[0]
 
 
 def square_function_and_wolff_energy(
@@ -284,7 +295,7 @@ def square_function_and_wolff_energy(
         kappa: float = DEFAULT_KAPPA) -> tuple[EnergyReport, EnergyReport]:
     """(square_function_energy, wolff_energy) from one ball-mass pass; each
     report is bit-identical to the one the single function returns."""
-    return tuple(_energies(measure, s, grid, p, ("square_function", "wolff"),
+    return tuple(_energies((measure,), s, grid, p, ("square_function", "wolff"),
                            eval_indices, kappa))
 
 
@@ -557,7 +568,8 @@ def local_energy_ratio(measure: WeightedPointMeasure, ball_center, r0: float,
     grid = ScaleGrid(delta_param * r0, hi_r, q)
     sample = grid.samples
     widths = grid.cell_widths(0.0, hi_r)
-    _, gap = _density_and_gap(measure, measure.points[idx], sample, s)
+    masses = ball_masses(measure, measure.points[idx], np.concatenate([sample, 2.0 * sample]))
+    _, gap = _density_and_gap(masses, sample, s)
     lhs = float((gap ** 2 * widths[None, :] * measure.weights[idx][:, None]).sum())
     rhs = (m0 / r0 ** s) ** 2 * m0
     return lhs / rhs

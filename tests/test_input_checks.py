@@ -65,6 +65,20 @@ GEN_CASES = [
      "half_extent must be >= 1"),
     ([{"kind": "dirac"}], "measure spec must be a JSON object"),
     ({"kind": "cantor"}, "measure spec needs 'kind' and 'params'"),
+    # the last offsets round away and atoms collide
+    ({"kind": "cantor", "params": {"dim": 2, "s": 0.2, "depth": 7}},
+     "9216 of 16384 atoms are distinct"),
+    ({"kind": "cantor", "params": {"dim": 1, "s": 0.2, "depth": 12}},
+     "3072 of 4096 atoms are distinct"),
+    ({"kind": "flat", "params": {"dim": 2, "k": 1, "half_extent": 1.0, "spacing": 0.1,
+                                 "jitter": -0.5}},
+     "jitter must lie in [0, 1] (and not nan); got -0.5"),
+    ({"kind": "flat", "params": {"dim": 2, "k": 1, "half_extent": 1.0, "spacing": 0.1,
+                                 "jitter": 1.5}},
+     "jitter must lie in [0, 1] (and not nan); got 1.5"),
+    ({"kind": "flat", "params": {"dim": 3, "k": 2, "half_extent": 1.0, "spacing": 0.1,
+                                 "jitter": float("nan")}},
+     "jitter must lie in [0, 1] (and not nan); got nan"),
 ]
 
 

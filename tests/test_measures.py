@@ -768,10 +768,13 @@ def _run_python(code):
 def test_import_loads_no_scipy():
     # scipy loads on first use, and only for: the KD-tree of min_spacing on
     # measures without a segment layout (every CSV-read one), the hull of a
-    # 3-d set and beta_p's line search
+    # 3-d set and beta_p's line search; densq.geometry loads on first use too
     code = ("import sys, densq; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    assert _run_python(code).strip() == "[]"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy']); "
+            "print('densq.geometry' in sys.modules)")
+    scipy_modules, geometry_loaded = _run_python(code).splitlines()
+    assert scipy_modules == "[]"
+    assert geometry_loaded == "False"
 
 
 def test_suites_run_without_scipy():

@@ -1,7 +1,9 @@
-"""Reweighted segment measures and the per-segment ball counts their layout
-shares: the mu_alpha tent built by reweighting, byte-identical ball masses from
-kept and fresh counts, kept counts of any size, bad factors, and concurrent
-queries."""
+"""Reweighted segment measures and the per-segment ball counts a measure and
+its reweightings share in one query: the mu_alpha tent built by reweighting,
+byte-identical ball masses and reports from one query for several weightings
+and from single ones, one count per segment in the tent suite, bad factors,
+and concurrent queries."""
+import collections
 import math
 import os
 import sys
@@ -11,8 +13,11 @@ import time
 import numpy as np
 import pytest
 
-from densq import ball_masses, build_cantor, build_gamma_curve, build_polyline
+from densq import (ScaleGrid, ball_masses, build_cantor, build_gamma_curve, build_polyline,
+                   square_function_and_wolff_energy)
+from densq import experiments as ex
 from densq import measures as ms
+from densq import multiscale as msc
 
 
 def _reference_mu_alpha(alpha, half_extent, spacing):
@@ -50,7 +55,7 @@ def test_reweighted_shares_the_geometry_and_leaves_the_source_alone():
     g = build_gamma_curve(0.3, 2.0, 1 / 64)
     weights, index = g.weights.copy(), g.ball_index()
     m = g.reweighted([2.0, 0.5, 0.25, 1.0])
-    assert m.points is g.points and m._layout is g._layout
+    assert m.points is g.points
     for a, b in zip(g.segments, m.segments):
         assert a.origin is b.origin and a.direction is b.direction and a.arcs is b.arcs
     assert g.weights.tobytes() == weights.tobytes() and g.ball_index() is index
@@ -129,50 +134,71 @@ def _brute(m, centers, radii):
     return out
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_kept_and_fresh_counts_give_the_same_bytes_as_brute_force(seed):
+def _tent_case(seed):
+    """A tent, its mu_alpha weighting built afresh, and the factors between."""
     alpha = 0.05 + 0.7 * seed / 4
-    g = build_gamma_curve(alpha, 1.5, 1 / 96)
     factors = ms.mu_alpha_factors(alpha)
+    return (build_gamma_curve(alpha, 1.5, 1 / 96),
+            build_gamma_curve(alpha, 1.5, 1 / 96, weighting="mu_alpha"), factors)
+
+
+def _long_polyline_case():
+    """Two edges of 70,000 atoms and a short one, reweighted afresh."""
+    vertices = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1e-4]]
+    factors = [1.0 / 3.0, 7.0, 0.1]
+    return (build_polyline(vertices, 1 / 70_000),
+            build_polyline(vertices, 1 / 70_000).reweighted(factors), factors)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_one_query_for_two_weightings_gives_the_bytes_of_single_queries(seed):
+    # seeds 0-3 take tents of four slopes, seed 4 the long polyline
+    g, fresh, factors = _tent_case(seed) if seed < 4 else _long_polyline_case()
     centers, radii = _tie_query(g, seed)
-    first = ball_masses(g, centers, radii)
-    kept = g._layout.last
-    assert kept is not None
     m = g.reweighted(factors)
-    hit = ball_masses(m, centers.copy(), radii.copy())
-    assert g._layout.last is kept       # read, not counted again
-    fresh = ball_masses(build_gamma_curve(alpha, 1.5, 1 / 96, weighting="mu_alpha"),
-                        centers, radii)
-    assert hit.tobytes() == fresh.tobytes() == _brute(m, centers, radii).tobytes()
-    assert first.tobytes() == _brute(g, centers, radii).tobytes()
-    # a query that differs from the kept one in the radii alone, or in the
-    # centers alone, counts again
-    for c, r in ((centers, radii[::-1]), (centers[::-1], radii)):
-        ball_masses(m, centers, radii)
-        assert ball_masses(m, c, r).tobytes() == _brute(m, c, r).tobytes()
+    both = ms._segment_ball_masses(g.points, [g.segments, m.segments], centers, radii)
+    assert len(both) == 2
+    assert both[0].tobytes() == ball_masses(g, centers, radii).tobytes()
+    assert both[1].tobytes() == ball_masses(fresh, centers, radii).tobytes()
+    assert both[0].tobytes() == _brute(g, centers, radii).tobytes()
+    assert both[1].tobytes() == _brute(m, centers, radii).tobytes()
 
 
-def test_counts_take_the_smallest_unsigned_dtype():
-    # 96 atoms per unit: flat segments of 336 atoms, tent sides of 51
-    g = build_gamma_curve(0.3, 4.0, 1 / 96)
-    ball_masses(g, g.points[:3], np.array([0.5, 1.0]))
-    counts = g._layout.last[1]
-    assert [c.dtype for c in counts] == [np.min_scalar_type(len(sg.arcs))
-                                        for sg in g.segments]
-    assert {c.dtype for c in counts} == {np.dtype(np.uint8), np.dtype(np.uint16)}
+def test_reports_of_one_query_equal_single_reports():
+    g = build_gamma_curve(0.3, 2.0, 1 / 256)
+    grid, idx = ScaleGrid(0.1, 0.5, 1.1), np.flatnonzero(np.abs(g.points[:, 0]) <= 1.0)
+    together = msc._energies((g, g.reweighted(ms.mu_alpha_factors(0.3))), 1.0, grid, 2.0,
+                             ("square_function", "wolff"), idx, msc.DEFAULT_KAPPA)
+    alone = [rep for w in ("hausdorff", "mu_alpha")
+             for rep in square_function_and_wolff_energy(
+                 build_gamma_curve(0.3, 2.0, 1 / 256, weighting=w), 1.0, grid,
+                 eval_indices=idx)]
+    assert [r.to_json_dict() for r in together] == [r.to_json_dict() for r in alone]
+    assert [r.per_point.tobytes() for r in together] == [r.per_point.tobytes() for r in alone]
 
 
-def test_a_repeat_query_reuses_uint32_counts_larger_than_the_result():
-    # two edges of 70,000 atoms count in uint32 and a short one in uint8: 9
-    # bytes a cell against the float64 result's 8, and the counts are kept
-    m = build_polyline([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1e-4]], 1 / 70_000)
-    centers, radii = m.points[::20_000], np.array([0.25, 1.0, 3.0])
-    first = ball_masses(m, centers, radii)
-    kept = m._layout.last
-    assert [c.dtype for c in kept[1]] == [np.uint32, np.uint32, np.uint8]
-    again = ball_masses(m.reweighted([1.0, 1.0, 1.0]), centers.copy(), radii.copy())
-    assert m._layout.last is kept       # read, not counted again
-    assert first.tobytes() == again.tobytes() == _brute(m, centers, radii).tobytes()
+def test_energies_reject_measures_that_do_not_share_their_atoms():
+    g = build_gamma_curve(0.3, 2.0, 1 / 64)
+    twin = build_gamma_curve(0.3, 2.0, 1 / 64, weighting="mu_alpha")
+    with pytest.raises(ValueError, match="share their atoms"):
+        msc._energies((g, twin), 1.0, ScaleGrid(0.1, 0.5, 1.1), 2.0, ("square_function",),
+                      None, msc.DEFAULT_KAPPA)
+
+
+def test_the_tent_suite_counts_each_fine_segment_once_per_alpha_and_l(monkeypatch):
+    calls, count = [], ms._segment_counts
+
+    def counted(pts, *args):
+        calls.append(pts)       # keeps the curve's points, so ids stay unique
+        return count(pts, *args)
+
+    monkeypatch.setattr(ms, "_segment_counts", counted)
+    alphas = [math.pi / 4 * 2.0 ** -k for k in range(4)]
+    ex.run_tent_counterexample({"alpha_list": alphas, "sf_spacing": 1e-3})
+    # one fine tent per (alpha, L), two half extents: its four segments once each
+    per_curve = collections.Counter(id(pts.base) for pts in calls)
+    assert len(per_curve) == 2 * len(alphas)
+    assert set(per_curve.values()) == {4}
 
 
 def test_concurrent_queries_on_one_layout_match_the_single_thread_ones():

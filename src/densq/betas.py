@@ -74,41 +74,6 @@ def _complement(u):
     return q[:, 1:]
 
 
-def _line_offset(comp, w, p):
-    """(objective, offset b): min over b of sum w |comp - b|^p, for the
-    complement coordinates `comp` (n, k) of the ball atoms.
-
-    k = 1: the exact weighted median at p = 1, else a bounded line search.
-    k > 1: from the weighted mean, three sweeps of per-coordinate line searches.
-    """
-    from scipy.optimize import minimize_scalar
-    if comp.shape[1] == 1:
-        proj = comp[:, 0]
-        lo, hi = float(proj.min()), float(proj.max())
-        if p == 1.0:
-            order = np.argsort(proj, kind="stable")
-            cw = np.cumsum(w[order])
-            b = proj[order][min(int(np.searchsorted(cw, 0.5 * cw[-1])), len(proj) - 1)]
-            return float((w * np.abs(proj - b)).sum()), np.array([b])
-        if lo == hi:
-            return 0.0, np.array([lo])
-        res = minimize_scalar(lambda b: float((w * np.abs(proj - b) ** p).sum()),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-12 * max(1.0, hi - lo)})
-        return float(res.fun), np.array([res.x])
-    b = (w[:, None] * comp).sum(axis=0) / w.sum()
-    for _ in range(3):
-        for j in range(comp.shape[1]):
-            rest = comp - b[None, :]
-            rest[:, j] = 0.0
-            base = (rest ** 2).sum(axis=1)
-            b[j] = minimize_scalar(
-                lambda t: float((w * (base + (comp[:, j] - t) ** 2) ** (p / 2.0)).sum()),
-                bounds=(float(comp[:, j].min()), float(comp[:, j].max())),
-                method="bounded").x
-    return float((w * ((comp - b[None, :]) ** 2).sum(axis=1) ** (p / 2.0)).sum()), b
-
-
 def beta2(measure: WeightedPointMeasure, x, r: float) -> tuple[float, LineFit]:
     """Exact beta_2 from weighted second moments: the minimizing line passes
     through the weighted centroid along the leading principal axis."""
@@ -131,6 +96,7 @@ def beta_p(measure: WeightedPointMeasure, x, r: float,
     _check_p(p)
     if p == 2.0:
         return beta2(measure, x, r)
+    from .line_search import line_offset
     x, dy, w = _ball(measure, x, r)
     _, _, vec = _scatter(dy, w)
     d = measure.dim
@@ -138,7 +104,7 @@ def beta_p(measure: WeightedPointMeasure, x, r: float,
     def line(u):
         # (objective, direction, point offset) of the best line along u
         basis = _complement(u)
-        val, b = _line_offset(dy @ basis, w, p)
+        val, b = line_offset(dy @ basis, w, p)
         return val, u, basis @ b
 
     if d == 2:
@@ -253,6 +219,14 @@ def _beta2_profile(measure, centers, radii):
     return moment / radii ** 3
 
 
+def _check_scan_budget(measure, evals, radii, p):
+    """Raise PointBudgetError where a beta_p energy with p != 2 at `evals`
+    atoms and `radii` radii would pass BETA_SCAN_BUDGET."""
+    if p != 2.0:
+        work = evals * radii * max(1, measure.dim - 1) * max(measure.n_atoms, 1024)
+        _check_budget(work, BETA_SCAN_BUDGET, "beta direction scans (cells x coords x atoms)")
+
+
 def beta_energy(measure: WeightedPointMeasure, grid: ScaleGrid, p: float = 2.0,
                 eval_indices=None, kappa: float = DEFAULT_KAPPA) -> EnergyReport:
     """Integral of beta_p(x, r)^2 d(mu) dr/r: the grid cells by the log-midpoint
@@ -278,8 +252,7 @@ def beta_energy(measure: WeightedPointMeasure, grid: ScaleGrid, p: float = 2.0,
     if p == 2.0:
         b2 = _beta2_profile(measure, measure.points[eval_indices], radii)
     else:
-        work = len(wc) * len(radii) * max(1, measure.dim - 1) * max(measure.n_atoms, 1024)
-        _check_budget(work, BETA_SCAN_BUDGET, "beta direction scans (cells x coords x atoms)")
+        _check_scan_budget(measure, len(wc), len(radii), p)
         b2 = np.array([[beta_p(measure, measure.points[i], r, p)[0] ** 2 for r in radii]
                        for i in eval_indices]).reshape(len(wc), len(radii))
     per_scale = (b2[:, :-1] * cells.cell_widths(floor) * wc[:, None]).sum(axis=0)

@@ -92,6 +92,10 @@ def _cmd_energy(args) -> int:
                   "make the square function degenerate); computing anyway",
                   file=sys.stderr)
     measure = ms.WeightedPointMeasure.load_csv(args.measure)
+    if args.kind == "beta":
+        # the scan budget at one radius, the fewest a grid gives, before the grid
+        msc._check_p(args.p)
+        bt._check_scan_budget(measure, measure.n_atoms, 1, args.p)
     grid = _default_grid(measure, args)
     if args.kind == "riesz-sup":
         rep = rz.sup_riesz_energy(measure, args.s, grid, kappa=args.kappa)

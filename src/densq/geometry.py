@@ -1,9 +1,9 @@
-"""Hull and spacing geometry of point sets, loaded on first use.
+"""Hull and farthest-atom geometry of point sets, loaded on first use.
 
-The 2-d convex hull (a monotone chain that follows Qhull's rounding), the
-atoms that can be farthest from another, and the smallest spacing of a segment
-layout. `measures` and `betas` import this module inside the calls that need
-it, so `import densq` compiles and loads none of it.
+The 2-d convex hull (a monotone chain that follows Qhull's rounding) and the
+atoms that can be farthest from another. `measures` and `betas` import this
+module inside the calls that need it, so `import densq` compiles and loads
+none of it.
 """
 from __future__ import annotations
 
@@ -11,29 +11,24 @@ import math
 
 import numpy as np
 
-from .measures import _BLOCK_CELLS, _sq_rows
+from .measures import _BLOCK_CELLS, _CHUNK_CELLS, _sq_rows
+
+# atoms per block of the radius scan of a full-dimensional 3-d set
+_SCAN_BLOCK = 64
 
 
 def hull_vertices(points):
-    """Convex-hull vertices of a 2-d or 3-d set, counterclockwise in 2-d; None
-    when the hull is degenerate (flat, collinear, too few points). 2-d sets
-    take the monotone chain `hull_2d`; 3-d sets take Qhull, so scipy loads
-    on their first use."""
-    if points.shape[1] == 2:
-        hull = hull_2d(points)
-        return None if hull is None else points[hull]
-    from scipy.spatial import ConvexHull, QhullError
-    try:
-        return points[ConvexHull(points).vertices]
-    except (QhullError, ValueError):
-        return None
+    """Convex-hull vertices of a 2-d set, counterclockwise (`hull_2d`); None
+    when the hull is degenerate (collinear, too few points)."""
+    hull = hull_2d(points)
+    return None if hull is None else points[hull]
 
 
 def hull_2d(points):
     """Indices of the convex-hull vertices of 2-d points, counterclockwise: the
-    vertex set, in the same cyclic order, that `ConvexHull(points).vertices`
-    of scipy gives; None where Qhull finds the set flat (fewer than three
-    distinct points, or collinear within rounding).
+    vertex set, in the same cyclic order, that Qhull's
+    `ConvexHull(points).vertices` gives; None where Qhull finds the set flat
+    (fewer than three distinct points, or collinear within rounding).
 
     Qhull merges what its roundoff R (`_qhull_roundoff`) cannot tell apart,
     and this follows it:
@@ -156,15 +151,13 @@ def _qhull_flat(rows, roundoff):
 
 
 def far_atoms(points):
-    """The atoms that can be farthest from another atom: the hull vertices of a
-    full-dimensional 3-d set; the atoms `_near_hull` keeps for a 2-d set, and
-    for a flat 3-d one in the coordinates of its principal plane; else the
-    atoms near either end of the principal axis (`_line_ends`)."""
+    """The atoms that can be farthest from another atom: for a 2-d set, and
+    for a 3-d one in the coordinates of its principal plane, those `_near_hull`
+    keeps; for a 3-d set where that keeps more than an eighth of the atoms, a
+    prefix of the atoms by distance from the centroid (`_radius_scan`); else
+    (collinear sets, 1-d and 4-d and up) the atoms near either end of the
+    principal axis (`_line_ends`)."""
     dim = points.shape[1]
-    if dim == 3:
-        verts = hull_vertices(points)
-        if verts is not None:
-            return verts
     if dim in (2, 3):
         flat, h = points, 0.0
         if dim == 3:
@@ -173,8 +166,41 @@ def far_atoms(points):
             flat, h = rel @ basis[:, 1:], float(np.abs(rel @ basis[:, 0]).max())
         hull = hull_2d(flat)
         if hull is not None:
-            return points[_near_hull(flat, hull, h, math.hypot(*np.ptp(points, axis=0)))]
+            keep = _near_hull(flat, hull, h, math.hypot(*np.ptp(points, axis=0)))
+            if dim == 2 or 8 * np.count_nonzero(keep) <= len(points):
+                return points[keep]
+            return _radius_scan(points)
     return _line_ends(points)
+
+
+def _radius_scan(points):
+    """The atoms in descending order of their distance rho from the centroid
+    g, up to the last one that can be farthest from some atom.
+
+    Every atom x is a center. As |y - x| <= rho_y + rho_x, the scan reads the
+    atoms in blocks of _SCAN_BLOCK and drops x once the next block starts at
+    rho_y with rho_y + rho_x + 64 eps rho_max <= the farthest distance of x so
+    far: the slack covers the rounding of the radii and of the distances. A
+    center near g drops after a block or two; a sphere keeps every center to
+    the end.
+    """
+    g = points.mean(axis=0)
+    rho = np.sqrt(_sq_rows(points - g))
+    order = np.argsort(-rho, kind="stable")
+    p, rho = points[order], rho[order]
+    slack = 64 * np.finfo(float).eps * float(rho[0])
+    live, far, end = np.arange(len(p)), np.zeros(len(p)), 0
+    while end < len(p):
+        live = live[rho[end] + rho[live] + slack > far[live]]
+        if live.size == 0:
+            break
+        block, end = p[end:end + _SCAN_BLOCK], end + _SCAN_BLOCK
+        step = max(1, _CHUNK_CELLS // len(block))
+        for a in range(0, len(live), step):
+            c = live[a:a + step]
+            d2 = ((p[c, None, :] - block[None, :, :]) ** 2).sum(-1).max(axis=1)
+            far[c] = np.maximum(far[c], np.sqrt(d2))
+    return p[:end]
 
 
 def _near_hull(flat, hull, h, ext):
@@ -226,76 +252,3 @@ def _line_ends(points):
     h = math.sqrt(((rel - t[:, None] * u) ** 2).sum(axis=1).max())
     slack = 2 * h + 64 * np.finfo(float).eps * math.sqrt((rel ** 2).sum(axis=1).max())
     return points[(t <= t.min() + slack) | (t >= t.max() - slack)]
-
-
-def segment_min_spacing(points, segments):
-    """The smallest distance between two atoms of a segment layout, where the
-    layout shows that consecutive stored atoms attain it; else None (and for
-    no layout).
-
-    The candidate is the least sqrt(_sq_rows(...)) over consecutive stored
-    atoms, the value a brute-force scan computes for that pair. No other pair
-    is closer when each of these bounds, less a slack, exceeds it:
-    - within a segment, arcs[i + 2] - arcs[i], the distance of atoms two apart
-      on its lattice;
-    - for segments not adjacent, a lower bound on the distance between them
-      (`_piece_gap`);
-    - for adjacent segments, the same bound between all but the last atom of
-      the first segment and the second, and between that last atom and all
-      but the first atom of the second: every pair but the consecutive one.
-      This admits every turn of at most 90 degrees between lattices whose
-      end atoms sit half a step from the joint, as in polylines and tents.
-    The slack, 64 eps S (S bounds |x| over the atoms and the segment
-    origins), covers the distance of stored atoms from their exact lattice
-    positions and the rounding of the bounds and of the candidate.
-    """
-    if segments is None:
-        return None
-    cand = float(np.sqrt(_sq_rows(points[1:] - points[:-1])).min())
-    scale = float(np.sqrt(_sq_rows(points)).max()) + max(
-        math.sqrt((sg.origin ** 2).sum()) for sg in segments)
-    floor = cand + 64 * np.finfo(float).eps * scale
-    if any(len(sg.arcs) > 2 and (sg.arcs[2:] - sg.arcs[:-2]).min() <= floor
-           for sg in segments):
-        return None
-    o = np.array([sg.origin for sg in segments])
-    u = np.array([sg.direction for sg in segments])
-    lo, hi = np.array([[sg.arcs[0], sg.arcs[-1]] for sg in segments]).T
-    for a in range(len(segments) - 1):
-        first, second, b = segments[a].arcs, segments[a + 1].arcs, a + 1
-        # every later segment, then the next one without the consecutive pair
-        gaps = [_piece_gap(o[a], u[a], lo[a], hi[a], o[b + 1:], u[b + 1:], lo[b + 1:],
-                           hi[b + 1:])]
-        if len(first) > 1:
-            gaps.append(_piece_gap(o[a], u[a], first[0], first[-2], o[b], u[b], lo[b], hi[b]))
-        if len(second) > 1:
-            gaps.append(_piece_gap(o[a], u[a], hi[a], hi[a], o[b], u[b], second[1], hi[b]))
-        if min(float(np.min(g, initial=math.inf)) for g in gaps) <= floor:
-            return None
-    return cand
-
-
-def _piece_gap(o1, u1, a1, b1, o2, u2, a2, b2):
-    """A lower bound on the distance between the straight pieces
-    o1 + [a1, b1] u1 and o2 + [a2, b2] u2 (unit u1, u2; one piece against an
-    array of them): the larger, over either piece's frame, of the gap between
-    the two pieces' projections on its direction and the least distance of the
-    other piece from its line."""
-    return np.maximum(_piece_gap_from(o1, u1, a1, b1, o2, u2, a2, b2),
-                      _piece_gap_from(o2, u2, a2, b2, o1, u1, a1, b1))
-
-
-def _piece_gap_from(o1, u1, a1, b1, o2, u2, a2, b2):
-    """`_piece_gap` in the frame of the first piece. The least distance of the
-    second from the line is |w0 + tau w1| at the clipped minimiser tau: an
-    error in tau raises it only by a term of second order."""
-    o1, u1, o2, u2 = (np.atleast_2d(v) for v in (o1, u1, o2, u2))
-    rel = o2 - o1
-    along, cos = (rel * u1).sum(axis=1), (u2 * u1).sum(axis=1)
-    ends = np.stack([along + a2 * cos, along + b2 * cos])
-    gap = np.maximum(np.maximum(ends.min(axis=0) - b1, a1 - ends.max(axis=0)), 0.0)
-    w0, w1 = rel - along[:, None] * u1, u2 - cos[:, None] * u1
-    ww = (w1 * w1).sum(axis=1)
-    tau = np.divide(-(w0 * w1).sum(axis=1), ww, out=np.zeros_like(ww), where=ww > 0)
-    tau = np.clip(tau, a2, b2)
-    return np.maximum(gap, np.sqrt(_sq_rows(w0 + tau[:, None] * w1)))

@@ -112,7 +112,7 @@ class WeightedPointMeasure:
 
     Immutable after construction; duplicate points are merged (weights added).
     Caches min_spacing, the smallest enclosing ball, and the atoms that can be
-    farthest from another (the hull vertices) lazily.
+    farthest from another (`geometry.far_atoms`) lazily.
     """
 
     def __init__(self, points, weights, segments: list[SegmentLattice] | None = None):
@@ -183,20 +183,12 @@ class WeightedPointMeasure:
 
     @property
     def min_spacing(self) -> float:
-        """Smallest pairwise distance; 0.0 for a single atom (no pairs, all
-        scales count as resolved). A segment layout gives it from consecutive
-        atoms where its geometry allows (`geometry.segment_min_spacing`); any
-        other measure takes a KD-tree (scipy, loaded on first use)."""
+        """Smallest pairwise distance, exact from the stored coordinates
+        (`spacing.min_spacing`); 0.0 for a single atom (no pairs, all scales
+        count as resolved)."""
         if self._min_spacing is None:
-            from .geometry import segment_min_spacing
-            if self.n_atoms == 1:
-                self._min_spacing = 0.0
-            elif (d := segment_min_spacing(self.points, self.segments)) is not None:
-                self._min_spacing = d
-            else:
-                from scipy.spatial import cKDTree
-                d, _ = cKDTree(self.points).query(self.points, k=2)
-                self._min_spacing = float(d[:, 1].min())
+            from .spacing import min_spacing
+            self._min_spacing = min_spacing(self.points, self.segments)
         return self._min_spacing
 
     @functools.cached_property
@@ -226,11 +218,11 @@ class WeightedPointMeasure:
         """Per atom i in `indices` (default: every atom), max_j |x_j - x_i|: the
         radius beyond which a ball at x_i contains the whole support.
 
-        The farthest atom lies on the convex hull, so only the atoms that
-        `geometry.far_atoms` cannot rule out are scanned: the hull vertices of a
-        full-dimensional 3-d set, the atoms near the hull's corners in 2-d and
-        on planes, and those near either end of a line. Either way the
-        stored-coordinate distances decide, so the result is exact.
+        Only the atoms that `geometry.far_atoms` cannot rule out are scanned:
+        the atoms near the hull's corners in 2-d and on planes, those far from
+        the centroid of a full-dimensional 3-d set, and those near either end of
+        a line. Either way the stored-coordinate distances decide, so the result
+        is exact.
         """
         centers = self.points if indices is None else self.points[indices]
         if self.segments is not None:

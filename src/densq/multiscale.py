@@ -8,6 +8,7 @@ power-law tail once balls swallow the whole support.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
@@ -452,7 +453,7 @@ def _identity_sides(measure, phi, x, R, s, quad_points):
     lo, hi = phi.deriv_range()
     if not (0 < lo < hi):
         raise ValueError(f"profile {phi.name} has empty derivative range")
-    base = np.exp(np.linspace(math.log(lo), math.log(hi), quad_points))
+    base = _log_nodes(lo, hi, quad_points)
     jumps = np.concatenate([d / R, d / (2.0 * R)])
     jumps = jumps[(jumps > lo) & (jumps < hi)]
     edges = np.unique(np.concatenate([base, jumps]))
@@ -464,6 +465,15 @@ def _identity_sides(measure, phi, x, R, s, quad_points):
     tt = mid + half * _GL_NODES[:, None]     # (8, panels): row k holds node k
     quad = (phi.derivative(tt) * _GL_WEIGHTS[:, None]).sum(axis=0) * half
     return _smoothed_sum(phi, d, w, R, s), -float((delta * quad).sum()) / R ** s
+
+
+@functools.lru_cache(maxsize=16)
+def _log_nodes(lo, hi, n):
+    """n nodes log-spaced from lo to hi, the identity's base grid; read-only,
+    as every call with these arguments shares it."""
+    nodes = np.exp(np.linspace(math.log(lo), math.log(hi), n))
+    nodes.setflags(write=False)
+    return nodes
 
 
 def _sorted_masses(d2, weights):

@@ -17,6 +17,7 @@ from densq import (
 )
 
 from densq import betas as bt
+from densq import line_search as ls
 from densq.betas import _beta2_profile
 
 from conftest import brute_ball_atoms, brute_mass, random_measure
@@ -539,3 +540,33 @@ def test_beta_energy_p3_scan_budget_counts_the_atoms_of_a_cell(monkeypatch):
     m = build_cantor(2, 0.6, 8)
     with pytest.raises(PointBudgetError, match="direction scans"):
         beta_energy(m, ScaleGrid(0.01, 1.0, 1.2), p=3.0, eval_indices=[0], kappa=0.0)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+@pytest.mark.parametrize("k", [1, 3])
+def test_line_search_equals_a_dense_grid_minimum(p, k):
+    # the objective sum w (base + (c - t)^2)^(p/2) of one line search: base = 0
+    # for a 1-d complement (k = 1), the other coordinates' part for k > 1
+    rng = np.random.default_rng(int(10 * p) + k)
+    for _ in range(10):
+        n = int(rng.integers(2, 40))
+        comp = rng.normal(size=(n, k)) * rng.uniform(1e-3, 10.0) + rng.uniform(-5, 5)
+        w = rng.uniform(0.2, 2.0, size=n)
+        c, base = comp[:, 0], (comp[:, 1:] ** 2).sum(axis=1)
+
+        def f(t):
+            return (w * (base + (c - np.asarray(t)[..., None]) ** 2) ** (p / 2)).sum(axis=-1)
+        t = ls.coordinate_min(c, base, w, p)
+        lo, hi = c.min(), c.max()
+        tol = 1e-12 * max(1.0, hi - lo)
+        grid = np.linspace(lo, hi, 4001)
+        # no grid point beats t by more than the objective moves within tol of
+        # it, and the grid point nearest the minimum lies within a grid step
+        slack = 4 * tol * abs(float((w * p * (base + (c - t) ** 2) ** ((p - 1) / 2)).sum()))
+        assert f(t) <= f(grid).min() + slack + 1e-13 * f(t)
+        assert abs(t - grid[int(np.argmin(f(grid)))]) <= 2 * (hi - lo) / 4000 + tol
+    if k == 1:
+        # and the line offset of a 1-d complement is that one search
+        obj, b = ls.line_offset(comp[:, :1], w, p)
+        assert b[0] == ls.coordinate_min(c, np.zeros(n), w, p)
+        assert obj == float((w * ((c - b[0]) ** 2) ** (p / 2)).sum())

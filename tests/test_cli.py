@@ -3,10 +3,14 @@ import math
 import os
 import signal
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import densq
 from densq import WeightedPointMeasure, build_cantor, build_dirac
 from densq.cli import main
 
@@ -213,6 +217,25 @@ def test_energy_beta_p3_over_scan_budget_fails_fast(tmp_path, capsys):
     assert rc == 2 and not out.exists()
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "direction scans" in err[0]
+
+
+def test_energy_beta_p3_over_scan_budget_builds_no_grid(tmp_path):
+    # the budget holds at one radius, so the exit comes before the default
+    # grid: no spacing search (densq.geometry never loads) and no scipy
+    csv_path = tmp_path / "cantor.csv"
+    build_cantor(2, 0.6, 6).save_csv(csv_path)
+    code = ("import sys; from densq.cli import main; "
+            f"rc = main(['energy', {str(csv_path)!r}, '--kind', 'beta', '--p', '3', "
+            f"'--out', {str(tmp_path / 'beta.json')!r}]); "
+            "print(rc, [m for m in sys.modules if m.split('.')[0] == 'scipy'], "
+            "'densq.geometry' in sys.modules)")
+    src = str(Path(densq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.split() == ["2", "[]", "False"]
+    assert "direction scans" in run.stderr
 
 
 def test_energy_default_grid_multi_atom(tmp_path):

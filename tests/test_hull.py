@@ -1,6 +1,7 @@
-"""The numpy 2-d hull against Qhull, the farthest-atom candidates against
-brute force, and min_spacing of segment layouts against brute force. scipy
-serves only as the oracle here, imported inside the tests."""
+"""The numpy 2-d hull against Qhull, the farthest-atom candidates (the 3-d
+radius scan included) against brute force, and min_spacing, from segment
+layouts and from the closest-pair sweep and grid, against brute force and a
+KD-tree. scipy serves only as the oracle here, imported inside the tests."""
 import math
 import time
 
@@ -12,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from densq import betas as bt
 from densq import geometry as geo
+from densq import spacing as sp
 from densq import measures as ms
 from densq import (WeightedPointMeasure, build_cantor, build_flat, build_gamma_curve,
                    build_polyline)
@@ -200,8 +202,8 @@ def brute_min_spacing(points):
     return float(np.sqrt(d2.min()))
 
 
-def _no_tree(*args, **kwargs):
-    raise AssertionError("a KD-tree was built")
+def _no_sweep(points):
+    raise AssertionError("the general closest-pair path ran")
 
 
 SEGMENT_MEASURES = {
@@ -221,9 +223,8 @@ SEGMENT_MEASURES = {
 
 
 @pytest.mark.parametrize("name", sorted(SEGMENT_MEASURES))
-def test_segment_min_spacing_is_brute_force_without_a_tree(monkeypatch, name):
-    import scipy.spatial
-    monkeypatch.setattr(scipy.spatial, "cKDTree", _no_tree)
+def test_segment_min_spacing_is_brute_force_without_the_general_path(monkeypatch, name):
+    monkeypatch.setattr(sp, "closest_pair", _no_sweep)
     m = SEGMENT_MEASURES[name]()
     assert m.segments is not None
     assert m.min_spacing == brute_min_spacing(m.points)
@@ -233,15 +234,129 @@ def test_segment_min_spacing_is_brute_force_without_a_tree(monkeypatch, name):
     ([[0, 0], [1, 0], [1, 0.005], [0, 0.005]], 0.01),   # folded: legs 0.005 apart
     ([[0, 0], [1, 0], [0.5, 0.002], [0.5, 1]], 0.01),   # acute turn onto the first leg
     ([[1e3, 0], [1e3 + 1e-10, 0]], 1e-12)])             # steps below the rounding of x
-def test_segment_min_spacing_falls_back_to_the_tree(monkeypatch, vertices, spacing):
-    import scipy.spatial
-    built = []
-    tree = scipy.spatial.cKDTree
+def test_segment_min_spacing_falls_back_to_the_general_path(monkeypatch, vertices, spacing):
+    calls = []
+    general = sp.closest_pair
 
-    def counted(*args, **kwargs):
-        built.append(1)
-        return tree(*args, **kwargs)
-    monkeypatch.setattr(scipy.spatial, "cKDTree", counted)
+    def counted(points):
+        calls.append(1)
+        return general(points)
+    monkeypatch.setattr(sp, "closest_pair", counted)
     m = build_polyline(vertices, spacing)
-    assert geo.segment_min_spacing(m.points, m.segments) is None
-    assert m.min_spacing == brute_min_spacing(m.points) and built == [1]
+    assert sp.segment_min_spacing(m.points, m.segments) is None
+    assert m.min_spacing == brute_min_spacing(m.points) and calls == [1]
+
+
+def tree_min_spacing(points):
+    """The KD-tree's spacing, as `min_spacing` took it before it had its own."""
+    from scipy.spatial import cKDTree
+    d, _ = cKDTree(points).query(points, k=2)
+    return float(d[:, 1].min())
+
+
+@st.composite
+def spacing_sets(draw):
+    kind = draw(st.sampled_from(["cloud", "few", "lattice", "cantor", "near duplicates",
+                                 "columns", "square grid", "line"]))
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 300))
+    offset = rng.uniform(-1, 1, dim) * draw(st.sampled_from([0.0, 1.0, 1e3]))
+    if kind == "cloud":
+        pts = rng.normal(size=(n, dim)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    elif kind == "few":                  # the closest pair is rarely consecutive on the axis
+        pts = rng.uniform(size=(draw(st.integers(2, 8)), dim)) * np.geomspace(1.0, 0.3, dim)
+    elif kind == "lattice":
+        pts = rng.integers(-4, 5, size=(n, dim)) / draw(st.sampled_from([1.0, 8.0, 1024.0]))
+    elif kind == "cantor":
+        s = draw(st.floats(0.3, dim - 0.1))
+        pts = build_cantor(dim, s, draw(st.integers(1, 8 if dim == 1 else 6 // dim + 1))).points
+    elif kind == "near duplicates":      # pairs a few roundoffs to a millionth apart
+        base = rng.uniform(-1, 1, size=(n // 2 + 1, dim))
+        gap = 10.0 ** -draw(st.integers(6, 15))
+        pts = np.r_[base, base + rng.normal(size=base.shape) * gap]
+    elif kind == "columns":              # stacked along the sweep axis
+        col = rng.uniform(size=(n, 1)) * draw(st.sampled_from([1e-3, 1.0]))
+        pts = np.c_[np.repeat([0.0, 100.0], (n + 1) // 2)[:n, None],
+                    np.repeat(col, dim - 1, axis=1) if dim > 1 else col]
+    elif kind == "square grid":
+        k = max(2, math.isqrt(n))
+        axes = np.meshgrid(*[np.arange(k) * draw(st.sampled_from([0.01, 1 / 16]))] * dim)
+        pts = np.stack(axes, -1).reshape(-1, dim)
+    else:                                # collinear but for rounding
+        u = rng.normal(size=dim)
+        pts = np.linspace(-1, 1, n)[:, None] * (u / np.linalg.norm(u))
+    return pts + offset
+
+
+@given(spacing_sets())
+def test_min_spacing_equals_brute_force_and_the_kd_tree(points):
+    m = WeightedPointMeasure(points, np.ones(len(points)))
+    if m.n_atoms < 2:
+        assert m.min_spacing == 0.0
+        return
+    want = brute_min_spacing(m.points)
+    assert m.min_spacing == want == tree_min_spacing(m.points)
+    # the sweep alone, the cell grid alone, and the grid with its side halved
+    # down to a few pairs an atom
+    shifts, pairs = sp._SWEEP_SHIFTS, sp._GRID_PAIRS
+    try:
+        sp._SWEEP_SHIFTS = len(m.points)
+        assert sp.closest_pair(m.points) == want
+        sp._SWEEP_SHIFTS = 1
+        assert sp.closest_pair(m.points) == want
+        sp._GRID_PAIRS = 4
+        assert sp.closest_pair(m.points) == want
+    finally:
+        sp._SWEEP_SHIFTS, sp._GRID_PAIRS = shifts, pairs
+
+
+@pytest.mark.parametrize("kind", ["two far columns", "square grid"])
+def test_closest_pair_of_stacked_sets_takes_the_grid(monkeypatch, kind):
+    # the sweep axis holds columns of 10,000 and 141 atoms: it would compare
+    # about 5e7 and 2.8e6 pairs
+    rng = np.random.default_rng(7)
+    if kind == "two far columns":
+        pts = np.c_[np.repeat([0.0, 100.0], 10_000), rng.uniform(size=20_000)]
+    else:
+        pts = np.stack(np.meshgrid(np.arange(141.0), np.arange(141.0)), -1).reshape(-1, 2) * 0.01
+    calls = []
+    grid = sp._grid_spacing
+
+    def counted(*args):
+        calls.append(1)
+        return grid(*args)
+    monkeypatch.setattr(sp, "_grid_spacing", counted)
+    m = WeightedPointMeasure(pts, np.ones(len(pts)))
+    start = time.perf_counter()
+    got = m.min_spacing
+    assert time.perf_counter() - start < 0.5
+    assert calls == [1] and got == tree_min_spacing(m.points)
+
+
+def _cloud_3d(kind):
+    rng = np.random.default_rng(3)
+    if kind.startswith("cantor"):
+        return build_cantor(3, float(kind.split()[1]), 3).points
+    if kind == "gaussian":
+        return rng.normal(size=(1000, 3)) * 3.0 + 1e3
+    if kind == "ball":
+        v = rng.uniform(-1, 1, size=(1500, 3))
+        return v[(v ** 2).sum(axis=1) <= 1.0]
+    v = rng.normal(size=(800, 3))                    # a sphere shell
+    return v / np.linalg.norm(v, axis=1)[:, None] * 2.0 - 5.0
+
+
+@pytest.mark.parametrize("kind", ["cantor 1.5", "cantor 2.5", "gaussian", "ball", "sphere"])
+def test_farthest_distances_of_3d_sets_by_the_radius_scan(monkeypatch, kind):
+    calls = []
+    scan = geo._radius_scan
+
+    def counted(pts):
+        calls.append(1)
+        return scan(pts)
+    monkeypatch.setattr(geo, "_radius_scan", counted)
+    pts = _cloud_3d(kind)
+    m = WeightedPointMeasure(pts, np.ones(len(pts)))
+    np.testing.assert_array_equal(m.farthest_distances(), brute_farthest(m.points))
+    assert calls == [1]

@@ -756,31 +756,61 @@ results = [
 print(json.dumps([r.to_json_dict() for r in results], sort_keys=True))
 """
 
+# densq gen and every densq energy kind (beta at p = 2 and 3) on a 2-d and a
+# 3-d Cantor CSV, run in the working directory, then the identity suite at a
+# small config; what they print and write, as JSON, on the last line
+_CLI = """
+from densq import cli
+out = {}
+for name, params in (("c2", {"dim": 2, "s": 0.6, "depth": 1}),
+                     ("c3", {"dim": 3, "s": 1.5, "depth": 1})):
+    with open(name + ".json", "w") as fh:
+        json.dump({"kind": "cantor", "params": params}, fh)
+    runs = [["gen", name + ".json", "--out", name + ".csv"]]
+    runs += [["energy", name + ".csv", "--kind", kind, "--s", "0.6", "--kappa", "1",
+              "--out", kind + ".json"] for kind in ("sf", "wolff", "riesz-sup")]
+    runs += [["energy", name + ".csv", "--kind", "beta", "--p", p, "--r-min", "1",
+              "--r-max", "2", "--q", "2", "--out", "beta.json"] for p in ("2", "3")]
+    for argv in runs:
+        assert cli.main(argv) == 0
+        with open(argv[-1]) as fh:
+            out[" ".join(argv)] = fh.read()
+out["identity"] = ex.run_identity_suite({"n_measures": 2, "n_atoms": 40,
+                                         "n_queries": 4}).to_json_dict()
+print(json.dumps(out, sort_keys=True))
+"""
 
-def _run_python(code):
+
+def _run_python(code, cwd=None):
     src = str(Path(densq.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True).stdout
+                          text=True, check=True, cwd=cwd).stdout
 
 
 def test_import_loads_no_scipy():
-    # scipy loads on first use, and only for: the KD-tree of min_spacing on
-    # measures without a segment layout (every CSV-read one), the hull of a
-    # 3-d set and beta_p's line search; densq.geometry loads on first use too
+    # densq needs numpy alone; its geometry, spacing and line-search modules
+    # load on first use
     code = ("import sys, densq; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy']); "
-            "print('densq.geometry' in sys.modules)")
-    scipy_modules, geometry_loaded = _run_python(code).splitlines()
+            "print([m for m in ('densq.geometry', 'densq.spacing', 'densq.line_search') "
+            "if m in sys.modules])")
+    scipy_modules, lazy_loaded = _run_python(code).splitlines()
     assert scipy_modules == "[]"
-    assert geometry_loaded == "False"
+    assert lazy_loaded == "[]"
 
 
-def test_suites_run_without_scipy():
-    # the Cantor, tent and flat suites take their spacing from the generators
-    # and their farthest atoms from the numpy hull: with scipy blocked they
-    # report what they report with it
-    blocked = _run_python(_BLOCK_SCIPY + _SUITES)
-    assert blocked == _run_python(_SUITES)
-    assert len(json.loads(blocked)) == 4
+def test_suites_and_cli_run_without_scipy(tmp_path):
+    # the suites, and densq on CSV-read measures: their spacing from the
+    # closest-pair sweep, 3-d farthest atoms from the radius scan, beta_p's
+    # line search at p = 3; with scipy blocked every output is what it is
+    # with it
+    (tmp_path / "blocked").mkdir()
+    (tmp_path / "open").mkdir()
+    blocked = _run_python(_BLOCK_SCIPY + _SUITES + _CLI, cwd=tmp_path / "blocked")
+    assert blocked == _run_python(_SUITES + _CLI, cwd=tmp_path / "open")
+    lines = blocked.splitlines()
+    suites, cli_outputs = json.loads(lines[0]), json.loads(lines[-1])
+    assert len(suites) == 4 and len(cli_outputs) == 2 * 6 + 1
+    assert "min_spacing: " in blocked

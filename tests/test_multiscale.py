@@ -369,15 +369,15 @@ def test_nan_radius_rejected_by_pointwise_queries():
             index.annulus_atoms(x, inner, outer)
 
 
-def test_pointwise_queries_build_no_kd_tree(rng, monkeypatch):
-    # a KD-tree serves min_spacing alone; every single-center query scans
-    import scipy.spatial
+def test_pointwise_queries_compute_no_spacing(rng, monkeypatch):
+    # the closest pair serves min_spacing alone; every single-center query scans
+    from densq import spacing
 
-    def no_tree(*args, **kwargs):
-        raise AssertionError("a KD-tree was built")
-    monkeypatch.setattr(scipy.spatial, "cKDTree", no_tree)
+    def no_spacing(*args, **kwargs):
+        raise AssertionError("the spacing was computed")
+    monkeypatch.setattr(spacing, "min_spacing", no_spacing)
     m = random_measure(rng, n=200)
-    with pytest.raises(AssertionError, match="a KD-tree was built"):
+    with pytest.raises(AssertionError, match="the spacing was computed"):
         m.min_spacing
     index, x = m.ball_index(), m.points[0]
     assert index.mass_in_ball(x, 0.5) == brute_mass(m, x, 0.5)

@@ -37,7 +37,9 @@ def fit_loglog_slope(xs, ys) -> tuple[float, float, float]:
 
 def _map_ordered(fn, items, threads: int):
     # ordered gather keeps the reduction deterministic at any thread count
-    if threads <= 1:
+    if not threads >= 1:
+        raise ValueError(f"threads must be at least 1; got {threads}")
+    if threads == 1:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, items))
@@ -251,15 +253,16 @@ def run_comparability(config: dict | None = None, threads: int = 1) -> SweepResu
         deep = ms.build_cantor(dim, s, int(cfg["depth"]))
         shallow = ms.build_cantor(dim, s, int(cfg["drift_depth"]))
         grid = msc.ScaleGrid.default_for(deep, q=q, kappa=kappa)
-        sf, wf = msc.square_function_and_wolff_energy(deep, s, grid, kappa=kappa)
         # drift check on a window resolved at both depths: discrete sums only,
         # so tails (identical functionals of the total mass) do not mask it
         common = msc.ScaleGrid(msc.resolved_floor(shallow, kappa),
                                8.0 * deep.support_radius, q)
-        ratios = []
-        for m in (shallow, deep):
-            sf_c, wf_c = msc.square_function_and_wolff_energy(m, s, common, kappa=kappa)
-            ratios.append(sf_c.discrete_total / wf_c.discrete_total)
+        # the deep measure's full grid and common window from one pass
+        sf, wf, *deep_c = msc._energies((deep,), s, (grid, common), 2.0,
+                                        ("square_function", "wolff"), None, kappa)
+        shallow_c = msc.square_function_and_wolff_energy(shallow, s, common, kappa=kappa)
+        ratios = [sf_c.discrete_total / wf_c.discrete_total
+                  for sf_c, wf_c in (shallow_c, deep_c)]
         return {"s": s, "sf_total": sf.total, "wolff_total": wf.total,
                 "ratio": sf.total / wf.total,
                 "ratio_common_shallow": ratios[0], "ratio_common_deep": ratios[1],
@@ -329,14 +332,20 @@ def run_integer_degeneracy(config: dict | None = None, threads: int = 1) -> Swee
         mask = np.flatnonzero(np.abs(m.points[:, 0]) <= W)
         eval_mass = float(m.weights[mask].sum())
         r_lo = float(cfg["floor_atoms"]) * h
+        # widen factors whose range this lattice spacing resolves
+        kept = [(wfac, r_hi) for wfac in widen
+                if (r_hi := r_hi_top * wfac / widen[-1]) > r_lo * q]
+        if not kept:
+            raise ValueError(f"resolution {n_points}: every widen factor gives "
+                             f"r_hi <= r_lo * q = {r_lo * q!r}, no scale range")
+        # every range and the fixed one (for the h -> 0 collapse check) from one pass
+        lo, hi = (float(v) * E for v in cfg["fixed_range"])
+        grids = [msc.ScaleGrid(r_lo, r_hi, q) for _, r_hi in kept]
+        grids.append(msc.ScaleGrid(lo, hi, q))
+        reps = msc._energies((m,), s, grids, 2.0, ("square_function", "wolff"), mask,
+                             msc.DEFAULT_KAPPA)
         out = []
-        for wfac in widen:
-            r_hi = r_hi_top * wfac / widen[-1]
-            if r_hi <= r_lo * q:
-                continue    # range unresolvable at this lattice spacing
-            grid = msc.ScaleGrid(r_lo, r_hi, q)
-            sf, wf = msc.square_function_and_wolff_energy(m, s, grid,
-                                                          eval_indices=mask)
+        for (wfac, r_hi), sf, wf in zip(kept, reps[0::2], reps[1::2]):
             model = 4.0 * eval_mass * math.log(r_hi / r_lo)
             out.append({"n_points": n_points, "h": h, "widen": wfac,
                         "r_lo": r_lo, "r_hi": r_hi,
@@ -344,14 +353,7 @@ def run_integer_degeneracy(config: dict | None = None, threads: int = 1) -> Swee
                         "wolff_discrete": wf.discrete_total,
                         "sf_wolff_ratio": sf.discrete_total / wf.discrete_total,
                         "wolff_over_model": wf.discrete_total / model})
-        if not out:
-            raise ValueError(f"resolution {n_points}: every widen factor gives "
-                             f"r_hi <= r_lo * q = {r_lo * q!r}, no scale range")
-        # fixed-range run for the h -> 0 collapse check
-        lo, hi = (float(v) * E for v in cfg["fixed_range"])
-        fr = msc.ScaleGrid(lo, hi, q)
-        sf_fixed = msc.square_function_energy(m, s, fr, eval_indices=mask)
-        return out, sf_fixed.discrete_total
+        return out, reps[-2].discrete_total
 
     results = _map_ordered(one, list(cfg["resolutions"]), threads)
     rows = [r for res, _ in results for r in res]
@@ -446,7 +448,7 @@ def run_tent_counterexample(config: dict | None = None, threads: int = 1) -> Swe
         # mu_alpha reweights the arc-length curve: one query gives both
         g_fine = ms.build_gamma_curve(a, L, float(cfg["sf_spacing"]))
         sf_g, sf_m = [rep.discrete_total for rep in msc._energies(
-            (g_fine, g_fine.reweighted(ms.mu_alpha_factors(a))), 1.0, sf_grid, 2.0,
+            (g_fine, g_fine.reweighted(ms.mu_alpha_factors(a))), 1.0, (sf_grid,), 2.0,
             ("square_function",), window_mask(g_fine), msc.DEFAULT_KAPPA)]
         g_rz = ms.build_gamma_curve(a, L, float(cfg["riesz_spacing"]))
         rz_rep = rz.sup_riesz_energy(g_rz, 1.0, pair_grid,

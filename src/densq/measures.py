@@ -342,7 +342,8 @@ def ball_masses(measure: WeightedPointMeasure, centers: np.ndarray,
 
     Dispatches to interval counting for segment-lattice measures, otherwise to
     a chunked radial-shell pass (`_shell_sums`) that sums the weights shell by
-    shell. Both use the |x-c|^2 <= r^2 predicate.
+    shell, or for a measure of one weight w counts its atoms and rounds each
+    count n once to n * w. Both use the |x-c|^2 <= r^2 predicate.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     radii = np.asarray(radii, dtype=float)
@@ -350,8 +351,17 @@ def ball_masses(measure: WeightedPointMeasure, centers: np.ndarray,
         raise ValueError("radii must be nonnegative (and not nan)")
     if measure.segments is not None:
         return _segment_ball_masses(measure.points, [measure.segments], centers, radii)[0]
-    return _shell_sums(measure.points, measure.weights, centers, radii,
-                       lambda diff, d2, w: [w], 1)[0]
+    count = _exact_per_ball(measure)    # one weight: count the atoms
+    out = _shell_sums(measure.points, measure.weights, centers, radii,
+                      lambda diff, d2, w: [None if count else w], 1)[0]
+    return np.multiply(out, measure.weights[0], out=out) if count else out
+
+
+def _exact_per_ball(measure):
+    """Whether `ball_masses` rounds each ball's mass on its own: segment counts
+    and the counts of a measure of one weight are exact integers, while a
+    weighted shell sum adds shell by shell, so its bits depend on the radii."""
+    return measure.segments is not None or np.ptp(measure.weights) == 0
 
 
 def _shell_sums(points, weights, centers, radii, values, n_values):
@@ -361,8 +371,9 @@ def _shell_sums(points, weights, centers, radii, values, n_values):
     `diff[k]` holds the k-th coordinate of x_atom - center and `d2` the
     squared distances, each of shape (block, kept atoms), and `w` the kept
     atoms' weights; it returns `n_values` arrays of that shape (or
-    broadcastable to it). The result has shape (n_values, n_centers, n_radii):
-    entry [v, i, j] sums values[v][i, a] over the atoms a with d2 <= r_j^2.
+    broadcastable to it), or None to count the atoms. The result has shape
+    (n_values, n_centers, n_radii): entry [v, i, j] sums values[v][i, a] over
+    the atoms a with d2 <= r_j^2.
 
     Each atom falls in the shell of the first sorted radius it lies within,
     exactly the predicate d2 <= r^2, ties included (`_shell_lookup`); the
@@ -412,7 +423,8 @@ def _shell_sums(points, weights, centers, radii, values, n_values):
                              above[:size]).reshape(rows, -1)
             shell += (np.arange(rows) * (m + 1))[:, None]
             for v, val in enumerate(values(diff, d2, w)):
-                val = np.broadcast_to(val, d2.shape).ravel()
+                if val is not None:
+                    val = np.broadcast_to(val, d2.shape).ravel()
                 bins = np.bincount(shell.ravel(), weights=val,
                                    minlength=rows * (m + 1)).reshape(rows, m + 1)
                 out[v, a:a + rows][:, order] = np.cumsum(bins[:, :m], axis=1)

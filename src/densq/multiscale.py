@@ -15,7 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import WeightedPointMeasure, _segment_ball_masses, _write_csv, ball_masses
+from .measures import (WeightedPointMeasure, _exact_per_ball, _segment_ball_masses,
+                       _write_csv, ball_masses)
 
 DEFAULT_KAPPA = 4.0
 
@@ -217,56 +218,68 @@ def _check_p(p: float) -> None:
 
 def _density_and_gap(masses, sample, s):
     """theta(x, r) and theta(x, r) - theta(x, 2r) at each center and sample
-    radius, from its ball-mass profile at the radii and their doubles."""
-    th_r = masses[:, :len(sample)] / sample ** s
-    return th_r, th_r - masses[:, len(sample):] / (2.0 * sample) ** s
+    radius, from its ball-mass profile at the radii and their doubles; both
+    are views of `masses`, overwritten in place."""
+    th_r, gap = masses[:, :len(sample)], masses[:, len(sample):]
+    th_r /= sample ** s
+    gap /= (2.0 * sample) ** s
+    np.subtract(th_r, gap, out=gap)
+    return th_r, gap
 
 
-def _energies(family, s, grid, p, kinds, eval_indices, kappa):
-    """Reports of the given kinds for each measure of `family` in turn (a
-    measure and its reweightings: they share their atoms), all read from one
-    ball-mass query at the sample radii and their doubles, so each report is
-    the same whichever others are asked for with it."""
+def _energies(family, s, grids, p, kinds, eval_indices, kappa):
+    """Reports of the given kinds for each window of `grids` and, in each, each
+    measure of `family` in turn (a measure and its reweightings: they share
+    their atoms), all read from one ball-mass query at every window's sample
+    radii and their doubles. Each report is the same whichever others are
+    asked for with it: a measure whose weighted sums round by the radii they
+    share a pass with (`_exact_per_ball`) gets one query per window."""
     _check_s(s)
     _check_p(p)
     measure = family[0]
     if any(m.points is not measure.points for m in family[1:]):
         raise ValueError("measures asked for together must share their atoms")
-    sample = grid.samples
-    floor = _floor_for(measure, kappa, grid.r_min)
+    if len(grids) > 1 and not all(_exact_per_ball(m) for m in family):
+        return [rep for grid in grids
+                for rep in _energies(family, s, (grid,), p, kinds, eval_indices, kappa)]
     eval_indices = as_atom_indices(eval_indices, measure.n_atoms)
-
-    # analytic tail begins where the ball is guaranteed to hold the support,
-    # but never before the grid starts
-    T = np.maximum(measure.farthest_distances(eval_indices), grid.r_min)
-    width = grid.cell_widths(floor, T[:, None])
-
-    centers, radii = measure.points[eval_indices], np.concatenate([sample, 2.0 * sample])
+    centers, far = measure.points[eval_indices], measure.farthest_distances(eval_indices)
+    samples = [grid.samples for grid in grids]
+    radii = np.concatenate([r for sample in samples for r in (sample, 2.0 * sample)])
     if len(family) == 1 or measure.segments is None:
         masses = [ball_masses(m, centers, radii) for m in family]
     else:   # each segment counted once for all the weightings
         masses = _segment_ball_masses(measure.points, [m.segments for m in family],
                                       centers, radii)
-    reports = []
-    for measure in family:
-        th_r, gap = _density_and_gap(masses.pop(0), sample, s)
-        wc = measure.weights[eval_indices]
-        for kind in kinds:
-            if kind == "square_function":
-                integrand = np.abs(gap) ** p
-                tail_coeff = (measure.total_mass * (1.0 - 2.0 ** (-s))) ** p
-            else:       # wolff
-                integrand = np.abs(th_r) ** p
-                tail_coeff = measure.total_mass ** p
-
-            contrib = integrand * width * wc[:, None]
-            tail_i = wc * tail_coeff / (p * s * T ** (p * s))
-            reports.append(EnergyReport.assemble(
-                kind, s, p, grid, measure, kappa, floor, int(len(wc)),
-                list(zip(sample.tolist(), contrib.sum(axis=0).tolist())),
-                tail=float(tail_i.sum()),
-                per_point=contrib.sum(axis=1) + tail_i, eval_indices=eval_indices))
-        del th_r, gap, integrand, contrib       # one measure's matrices at a time
+    reports, col = [], 0
+    for grid, sample in zip(grids, samples):
+        floor = _floor_for(measure, kappa, grid.r_min)
+        # analytic tail begins where the ball is guaranteed to hold the
+        # support, but never before the grid starts
+        T = np.maximum(far, grid.r_min)
+        width = grid.cell_widths(floor, T[:, None])
+        for m, mass in zip(family, masses):
+            th_r, gap = _density_and_gap(mass[:, col:col + 2 * len(sample)], sample, s)
+            wc = m.weights[eval_indices]
+            contrib = np.empty_like(th_r)
+            for kind in kinds:
+                if kind == "square_function":
+                    np.abs(gap, out=contrib)
+                    tail_coeff = (m.total_mass * (1.0 - 2.0 ** (-s))) ** p
+                else:       # wolff
+                    np.abs(th_r, out=contrib)
+                    tail_coeff = m.total_mass ** p
+                contrib **= p
+                contrib *= width
+                contrib *= wc[:, None]
+                tail_i = wc * tail_coeff / (p * s * T ** (p * s))
+                reports.append(EnergyReport.assemble(
+                    kind, s, p, grid, m, kappa, floor, int(len(wc)),
+                    list(zip(sample.tolist(), contrib.sum(axis=0).tolist())),
+                    tail=float(tail_i.sum()),
+                    per_point=contrib.sum(axis=1) + tail_i, eval_indices=eval_indices))
+            del contrib     # one window's matrices at a time
+        col += 2 * len(sample)
     return reports
 
 
@@ -280,14 +293,14 @@ def square_function_energy(measure: WeightedPointMeasure, s: float, grid: ScaleG
     the per-atom support-covering radius, beyond which the integrand is the
     exact power law integrated in closed form (the tail).
     """
-    return _energies((measure,), s, grid, p, ("square_function",), eval_indices, kappa)[0]
+    return _energies((measure,), s, (grid,), p, ("square_function",), eval_indices, kappa)[0]
 
 
 def wolff_energy(measure: WeightedPointMeasure, s: float, grid: ScaleGrid,
                  p: float = 2.0, eval_indices=None,
                  kappa: float = DEFAULT_KAPPA) -> EnergyReport:
     """Integral of theta(x,r)^p d(mu) dr/r plus analytic tail."""
-    return _energies((measure,), s, grid, p, ("wolff",), eval_indices, kappa)[0]
+    return _energies((measure,), s, (grid,), p, ("wolff",), eval_indices, kappa)[0]
 
 
 def square_function_and_wolff_energy(
@@ -296,7 +309,7 @@ def square_function_and_wolff_energy(
         kappa: float = DEFAULT_KAPPA) -> tuple[EnergyReport, EnergyReport]:
     """(square_function_energy, wolff_energy) from one ball-mass pass; each
     report is bit-identical to the one the single function returns."""
-    return tuple(_energies((measure,), s, grid, p, ("square_function", "wolff"),
+    return tuple(_energies((measure,), s, (grid,), p, ("square_function", "wolff"),
                            eval_indices, kappa))
 
 

@@ -37,14 +37,17 @@ def scan_beta2(measure, x, r, n_angles=4001):
     pts = measure.points[sel] - x
     w = measure.weights[sel]
 
+    def vals_at(th):
+        # one column per angle
+        proj = pts @ np.stack([-np.sin(th), np.cos(th)])
+        mu = w @ proj / w.sum()
+        return w @ (proj - mu) ** 2
+
     def val(th):
-        n_vec = np.array([-math.sin(th), math.cos(th)])
-        proj = pts @ n_vec
-        mu = (w * proj).sum() / w.sum()
-        return float((w * (proj - mu) ** 2).sum())
+        return float(vals_at(np.array([th]))[0])
 
     thetas = np.linspace(0.0, math.pi, n_angles, endpoint=False)
-    vals = [val(t) for t in thetas]
+    vals = vals_at(thetas)
     k = int(np.argmin(vals))
     lo = thetas[k] - math.pi / n_angles
     hi = thetas[k] + math.pi / n_angles
@@ -55,7 +58,7 @@ def scan_beta2(measure, x, r, n_angles=4001):
             hi = m2
         else:
             lo = m1
-    best = min(min(vals), val(0.5 * (lo + hi)))
+    best = min(float(vals.min()), val(0.5 * (lo + hi)))
     return math.sqrt(best / r ** 3)
 
 

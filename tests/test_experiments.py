@@ -128,6 +128,25 @@ def test_comparability_quick_structure(tmp_path):
         json.dumps(res.to_json_dict(), sort_keys=True)
 
 
+def test_each_measure_gets_one_ball_mass_pass(monkeypatch):
+    # comparability: per s, the deep Cantor set once for its full grid and the
+    # common window, the shallow one once; integer degeneracy: per resolution,
+    # one pass for every widen range and the fixed range
+    import densq.multiscale as msc
+    calls, real = [], msc.ball_masses
+
+    def counted(measure, centers, radii):
+        calls.append(measure.n_atoms)
+        return real(measure, centers, radii)
+
+    monkeypatch.setattr(msc, "ball_masses", counted)
+    run_comparability({"s_list": [0.5, 0.7, 1.2, 1.5], "depth": 3, "drift_depth": 2})
+    assert calls == [64, 16] * 4
+    calls.clear()
+    run_integer_degeneracy({"resolutions": [101, 201], "widen_factors": [1, 4, 16]})
+    assert calls == [101, 201]
+
+
 def test_integer_degeneracy_quick():
     res = run_integer_degeneracy({"resolutions": [251, 501],
                                   "widen_factors": [1, 4]})

@@ -22,6 +22,8 @@ from densq import (
     density_difference,
     find_thin_boundary_radius,
     local_energy_ratio,
+    run_identity_suite,
+    run_small_s_comparability,
     smoothed_density_difference,
     square_function_energy,
     truncated_riesz,
@@ -133,6 +135,13 @@ def test_exp_rejects_bad_configs(tmp_path, capsys, name, config, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("threads", [-2, 0])
+def test_exp_rejects_a_thread_count_below_one(tmp_path, capsys, threads):
+    _usage_error(capsys, ["--threads", threads, "exp", "identity", "--out-dir",
+                          tmp_path / "out"], f"threads must be at least 1; got {threads}")
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # API only
 
@@ -216,6 +225,11 @@ API_CASES = [
      "no grid radii inside the resolved range"),
     (lambda: beta_energy(_M, ScaleGrid(0.1, 1.0)).save_per_point_csv("unused.csv"),
      "report carries no per-point breakdown"),
+    (lambda: run_identity_suite({"n_measures": 1, "n_atoms": 8, "n_queries": 1},
+                                threads=0),
+     "threads must be at least 1; got 0"),
+    (lambda: run_small_s_comparability({"depth": 2, "drift_depth": 1}, threads=-1),
+     "threads must be at least 1; got -1"),
 ]
 
 

@@ -167,8 +167,8 @@ def test_one_query_for_two_weightings_gives_the_bytes_of_single_queries(seed):
 def test_reports_of_one_query_equal_single_reports():
     g = build_gamma_curve(0.3, 2.0, 1 / 256)
     grid, idx = ScaleGrid(0.1, 0.5, 1.1), np.flatnonzero(np.abs(g.points[:, 0]) <= 1.0)
-    together = msc._energies((g, g.reweighted(ms.mu_alpha_factors(0.3))), 1.0, grid, 2.0,
-                             ("square_function", "wolff"), idx, msc.DEFAULT_KAPPA)
+    together = msc._energies((g, g.reweighted(ms.mu_alpha_factors(0.3))), 1.0, (grid,),
+                             2.0, ("square_function", "wolff"), idx, msc.DEFAULT_KAPPA)
     alone = [rep for w in ("hausdorff", "mu_alpha")
              for rep in square_function_and_wolff_energy(
                  build_gamma_curve(0.3, 2.0, 1 / 256, weighting=w), 1.0, grid,
@@ -181,8 +181,8 @@ def test_energies_reject_measures_that_do_not_share_their_atoms():
     g = build_gamma_curve(0.3, 2.0, 1 / 64)
     twin = build_gamma_curve(0.3, 2.0, 1 / 64, weighting="mu_alpha")
     with pytest.raises(ValueError, match="share their atoms"):
-        msc._energies((g, twin), 1.0, ScaleGrid(0.1, 0.5, 1.1), 2.0, ("square_function",),
-                      None, msc.DEFAULT_KAPPA)
+        msc._energies((g, twin), 1.0, (ScaleGrid(0.1, 0.5, 1.1),), 2.0,
+                      ("square_function",), None, msc.DEFAULT_KAPPA)
 
 
 def test_the_tent_suite_counts_each_fine_segment_once_per_alpha_and_l(monkeypatch):

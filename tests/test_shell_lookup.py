@@ -105,7 +105,9 @@ def binary_search_shell_sums(points, weights, centers, radii, values, n_values):
         shell += (np.arange(rows) * (m + 1))[:, None]
         shell = shell.ravel()
         for v, val in enumerate(values(diff, d2, w)):
-            bins = np.bincount(shell, weights=np.broadcast_to(val, d2.shape).ravel(),
+            if val is not None:     # None counts the atoms
+                val = np.broadcast_to(val, d2.shape).ravel()
+            bins = np.bincount(shell, weights=val,
                                minlength=rows * (m + 1)).reshape(rows, m + 1)
             out[v, a:a + rows][:, order] = np.cumsum(bins[:, :m], axis=1)
     return out

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import (WeightedPointMeasure, _check_budget, _min_enclosing_ball,
-                       _pair_step, _shell_sums)
+from .measures import (WeightedPointMeasure, _block_rows, _check_budget,
+                       _min_enclosing_ball, _pair_step, _shell_sums)
 from .multiscale import (DEFAULT_KAPPA, EnergyReport, ScaleGrid, as_atom_indices,
                          _check_p, _floor_for)
 
@@ -197,7 +197,8 @@ def beta_inf(measure: WeightedPointMeasure, x, r: float) -> tuple[float, LineFit
 def _beta2_profile(measure, centers, radii):
     """beta_2(c, r)^2 for every center c and radius r, from the weighted
     zeroth, first and second moments of dy = x - c summed over closed balls in
-    one radial-shell pass. Shape (n_centers, n_radii)."""
+    one radial-shell pass: an iterator of (a, b2), b2 of shape (rows, n_radii)
+    at centers[a:a + rows] (`_shell_sums`)."""
     radii = np.asarray(radii, dtype=float)
     d = measure.dim
     lower = [(a, b) for a in range(d) for b in range(a + 1)]
@@ -206,17 +207,25 @@ def _beta2_profile(measure, centers, radii):
         wdy = [w * v for v in dy]
         return [w] + wdy + [wdy[a] * dy[b] for a, b in lower]
 
-    sums = _shell_sums(measure.points, measure.weights, centers, radii, moments,
-                       1 + d + len(lower))
-    s0 = sums[0]
-    mean = sums[1:1 + d] / s0
-    scatter = np.empty(s0.shape + (d, d))
-    for k, (a, b) in enumerate(lower):
-        scatter[..., a, b] = scatter[..., b, a] = (sums[1 + d + k]
-                                                   - s0 * mean[a] * mean[b])
-    lam = np.linalg.eigvalsh(scatter)
-    moment = np.clip(lam[..., :-1].sum(axis=-1), 0.0, None)
-    return moment / radii ** 3
+    for a, sums in _shell_sums(measure.points, measure.weights, centers, radii, moments,
+                               1 + d + len(lower)):
+        s0 = sums[0]
+        mean = sums[1:1 + d] / s0
+        scatter = np.empty(s0.shape + (d, d))
+        for k, (i, j) in enumerate(lower):
+            scatter[..., i, j] = scatter[..., j, i] = (sums[1 + d + k]
+                                                       - s0 * mean[i] * mean[j])
+        lam = np.linalg.eigvalsh(scatter)
+        moment = np.clip(lam[..., :-1].sum(axis=-1), 0.0, None)
+        yield a, moment / radii ** 3
+
+
+def _beta_p_profile(measure, centers, radii, p):
+    """beta_p(c, r)^2 from `beta_p`'s scans, as `_beta2_profile` gives beta_2."""
+    rows = _block_rows(len(centers), len(radii))
+    for a in range(0, len(centers), rows):
+        yield a, np.array([[beta_p(measure, c, r, p)[0] ** 2 for r in radii]
+                           for c in centers[a:a + rows]]).reshape(-1, len(radii))
 
 
 def _check_scan_budget(measure, evals, radii, p):
@@ -249,14 +258,24 @@ def beta_energy(measure: WeightedPointMeasure, grid: ScaleGrid, p: float = 2.0,
     sample = cells.samples
     tail_r = max(cells.radii[-1] * grid.q, floor)
     radii = np.append(sample, tail_r)
+    centers = measure.points[eval_indices]
     if p == 2.0:
-        b2 = _beta2_profile(measure, measure.points[eval_indices], radii)
+        profile = _beta2_profile(measure, centers, radii)
     else:
         _check_scan_budget(measure, len(wc), len(radii), p)
-        b2 = np.array([[beta_p(measure, measure.points[i], r, p)[0] ** 2 for r in radii]
-                       for i in eval_indices]).reshape(len(wc), len(radii))
-    per_scale = (b2[:, :-1] * cells.cell_widths(floor) * wc[:, None]).sum(axis=0)
-    tail = float((wc * b2[:, -1]).sum()) * p / (2.0 * (p + 1.0))
+        profile = _beta_p_profile(measure, centers, radii, p)
+    # per block: its rows' profile at R, and its cells added to the running
+    # per-scale sums row after row (`multiscale._energies`)
+    widths = cells.cell_widths(floor)
+    per_scale, at_tail = np.zeros(len(sample)), np.empty(len(wc))
+    for a, b2 in profile:
+        rows = slice(a, a + len(b2))
+        at_tail[rows] = b2[:, -1]
+        cell = b2[:, :-1] * widths * wc[rows, None]
+        cell[0] += per_scale
+        cell.sum(axis=0, out=per_scale)
+        del b2, cell
+    tail = float((wc * at_tail).sum()) * p / (2.0 * (p + 1.0))
     return EnergyReport.assemble("beta", None, p, grid, measure, kappa, floor, len(wc),
                                  list(zip(sample.tolist(), per_scale.tolist())),
                                  tail=tail)

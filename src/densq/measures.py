@@ -338,23 +338,45 @@ def mass_in_ball(index: BallIndex, center, r: float) -> float:
 
 def ball_masses(measure: WeightedPointMeasure, centers: np.ndarray,
                 radii: np.ndarray) -> np.ndarray:
-    """(n_centers, n_radii) matrix of closed-ball masses.
-
-    Dispatches to interval counting for segment-lattice measures, otherwise to
-    a chunked radial-shell pass (`_shell_sums`) that sums the weights shell by
-    shell, or for a measure of one weight w counts its atoms and rounds each
-    count n once to n * w. Both use the |x-c|^2 <= r^2 predicate.
-    """
+    """(n_centers, n_radii) matrix of closed-ball masses: the blocks of
+    `_mass_blocks`, written one after another."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     radii = np.asarray(radii, dtype=float)
+    out = np.empty((len(centers), len(radii)))
+    for a, (mass,) in _mass_blocks((measure,), centers, radii):
+        out[a:a + len(mass)] = mass
+    return out
+
+
+def _mass_blocks(family, centers, radii):
+    """Closed-ball masses of each measure of `family` (a measure and its
+    reweightings: they share their atoms), a block of centers at a time.
+
+    Returns an iterator of (a, masses): masses[k] is the (rows, n_radii)
+    matrix of family[k] at centers[a:a + rows], valid until the next block is
+    asked for. Segment-lattice measures are counted by interval arithmetic,
+    each segment once for the whole family (`_segment_ball_masses`); others
+    run a radial-shell pass each (`_shell_sums`) that sums the weights shell
+    by shell, or for a measure of one weight w counts its atoms and rounds
+    each count n once to n * w. All use the |x-c|^2 <= r^2 predicate.
+    """
     if not np.all(radii >= 0):
         raise ValueError("radii must be nonnegative (and not nan)")
-    if measure.segments is not None:
-        return _segment_ball_masses(measure.points, [measure.segments], centers, radii)[0]
-    count = _exact_per_ball(measure)    # one weight: count the atoms
-    out = _shell_sums(measure.points, measure.weights, centers, radii,
-                      lambda diff, d2, w: [None if count else w], 1)[0]
-    return np.multiply(out, measure.weights[0], out=out) if count else out
+    if family[0].segments is not None:
+        return _segment_ball_masses(family[0].points, [m.segments for m in family],
+                                    centers, radii)
+    passes = zip(*(_shell_masses(m, centers, radii) for m in family))
+    return ((blocks[0][0], [mass for _, mass in blocks]) for blocks in passes)
+
+
+def _shell_masses(measure, centers, radii):
+    """(a, masses) blocks of one measure's radial-shell pass."""
+    # a measure of one weight w counts its atoms (a None value) and scales by w
+    w = measure.weights[0] if _exact_per_ball(measure) else None
+    sums = _shell_sums(measure.points, measure.weights, centers, radii,
+                       lambda diff, d2, kept: [kept if w is None else None], 1)
+    return ((a, out[0] if w is None else np.multiply(out[0], w, out=out[0]))
+            for a, out in sums)
 
 
 def _exact_per_ball(measure):
@@ -364,16 +386,26 @@ def _exact_per_ball(measure):
     return measure.segments is not None or np.ptp(measure.weights) == 0
 
 
+def _block_rows(n, cells):
+    """Centers per block of a blocked pass whose blocks hold `cells` values
+    per center: _BLOCK_CELLS in all, at least one center and at most n."""
+    return max(1, min(n, _BLOCK_CELLS // max(cells, 1)))
+
+
 def _shell_sums(points, weights, centers, radii, values, n_values):
-    """Sums of per-(center, atom) values over closed balls, from one pass.
+    """Sums of per-(center, atom) values over closed balls, from one pass, a
+    block of centers at a time.
 
     `values(diff, d2, w)` gets one block of centers and the atoms it keeps:
     `diff[k]` holds the k-th coordinate of x_atom - center and `d2` the
     squared distances, each of shape (block, kept atoms), and `w` the kept
     atoms' weights; it returns `n_values` arrays of that shape (or
-    broadcastable to it), or None to count the atoms. The result has shape
-    (n_values, n_centers, n_radii): entry [v, i, j] sums values[v][i, a] over
-    the atoms a with d2 <= r_j^2.
+    broadcastable to it), or None to count the atoms. Yields (a, sums), one
+    per block of `_block_rows` centers: sums has shape (n_values, rows,
+    n_radii), entry [v, i, j] sums values[v][a + i, atom] over the atoms with
+    d2 <= r_j^2, and is valid until the next block is asked for. The budget
+    check, the radius sort and the shell lookup are done once per pass,
+    before the first block.
 
     Each atom falls in the shell of the first sorted radius it lies within,
     exactly the predicate d2 <= r^2, ties included (`_shell_lookup`); the
@@ -382,13 +414,15 @@ def _shell_sums(points, weights, centers, radii, values, n_values):
     rounding margin): the others lie beyond every radius, in the outer shell
     that is dropped, so leaving them out moves no bit. The work budget counts
     every atom. The coordinate differences, d2 and the shell indices live in
-    buffers allocated once per pass; `values` must not keep them past its call.
+    buffers allocated once per pass, and freed before the last block is
+    handed out; `values` must not keep them past its call.
     """
     radii = np.asarray(radii, dtype=float)
     r2 = radii * radii
     order = np.argsort(r2, kind="stable")
     m, (n, dim) = len(radii), centers.shape
     step = _pair_step(n, len(points) * n_values, "radial-shell (center, atom, value) cells")
+    block_rows = _block_rows(n, m * n_values)
     shell_of = _shell_lookup(r2[order])
     scale = max(np.abs(points).max(), np.abs(centers).max(initial=0.0))
     # the box margin: 1e-9 relative dwarfs the rounding of its bounds and of d2
@@ -396,19 +430,18 @@ def _shell_sums(points, weights, centers, radii, values, n_values):
     pad += 1e-9 * (pad + scale)
     coords = np.ascontiguousarray(points.T)
     cells = min(n * len(points), max(len(points), _BLOCK_CELLS))
-    fbuf, ibuf = np.empty((dim + 2, cells)), np.empty((2, cells), dtype=np.int64)
-    above = np.empty(cells, dtype=bool)
-    out = np.empty((n_values, n, m))
-    for start in range(0, n, step):
-        stop = min(start + step, n)
+    buf = np.empty((n_values, block_rows, m))
+
+    def chunk(out, cs, fbuf, ibuf, above):
+        # the sums at the centers cs into out, from the atoms near them
         xs, w = coords, weights
-        keep = _near_atoms(points, centers[start:stop], pad)
+        keep = _near_atoms(points, cs, pad)
         if not keep.all():
             xs, w = coords[:, keep], weights[keep]
         # blocks of at most _BLOCK_CELLS kept pairs, or one row
         block = max(1, _BLOCK_CELLS // max(xs.shape[1], 1))
-        for a in range(start, stop, block):
-            c = centers[a:min(a + block, stop)]
+        for a in range(0, len(cs), block):
+            c = cs[a:a + block]
             rows = len(c)
             size = rows * xs.shape[1]
             *diff, d2, tmp = (b[:size].reshape(rows, -1) for b in fbuf)
@@ -428,7 +461,16 @@ def _shell_sums(points, weights, centers, radii, values, n_values):
                 bins = np.bincount(shell.ravel(), weights=val,
                                    minlength=rows * (m + 1)).reshape(rows, m + 1)
                 out[v, a:a + rows][:, order] = np.cumsum(bins[:, :m], axis=1)
-    return out
+
+    scratch = (np.empty((dim + 2, cells)), np.empty((2, cells), dtype=np.int64),
+               np.empty(cells, dtype=bool))
+    for a in range(0, n, block_rows):
+        out, cs = buf[:, :min(block_rows, n - a)], centers[a:a + block_rows]
+        for start in range(0, len(cs), step):
+            chunk(out[:, start:start + step], cs[start:start + step], *scratch)
+        if a + block_rows >= n:
+            del scratch     # the last block's reader gets their memory
+        yield a, out
 
 
 def _shell_lookup(r2s):
@@ -491,30 +533,39 @@ def _segment_foot(sg, centers):
 def _segment_ball_masses(points, layouts, centers, radii):
     """Closed-ball masses on segment-lattice measures that share the atoms
     `points` and one segment geometry (a measure and its reweightings), given
-    by their segment lists: per list, the (n_centers, n_radii) matrix
-    sum_s w_s * count_s in segment order, from zeros, where count_s[i, j] is the
-    number of segment s's atoms in the ball (centers[i], radii[j])
-    (`_segment_counts`). The counts depend on the geometry alone, so each
-    segment is counted once for every list, a chunk of centers at a time, and
-    no count outlives its chunk.
+    by their segment lists, a block of centers at a time: yields (a, masses),
+    masses[k] the (rows, n_radii) matrix of list k at
+    centers[a:a + rows], sum_s w_s * count_s in segment order, from zeros,
+    where count_s[i, j] is the number of segment s's atoms in the ball
+    (centers[a + i], radii[j]) (`_segment_counts`). The counts depend on the
+    geometry alone, so each segment is counted once for every list, and no
+    count outlives its block. A block holds 2^15 (center, radius) cells, which
+    keeps the counting temporaries in cache.
     """
     n, m = len(centers), len(radii)
-    outs = [np.zeros((n, m)) for _ in layouts]
-    # 2^15 (center, radius) cells per chunk keep the temporaries in cache
-    rows = max(1, _CHUNK_CELLS // 8 // max(m, 1))
+    rows = _block_rows(n, 2 * m)    # half a shell block: the counting stays in cache
     reach = float(np.sqrt(_sq_rows(centers)).max(initial=0.0))
     ends = list(itertools.accumulate((len(sg.arcs) for sg in layouts[0]), initial=0))
-    for lo, hi, segs in zip(ends, ends[1:], zip(*layouts)):
-        for a, count in _segment_counts(points[lo:hi], segs[0], centers, radii, reach, rows):
+    # one counter per segment, set up once per pass
+    counters = [(_segment_counts(points[lo:hi], segs[0], centers, radii, reach, rows), segs)
+                for lo, hi, segs in zip(ends, ends[1:], zip(*layouts))]
+    bufs = np.empty((len(layouts), rows, m))
+    for a in range(0, n, rows):
+        outs = bufs[:, :min(rows, n - a)]
+        outs.fill(0.0)
+        for counter, segs in counters:
+            count = next(counter)
             for out, sg in zip(outs, segs):
-                out[a:a + rows] += sg.weight * count
-    return outs
+                out += sg.weight * count
+        yield a, list(outs)
 
 
 def _segment_counts(pts, sg, centers, radii, reach, rows):
     """Counts of the atoms `pts` of segment `sg` in the closed balls, `rows`
-    centers at a time: yields (a, count), count[i, j] the atoms in the ball
-    (centers[a + i], radii[j]) as a float. `reach` bounds |c| over the centers.
+    centers at a time: for the chunk at centers[a:a + rows] it yields count,
+    count[i, j] the atoms in the ball (centers[a + i], radii[j]) as a float.
+    `reach` bounds |c| over the centers. The lattice step, the slack and the
+    capped radii are set up once, for every chunk.
 
     A ball meets the segment's line in the arcs [t0 - u, t0 + u],
     u = sqrt(r^2 - p2). Atom k sits near arcs[0] + k * step, so the atoms more
@@ -536,17 +587,18 @@ def _segment_counts(pts, sg, centers, radii, reach, rows):
     scale = reach + float(np.sqrt((sg.origin ** 2).sum())) + max(-arcs[0], arcs[-1])
     tau = (float(np.abs(arcs - (arcs[0] + np.arange(k) * step)).max())
            + c_eps * scale + math.sqrt(c_eps) * scale)
-    t0, p2 = _segment_foot(sg, centers)
-    tq, d = (t0 - arcs[0]) / step, tau / step
+    d = tau / step
     # past 2 * scale a ball holds the whole segment; the cap keeps u finite
     r2_cap = np.minimum(r2, 4.0 * scale * scale)
     for a in range(0, n, rows):
         c = centers[a:a + rows]
-        uq = np.subtract(r2_cap, p2[a:a + rows, None])
+        t0, p2 = _segment_foot(sg, c)
+        tq = (t0[:, None] - arcs[0]) / step
+        uq = np.subtract(r2_cap, p2[:, None])
         np.maximum(uq, 0.0, out=uq)
         np.sqrt(uq, out=uq)
         uq /= step
-        lo, hi = tq[a:a + rows, None] - uq, tq[a:a + rows, None] + uq
+        lo, hi = tq - uq, tq + uq
         # atoms first <= i < stop lie more than tau inside [t0 - u, t0 + u]
         first, stop = lo + d, hi + (1.0 - d)
         np.ceil(first, out=first)
@@ -564,7 +616,7 @@ def _segment_counts(pts, sg, centers, radii, reach, rows):
             _redecide(count, near, np.ceil(lo - d), first, pts, c, r2)
             _redecide(count, near, np.maximum(stop, first), np.floor(hi + d) + 1.0,
                       pts, c, r2)
-        yield a, count
+        yield count
 
 
 def _redecide(count, cell, start, end, pts, centers, r2):

@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import (WeightedPointMeasure, _exact_per_ball, _segment_ball_masses,
-                       _write_csv, ball_masses)
+from .measures import (WeightedPointMeasure, _exact_per_ball, _mass_blocks, _write_csv,
+                       ball_masses)
 
 DEFAULT_KAPPA = 4.0
 
@@ -105,8 +105,12 @@ class ScaleGrid:
         log(min(top, r_j q) / max(r_j, floor)), or 0 for an empty cell. A
         column of per-row tops gives one row of widths per top."""
         lo = np.maximum(self.radii, floor)
-        hi = np.minimum(top, self.radii * self.q)
-        return np.where(hi > lo, np.log(hi / lo), 0.0)
+        width = np.minimum(top, self.radii * self.q)
+        empty = width <= lo
+        width /= lo
+        np.log(width, out=width)
+        width[empty] = 0.0
+        return width
 
     def low_r_clip(self, floor: float) -> dict:
         """A report's `clipped_low_r` record for the resolution floor
@@ -230,10 +234,18 @@ def _density_and_gap(masses, sample, s):
 def _energies(family, s, grids, p, kinds, eval_indices, kappa):
     """Reports of the given kinds for each window of `grids` and, in each, each
     measure of `family` in turn (a measure and its reweightings: they share
-    their atoms), all read from one ball-mass query at every window's sample
-    radii and their doubles. Each report is the same whichever others are
-    asked for with it: a measure whose weighted sums round by the radii they
-    share a pass with (`_exact_per_ball`) gets one query per window."""
+    their atoms), all read from one ball-mass pass at every window's distinct
+    sample radii and their doubles. Each report is the same whichever others
+    are asked for with it: a measure whose weighted sums round by the radii
+    they share a pass with (`_exact_per_ball`) gets one pass per window.
+
+    The pass comes a block of centers at a time, and no (center, radius)
+    matrix outlives its block: each block writes its rows of the per-point
+    sums and adds its column sums to each report's running per-scale sums.
+    The running sums go into the block's first row before its column sum, so
+    the rows are added one after another, as a whole matrix's column sum
+    (of two or more columns) adds them.
+    """
     _check_s(s)
     _check_p(p)
     measure = family[0]
@@ -245,42 +257,68 @@ def _energies(family, s, grids, p, kinds, eval_indices, kappa):
     eval_indices = as_atom_indices(eval_indices, measure.n_atoms)
     centers, far = measure.points[eval_indices], measure.farthest_distances(eval_indices)
     samples = [grid.samples for grid in grids]
-    radii = np.concatenate([r for sample in samples for r in (sample, 2.0 * sample)])
-    if len(family) == 1 or measure.segments is None:
-        masses = [ball_masses(m, centers, radii) for m in family]
-    else:   # each segment counted once for all the weightings
-        masses = _segment_ball_masses(measure.points, [m.segments for m in family],
-                                      centers, radii)
-    reports, col = [], 0
-    for grid, sample in zip(grids, samples):
-        floor = _floor_for(measure, kappa, grid.r_min)
-        # analytic tail begins where the ball is guaranteed to hold the
-        # support, but never before the grid starts
-        T = np.maximum(far, grid.r_min)
-        width = grid.cell_widths(floor, T[:, None])
-        for m, mass in zip(family, masses):
-            th_r, gap = _density_and_gap(mass[:, col:col + 2 * len(sample)], sample, s)
-            wc = m.weights[eval_indices]
-            contrib = np.empty_like(th_r)
-            for kind in kinds:
+    radii, cols = _distinct_columns(
+        np.concatenate([r for sample in samples for r in (sample, 2.0 * sample)]),
+        [2 * len(sample) for sample in samples])
+    floors = [_floor_for(measure, kappa, grid.r_min) for grid in grids]
+    # analytic tail begins where the ball is guaranteed to hold the support,
+    # but never before the grid starts
+    tops = [np.maximum(far, grid.r_min) for grid in grids]
+    wcs = [m.weights[eval_indices] for m in family]
+    # per report, in report order: its running per-scale sums and per-point values
+    sums = [(np.zeros(len(sample)), np.empty(len(centers)))
+            for sample in samples for _ in family for _ in kinds]
+    for a, masses in _mass_blocks(family, centers, radii):
+        rows, acc = slice(a, a + len(masses[0])), iter(sums)
+        for grid, sample, col, floor, T in zip(grids, samples, cols, floors, tops):
+            width = grid.cell_widths(floor, T[rows, None])
+            for wc, mass in zip(wcs, masses):
+                # a view, or a C-ordered copy (mass[:, col] would be F-ordered),
+                # so the row and column sums below add as on the whole matrix
+                th_r, gap = _density_and_gap(
+                    mass[:, col] if isinstance(col, slice) else mass.take(col, axis=1),
+                    sample, s)
+                contrib = np.empty_like(th_r)
+                for kind, (per_scale, per_point) in zip(kinds, acc):
+                    np.abs(gap if kind == "square_function" else th_r, out=contrib)
+                    contrib **= p
+                    contrib *= width
+                    contrib *= wc[rows, None]
+                    contrib.sum(axis=1, out=per_point[rows])
+                    contrib[0] += per_scale
+                    contrib.sum(axis=0, out=per_scale)
+        del masses, th_r, gap, contrib, width     # one block's matrices at a time
+    reports, acc = [], iter(sums)
+    for grid, sample, floor, T in zip(grids, samples, floors, tops):
+        for m, wc in zip(family, wcs):
+            for kind, (per_scale, per_point) in zip(kinds, acc):
                 if kind == "square_function":
-                    np.abs(gap, out=contrib)
                     tail_coeff = (m.total_mass * (1.0 - 2.0 ** (-s))) ** p
                 else:       # wolff
-                    np.abs(th_r, out=contrib)
                     tail_coeff = m.total_mass ** p
-                contrib **= p
-                contrib *= width
-                contrib *= wc[:, None]
                 tail_i = wc * tail_coeff / (p * s * T ** (p * s))
+                per_point += tail_i
                 reports.append(EnergyReport.assemble(
                     kind, s, p, grid, m, kappa, floor, int(len(wc)),
-                    list(zip(sample.tolist(), contrib.sum(axis=0).tolist())),
-                    tail=float(tail_i.sum()),
-                    per_point=contrib.sum(axis=1) + tail_i, eval_indices=eval_indices))
-            del contrib     # one window's matrices at a time
-        col += 2 * len(sample)
+                    list(zip(sample.tolist(), per_scale.tolist())),
+                    tail=float(tail_i.sum()), per_point=per_point,
+                    eval_indices=eval_indices))
     return reports
+
+
+def _distinct_columns(radii, sizes):
+    """(distinct, cols): the distinct `radii` in the order first asked for,
+    and each window's columns among them (the windows' radii come one window
+    after another, `sizes` of them each). A window whose radii are asked for
+    once in all gets them as one run, a slice it may overwrite in place;
+    another gets an index array."""
+    _, first, inverse = np.unique(radii, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    col_of = rank[inverse]
+    once = np.bincount(col_of) == 1
+    return radii[np.sort(first)], [slice(col[0], col[-1] + 1) if once[col].all() else col
+                                   for col in np.split(col_of, np.cumsum(sizes)[:-1])]
 
 
 def square_function_energy(measure: WeightedPointMeasure, s: float, grid: ScaleGrid,

@@ -83,19 +83,40 @@ def truncated_riesz(measure: WeightedPointMeasure, x, pair: TruncationPair,
 
 def _pair_energy_matrix(measure, s, radii, eval_indices):
     """E[a, b] = sum_i w_i |R_(r_a, r_b)(x_i)|^2 for all a < b, from the
-    kernel sums over the closed balls B(x_i, r_a)."""
+    kernel sums over the closed balls B(x_i, r_a), a block of evaluation atoms
+    at a time: each block adds its column sums to the running rows of E, as
+    `multiscale._energies` adds its per-scale sums. The last pair's terms are
+    one column, whose sum numpy takes pairwise, so they are kept whole."""
     pts, w = measure.points, measure.weights
     eval_indices = as_atom_indices(eval_indices, measure.n_atoms)
     m = len(radii)
-    # S[i, a] = sum of w K(x - x_i) over the closed ball B(x_i, r_a)
-    S = np.moveaxis(_shell_sums(pts, w, pts[eval_indices], radii,
-                                lambda diff, d2, wk: [k * wk for k in _kernel(diff, d2, s)],
-                                measure.dim), 0, -1)
     we = w[eval_indices]
-    E = np.zeros((m, m))
-    for ai in range(m):
-        dS = S[:, ai + 1:, :] - S[:, ai, None, :]
-        E[ai, ai + 1:] = ((dS ** 2).sum(-1) * we[:, None]).sum(axis=0)
+    E, last = np.zeros((m, m)), np.empty(len(eval_indices))
+
+    def weighted(diff, d2, wk):
+        kernel = _kernel(diff, d2, s)
+        for k in kernel:
+            k *= wk
+        return kernel
+
+    # S[k][i, a] = sum of w K_k(x - x_i) over the closed ball B(x_i, r_a)
+    for start, S in _shell_sums(pts, w, pts[eval_indices], radii, weighted, measure.dim):
+        rows = slice(start, start + S.shape[1])
+        for a in range(m - 1):
+            # |S_b - S_a|^2 one coordinate at a time, as `_sq_rows` adds them
+            dS = S[0][:, a + 1:] - S[0][:, a, None]
+            sq = np.square(dS, out=dS)
+            for Sk in S[1:]:
+                dS = Sk[:, a + 1:] - Sk[:, a, None]
+                sq += np.square(dS, out=dS)
+            sq *= we[rows, None]
+            if a == m - 2:
+                last[rows] = sq[:, 0]
+            else:
+                sq[0] += E[a, a + 1:]
+                sq.sum(axis=0, out=E[a, a + 1:])
+    if m > 1:
+        E[m - 2, m - 1] = last.sum()
     return E
 
 
@@ -130,10 +151,15 @@ def sup_riesz_energy(measure: WeightedPointMeasure, s: float, scale_grid: ScaleG
     if len(radii) < 2:
         raise ValueError(f"need at least two usable radii; max_radii={max_radii}")
     E = _pair_energy_matrix(measure, s, radii, eval_indices)
-    ai, bi = np.unravel_index(int(np.argmax(E)), E.shape)
-    grid_list = [(float(radii[a]), float(radii[b]), float(E[a, b]))
-                 for a in range(len(radii)) for b in range(a + 1, len(radii))]
+    # the pairs a < b in row-major order; the first largest wins, so all-zero
+    # energies give (r_0, r_1)
+    pairs = np.triu_indices(len(radii), 1)
+    energies = E[pairs].tolist()
+    k = int(np.argmax(energies))
+    ai, bi = pairs[0][k], pairs[1][k]
+    grid_list = [(float(radii[a]), float(radii[b]), e)
+                 for a, b, e in zip(*pairs, energies)]
     best = TruncationPair(float(radii[ai]), float(radii[bi]))
-    return RieszEnergyReport(s=s, best_pair=best, energy_at_best=float(E[ai, bi]),
+    return RieszEnergyReport(s=s, best_pair=best, energy_at_best=energies[k],
                              grid_of_pairs=grid_list,
                              grid_radii=[float(r) for r in radii])

@@ -5,6 +5,17 @@ from densq import WeightedPointMeasure
 from densq import measures as ms
 
 
+def whole(blocks):
+    """The matrices of a blocked pass's (a, block) pairs, each block copied as
+    it comes (the engines reuse their buffers) and stacked in order: one
+    matrix for an array block, one per entry for a list of them."""
+    parts = [[b.copy() for b in block] if isinstance(block, list) else block.copy()
+             for _, block in blocks]
+    if parts and isinstance(parts[0], list):
+        return [np.concatenate(col) for col in zip(*parts)]
+    return np.concatenate(parts)
+
+
 def brute_ball_atoms(measure, center, r):
     """Reference membership: squared-distance closed-ball scan."""
     center = np.asarray(center, dtype=float)

@@ -20,7 +20,7 @@ from densq import betas as bt
 from densq import line_search as ls
 from densq.betas import _beta2_profile
 
-from conftest import brute_ball_atoms, brute_mass, random_measure
+from conftest import brute_ball_atoms, brute_mass, random_measure, whole
 from test_measures import tie_radii
 
 
@@ -287,7 +287,7 @@ def test_beta2_profile_matches_beta2_at_tie_radii(rng):
     m = WeightedPointMeasure(pts, rng.integers(1, 5, size=80).astype(float))
     centers = m.points[:6]
     radii = tie_radii(m.points, centers)
-    prof = _beta2_profile(m, centers, radii)
+    prof = whole(_beta2_profile(m, centers, radii))
     for i, c in enumerate(centers):
         for j, r in enumerate(radii):
             val, _ = beta2(m, c, r)

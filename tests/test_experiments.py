@@ -131,20 +131,26 @@ def test_comparability_quick_structure(tmp_path):
 def test_each_measure_gets_one_ball_mass_pass(monkeypatch):
     # comparability: per s, the deep Cantor set once for its full grid and the
     # common window, the shallow one once; integer degeneracy: per resolution,
-    # one pass for every widen range and the fixed range
+    # one pass for every widen range and the fixed range, each distinct
+    # radius counted once
     import densq.multiscale as msc
-    calls, real = [], msc.ball_masses
+    calls, real = [], msc._mass_blocks
 
-    def counted(measure, centers, radii):
-        calls.append(measure.n_atoms)
-        return real(measure, centers, radii)
+    def counted(family, centers, radii):
+        assert len(np.unique(radii)) == len(radii)
+        calls.append((family[0].n_atoms, len(radii)))
+        return real(family, centers, radii)
 
-    monkeypatch.setattr(msc, "ball_masses", counted)
+    monkeypatch.setattr(msc, "_mass_blocks", counted)
     run_comparability({"s_list": [0.5, 0.7, 1.2, 1.5], "depth": 3, "drift_depth": 2})
-    assert calls == [64, 16] * 4
+    assert [n for n, _ in calls] == [64, 16] * 4
     calls.clear()
     run_integer_degeneracy({"resolutions": [101, 201], "widen_factors": [1, 4, 16]})
-    assert calls == [101, 201]
+    assert [n for n, _ in calls] == [101, 201]
+    calls.clear()
+    # the default resolutions ask for 66 and 130 radii, 60 and 90 of them distinct
+    run_integer_degeneracy({})
+    assert calls == [(251, 60), (1001, 90)]
 
 
 def test_integer_degeneracy_quick():

@@ -30,7 +30,7 @@ from densq import (
 )
 from densq.measures import _merge_duplicates, _min_enclosing_ball
 
-from conftest import brute_ball_atoms, brute_mass, random_measure
+from conftest import brute_ball_atoms, brute_mass, random_measure, whole
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +507,7 @@ def test_chunk_bound_moves_no_result(monkeypatch, rng):
         return (ball_masses(m, m.points, radii).tobytes(),
                 ball_masses(tent, tent.points, radii).tobytes(),
                 json.dumps(rep.to_json_dict(), sort_keys=True),
-                betas._beta2_profile(m, m.points, radii[1:]).tobytes(),
+                whole(betas._beta2_profile(m, m.points, radii[1:])).tobytes(),
                 m.farthest_distances().tobytes(),
                 (width, direction.tobytes(), point.tobytes()))
 
@@ -533,7 +533,7 @@ def test_shell_pruning_moves_no_bit(monkeypatch, rng):
         return (ball_masses(m, m.points, radii).tobytes(),
                 ball_masses(generic_tent, tent.points, radii).tobytes(),
                 json.dumps(rep.to_json_dict(), sort_keys=True),
-                betas._beta2_profile(m, m.points, radii[1:]).tobytes())
+                whole(betas._beta2_profile(m, m.points, radii[1:])).tobytes())
 
     def counted(points, centers, pad):
         keep = near(points, centers, pad)

@@ -328,7 +328,7 @@ def test_energies_reject_p_outside_one_to_infinity(monkeypatch, p):
     def no_profile(*args, **kwargs):
         raise AssertionError("profile work before the p check")
 
-    monkeypatch.setattr(densq.multiscale, "ball_masses", no_profile)
+    monkeypatch.setattr(densq.multiscale, "_mass_blocks", no_profile)
     monkeypatch.setattr(densq.betas, "_beta2_profile", no_profile)
     m = build_cantor(2, 0.5, 3)
     grid = ScaleGrid(0.01, 1.0, 1.1)

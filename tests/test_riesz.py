@@ -158,6 +158,32 @@ def test_sup_riesz_two_atoms_bracket():
     assert rep.to_json_dict()["sup_is_lower_bound"] is True
 
 
+def _zero_report(rep, grid):
+    radii = grid.radii
+    assert (rep.best_pair.eps1, rep.best_pair.eps2) == (radii[0], radii[1])
+    assert rep.energy_at_best == 0.0
+    assert all(e == 0.0 for _, _, e in rep.grid_of_pairs)
+
+
+def test_sup_riesz_of_one_atom_is_zero_at_the_first_pair():
+    # every pair energy is 0: the best pair used to be (r_0, r_0), which
+    # raised "need 0 < eps1 < eps2"
+    grid = ScaleGrid(0.1, 1.0, 1.5)
+    _zero_report(sup_riesz_energy(build_dirac(2, [0.3, -0.2], 2.0), 0.7, grid), grid)
+
+
+def test_sup_riesz_of_atoms_beyond_every_radius_is_zero_at_the_first_pair():
+    m = WeightedPointMeasure(np.array([[0.0, 0.0], [5.0, 0.0]]), np.array([1.0, 2.0]))
+    grid = ScaleGrid(0.1, 1.0, 1.5)
+    _zero_report(sup_riesz_energy(m, 0.5, grid, kappa=0.0), grid)
+
+
+def test_sup_riesz_with_no_evaluation_atoms_is_zero_at_the_first_pair():
+    m = build_cantor(2, 0.5, 3)
+    grid = ScaleGrid(4.0 * m.min_spacing, 1.0, 1.3)
+    _zero_report(sup_riesz_energy(m, 0.5, grid, eval_indices=[]), grid)
+
+
 def test_sup_riesz_monotone_refinement(rng):
     m = random_measure(rng, n=25)
     coarse = ScaleGrid(0.1, 2.0, 1.44)

@@ -19,6 +19,8 @@ from densq import experiments as ex
 from densq import measures as ms
 from densq import multiscale as msc
 
+from conftest import whole
+
 
 def _reference_mu_alpha(alpha, half_extent, spacing):
     """The mu_alpha tent sampled directly: midpoints of each edge, weight
@@ -156,7 +158,7 @@ def test_one_query_for_two_weightings_gives_the_bytes_of_single_queries(seed):
     g, fresh, factors = _tent_case(seed) if seed < 4 else _long_polyline_case()
     centers, radii = _tie_query(g, seed)
     m = g.reweighted(factors)
-    both = ms._segment_ball_masses(g.points, [g.segments, m.segments], centers, radii)
+    both = whole(ms._segment_ball_masses(g.points, [g.segments, m.segments], centers, radii))
     assert len(both) == 2
     assert both[0].tobytes() == ball_masses(g, centers, radii).tobytes()
     assert both[1].tobytes() == ball_masses(fresh, centers, radii).tobytes()

@@ -31,9 +31,10 @@ PAIR_BUDGET = 2 ** 31
 # bins together): bounds the temporaries to a few MB each, and moves no result
 _CHUNK_CELLS = 2 ** 18
 
-# kept pairs per block of a radial-shell chunk, entries of the largest bucket
-# table of its shell lookup, and (atom, edge) cells per block of the 2-d hull's
-# octagon filter (`geometry.hull_2d`): each stays within about 1 MB, in cache
+# kept (pair, value) cells per block of a radial-shell chunk, entries of the
+# largest bucket table of its shell lookup, and (atom, edge) cells per block of
+# the 2-d hull's octagon filter (`geometry.hull_2d`): each stays within about
+# 1 MB, in cache
 _BLOCK_CELLS = _SHELL_TABLE_CAP = 2 ** 16
 
 # relative and absolute slack of the smallest enclosing ball's containment test
@@ -274,9 +275,12 @@ def _merge_duplicates(points, weights):
     """Merge exactly-equal points (first-occurrence order), summing weights in
     index order."""
     order = np.lexsort(points.T)
-    ps = points[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (ps[1:] != ps[:-1]).any(axis=1)
+    # a sorted atom is new where any coordinate differs from its predecessor's
+    new = np.zeros(len(order), dtype=bool)
+    new[0] = True
+    for col in points.T:
+        col = col[order]
+        new[1:] |= col[1:] != col[:-1]
     if new.all():
         return points, weights, False
     inverse = np.empty(len(order), dtype=np.intp)
@@ -360,6 +364,9 @@ def _mass_blocks(family, centers, radii):
     by shell, or for a measure of one weight w counts its atoms and rounds
     each count n once to n * w. All use the |x-c|^2 <= r^2 predicate.
     """
+    dim = family[0].dim
+    if centers.ndim != 2 or centers.shape[1] != dim or not np.isfinite(centers).all():
+        raise ValueError(f"centers must be finite vectors of length {dim}")
     if not np.all(radii >= 0):
         raise ValueError("radii must be nonnegative (and not nan)")
     if family[0].segments is not None:
@@ -371,10 +378,10 @@ def _mass_blocks(family, centers, radii):
 
 def _shell_masses(measure, centers, radii):
     """(a, masses) blocks of one measure's radial-shell pass."""
-    # a measure of one weight w counts its atoms (a None value) and scales by w
+    # a measure of one weight w counts its atoms (no weights) and scales by w
     w = measure.weights[0] if _exact_per_ball(measure) else None
-    sums = _shell_sums(measure.points, measure.weights, centers, radii,
-                       lambda diff, d2, kept: [kept if w is None else None], 1)
+    sums = _shell_sums(measure.points, measure.weights if w is None else None, centers,
+                       radii, None, 1)
     return ((a, out[0] if w is None else np.multiply(out[0], w, out=out[0]))
             for a, out in sums)
 
@@ -400,10 +407,12 @@ def _shell_sums(points, weights, centers, radii, values, n_values):
     `diff[k]` holds the k-th coordinate of x_atom - center and `d2` the
     squared distances, each of shape (block, kept atoms), and `w` the kept
     atoms' weights; it returns `n_values` arrays of that shape (or
-    broadcastable to it), or None to count the atoms. Yields (a, sums), one
-    per block of `_block_rows` centers: sums has shape (n_values, rows,
-    n_radii), entry [v, i, j] sums values[v][a + i, atom] over the atoms with
-    d2 <= r_j^2, and is valid until the next block is asked for. The budget
+    broadcastable to it), or None to count the atoms. `values` None sums the
+    weights (counts the atoms if `weights` is None too), and the pass keeps
+    no coordinate differences. Yields (a, sums), one per block of
+    `_block_rows` centers: sums has shape (n_values, rows, n_radii), entry
+    [v, i, j] sums values[v][a + i, atom] over the atoms with d2 <= r_j^2,
+    and is valid until the next block is asked for. The budget
     check, the radius sort and the shell lookup are done once per pass,
     before the first block.
 
@@ -413,9 +422,12 @@ def _shell_sums(points, weights, centers, radii, values, n_values):
     atoms inside its centers' bounding box grown by the largest radius (and a
     rounding margin): the others lie beyond every radius, in the outer shell
     that is dropped, so leaving them out moves no bit. The work budget counts
-    every atom. The coordinate differences, d2 and the shell indices live in
-    buffers allocated once per pass, and freed before the last block is
-    handed out; `values` must not keep them past its call.
+    every atom. A block of a chunk holds at most _BLOCK_CELLS kept (pair,
+    value) cells, or one row: rows are never split, so each row's values are
+    binned in atom order whatever the block size. The coordinate differences,
+    d2, the shell indices and the lookup's scratch live in one scratch set
+    sized once per pass for the largest block, and freed before the last block
+    is handed out; `values` must not keep them past its call.
     """
     radii = np.asarray(radii, dtype=float)
     r2 = radii * radii
@@ -429,7 +441,9 @@ def _shell_sums(points, weights, centers, radii, values, n_values):
     pad = radii.max(initial=0.0)
     pad += 1e-9 * (pad + scale)
     coords = np.ascontiguousarray(points.T)
-    cells = min(n * len(points), max(len(points), _BLOCK_CELLS))
+    n_diff = 0 if values is None else dim
+    # a block's kept pairs: at most _BLOCK_CELLS // n_values, or one row
+    cells = min(min(n, step) * len(points), max(len(points), _BLOCK_CELLS // n_values))
     buf = np.empty((n_values, block_rows, m))
 
     def chunk(out, cs, fbuf, ibuf, above):
@@ -437,32 +451,33 @@ def _shell_sums(points, weights, centers, radii, values, n_values):
         xs, w = coords, weights
         keep = _near_atoms(points, cs, pad)
         if not keep.all():
-            xs, w = coords[:, keep], weights[keep]
-        # blocks of at most _BLOCK_CELLS kept pairs, or one row
-        block = max(1, _BLOCK_CELLS // max(xs.shape[1], 1))
+            xs, w = coords[:, keep], None if weights is None else weights[keep]
+        block = max(1, _BLOCK_CELLS // max(xs.shape[1] * n_values, 1))
         for a in range(0, len(cs), block):
             c = cs[a:a + block]
             rows = len(c)
             size = rows * xs.shape[1]
             *diff, d2, tmp = (b[:size].reshape(rows, -1) for b in fbuf)
-            for k in range(dim):
-                np.subtract(xs[k], c[:, k, None], out=diff[k])
-            # one coordinate at a time (as `BallIndex.sq_dist`) rounds exactly as
-            # .sum(-1), which brute-force scans use, without its slow strided reduce
-            np.square(diff[0], out=d2)
-            for dk in diff[1:]:
-                d2 += np.square(dk, out=tmp)
-            shell = shell_of(d2.ravel(), ibuf[0, :size], ibuf[1, :size], tmp.ravel(),
+            # d2 one coordinate at a time (as `BallIndex.sq_dist`) rounds exactly as
+            # .sum(-1), which brute-force scans use, without its slow strided
+            # reduce; the differences stay in diff only where `values` reads them
+            for k, dk in enumerate(diff or [d2] + [tmp] * (dim - 1)):
+                np.subtract(xs[k], c[:, k, None], out=dk)
+                if k == 0:
+                    np.square(dk, out=d2)
+                else:
+                    d2 += np.square(dk, out=tmp)
+            shell = shell_of(d2.ravel(), ibuf[:size], tmp.ravel().view(np.int64),
                              above[:size]).reshape(rows, -1)
             shell += (np.arange(rows) * (m + 1))[:, None]
-            for v, val in enumerate(values(diff, d2, w)):
+            for v, val in enumerate([w] if values is None else values(diff, d2, w)):
                 if val is not None:
                     val = np.broadcast_to(val, d2.shape).ravel()
                 bins = np.bincount(shell.ravel(), weights=val,
                                    minlength=rows * (m + 1)).reshape(rows, m + 1)
                 out[v, a:a + rows][:, order] = np.cumsum(bins[:, :m], axis=1)
 
-    scratch = (np.empty((dim + 2, cells)), np.empty((2, cells), dtype=np.int64),
+    scratch = (np.empty((n_diff + 2, cells)), np.empty(cells, dtype=np.int64),
                np.empty(cells, dtype=bool))
     for a in range(0, n, block_rows):
         out, cs = buf[:, :min(block_rows, n - a)], centers[a:a + block_rows]
@@ -474,15 +489,16 @@ def _shell_sums(points, weights, centers, radii, values, n_values):
 
 
 def _shell_lookup(r2s):
-    """For sorted nonnegative r2s, a function shell(d2, out, key, cut, above)
+    """For sorted nonnegative r2s, a function shell(d2, out, key, above)
     returning searchsorted(r2s, d2, side="left") for nonnegative d2, in the
-    int64 `out` when a table serves (key, cut, above: int64, float and bool
-    scratch of d2's length).
+    int64 `out` when a table serves (key, above: int64 and bool scratch of
+    d2's length; key is overwritten).
 
     Nonnegative doubles order as their int64 bits. At the coarsest `shift`
     that gives each radius a bucket of its own, tab[b] counts the radii below
     bucket b = bits >> shift (less r2s[0]'s, clipped); d2 lies above those and
-    at most one more, which d2 > r2s[tab[b]] decides. Radii no table of
+    at most one more, which d2 > r2s[tab[b]] decides (r2s[len] = inf), read
+    into key's memory once tab[b] is in `out`. Radii no table of
     _SHELL_TABLE_CAP entries separates (duplicates, near-ties far from the
     rest) keep the binary search."""
     bits = r2s.view(np.int64)
@@ -492,13 +508,13 @@ def _shell_lookup(r2s):
         return lambda d2, *_: np.searchsorted(r2s, d2, side="left")
     lo = bits[0] >> shift
     tab = np.searchsorted(bits >> shift, np.arange(lo, (bits[-1] >> shift) + 1), side="left")
-    cuts = np.append(r2s, np.inf)[tab]
+    cuts = np.append(r2s, np.inf)
 
-    def shell(d2, out, key, cut, above):
+    def shell(d2, out, key, above):
         np.right_shift(d2.view(np.int64), shift, out=key)
         key -= lo
         np.take(tab, key, out=out, mode="clip")
-        np.take(cuts, key, out=cut, mode="clip")
+        cut = np.take(cuts, out, out=key.view(np.float64), mode="clip")
         out += np.greater(d2, cut, out=above)
         return out
     return shell
@@ -538,34 +554,46 @@ def _segment_ball_masses(points, layouts, centers, radii):
     centers[a:a + rows], sum_s w_s * count_s in segment order, from zeros,
     where count_s[i, j] is the number of segment s's atoms in the ball
     (centers[a + i], radii[j]) (`_segment_counts`). The counts depend on the
-    geometry alone, so each segment is counted once for every list, and no
-    count outlives its block. A block holds 2^15 (center, radius) cells, which
-    keeps the counting temporaries in cache.
+    geometry alone, so each segment is counted once for every list, and its
+    count is added to every list before the next segment counts.
+
+    Every segment counts into one scratch set of the pass, so the pass holds
+    the same memory whatever its segment count. A block holds 2^15 (center,
+    radius) cells, which keeps the scratch in cache; it is freed before the
+    last block is handed out.
     """
     n, m = len(centers), len(radii)
+    r2 = radii * radii
     rows = _block_rows(n, 2 * m)    # half a shell block: the counting stays in cache
     reach = float(np.sqrt(_sq_rows(centers)).max(initial=0.0))
     ends = list(itertools.accumulate((len(sg.arcs) for sg in layouts[0]), initial=0))
     # one counter per segment, set up once per pass
-    counters = [(_segment_counts(points[lo:hi], segs[0], centers, radii, reach, rows), segs)
+    counters = [(_segment_counts(points[lo:hi], segs[0], reach, r2), segs)
                 for lo, hi, segs in zip(ends, ends[1:], zip(*layouts))]
     bufs = np.empty((len(layouts), rows, m))
+    scratch = np.empty((5, rows * m)), np.empty((2, rows * m), dtype=bool)
     for a in range(0, n, rows):
-        outs = bufs[:, :min(rows, n - a)]
+        c = centers[a:a + rows]
+        outs = bufs[:, :len(c)]
         outs.fill(0.0)
-        for counter, segs in counters:
-            count = next(counter)
+        for count_at, segs in counters:
+            count, product = count_at(c, *scratch)
             for out, sg in zip(outs, segs):
-                out += sg.weight * count
+                out += np.multiply(count, sg.weight, out=product)
+        if a + rows >= n:
+            del scratch     # the last block's reader gets its memory
         yield a, list(outs)
 
 
-def _segment_counts(pts, sg, centers, radii, reach, rows):
-    """Counts of the atoms `pts` of segment `sg` in the closed balls, `rows`
-    centers at a time: for the chunk at centers[a:a + rows] it yields count,
-    count[i, j] the atoms in the ball (centers[a + i], radii[j]) as a float.
-    `reach` bounds |c| over the centers. The lattice step, the slack and the
-    capped radii are set up once, for every chunk.
+def _segment_counts(pts, sg, reach, r2):
+    """A counter of the atoms `pts` of segment `sg` in the closed balls of
+    squared radii `r2`, at centers whose |c| `reach` bounds: count_at(c,
+    fbuf, bbuf) returns (count, free), count[i, j] the atoms in the ball
+    (c[i], sqrt(r2[j])) as a float, and free a scratch matrix of its shape
+    that count_at no longer needs. Both are views of the float scratch fbuf
+    (five rows of at least len(c) * len(r2) cells; bbuf holds two bool rows),
+    valid until its next call. The lattice step, the slack and the capped
+    radii are set up once, for every call.
 
     A ball meets the segment's line in the arcs [t0 - u, t0 + u],
     u = sqrt(r^2 - p2). Atom k sits near arcs[0] + k * step, so the atoms more
@@ -580,8 +608,7 @@ def _segment_counts(pts, sg, centers, radii, reach, rows):
     (sqrt(16 eps) S); S bounds |x_i - c| over the segment's atoms and the
     centers.
     """
-    r2 = radii * radii
-    n, arcs, k = len(centers), sg.arcs, len(sg.arcs)
+    arcs, k = sg.arcs, len(sg.arcs)
     c_eps = 16 * np.finfo(float).eps
     step = (arcs[-1] - arcs[0]) / (k - 1) if k > 1 else 1.0
     scale = reach + float(np.sqrt((sg.origin ** 2).sum())) + max(-arcs[0], arcs[-1])
@@ -590,33 +617,38 @@ def _segment_counts(pts, sg, centers, radii, reach, rows):
     d = tau / step
     # past 2 * scale a ball holds the whole segment; the cap keeps u finite
     r2_cap = np.minimum(r2, 4.0 * scale * scale)
-    for a in range(0, n, rows):
-        c = centers[a:a + rows]
+
+    def count_at(c, fbuf, bbuf):
+        size, shape = len(c) * len(r2), (len(c), len(r2))
+        uq, lo, hi, first, stop = (b[:size].reshape(shape) for b in fbuf)
+        lower, upper = (b[:size].reshape(shape) for b in bbuf)
         t0, p2 = _segment_foot(sg, c)
         tq = (t0[:, None] - arcs[0]) / step
-        uq = np.subtract(r2_cap, p2[:, None])
+        np.subtract(r2_cap, p2[:, None], out=uq)
         np.maximum(uq, 0.0, out=uq)
         np.sqrt(uq, out=uq)
         uq /= step
-        lo, hi = tq - uq, tq + uq
+        np.subtract(tq, uq, out=lo)
+        np.add(tq, uq, out=hi)
         # atoms first <= i < stop lie more than tau inside [t0 - u, t0 + u]
-        first, stop = lo + d, hi + (1.0 - d)
-        np.ceil(first, out=first)
-        np.floor(stop, out=stop)
+        np.ceil(np.add(lo, d, out=first), out=first)
+        np.floor(np.add(hi, 1.0 - d, out=stop), out=stop)
         # cells with an atom within tau of an end: first - 1 >= lo - d or
         # stop <= hi + d
-        near = np.flatnonzero((first - lo >= 1.0 - d) | (stop - hi <= d))
+        np.greater_equal(np.subtract(first, lo, out=uq), 1.0 - d, out=lower)
+        np.less_equal(np.subtract(stop, hi, out=uq), d, out=upper)
+        near = np.flatnonzero(np.logical_or(lower, upper, out=lower))
         np.clip(first, 0, k, out=first)
         np.clip(stop, 0, k, out=stop)
-        count = np.maximum(stop - first, 0.0)
+        count = np.maximum(np.subtract(stop, first, out=uq), 0.0, out=uq)
         if near.size:
-            lo, hi = lo.reshape(-1)[near], hi.reshape(-1)[near]
-            first, stop = first.reshape(-1)[near], stop.reshape(-1)[near]
+            lo_n, hi_n, first_n, stop_n = (b.reshape(-1)[near] for b in (lo, hi, first, stop))
             # the atoms within tau below first, and above stop (or first)
-            _redecide(count, near, np.ceil(lo - d), first, pts, c, r2)
-            _redecide(count, near, np.maximum(stop, first), np.floor(hi + d) + 1.0,
+            _redecide(count, near, np.ceil(lo_n - d), first_n, pts, c, r2)
+            _redecide(count, near, np.maximum(stop_n, first_n), np.floor(hi_n + d) + 1.0,
                       pts, c, r2)
-        yield count
+        return count, lo
+    return count_at
 
 
 def _redecide(count, cell, start, end, pts, centers, r2):
@@ -783,17 +815,18 @@ def build_dirac(dim: int, location, mass: float) -> WeightedPointMeasure:
 
 def build_polyline(vertices, spacing: float) -> WeightedPointMeasure:
     """Arc-length measure on a polyline: per edge, n midpoint samples of step
-    length/n ~ spacing, each weighing its step, so mass is exact per edge."""
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
+    length/n ~ spacing, each weighing its step, so mass is exact per edge.
+    The edges are sized first, then written into one array of atoms."""
+    if not 0 < spacing < math.inf:
+        raise ValueError(f"spacing must be positive and finite; got {spacing}")
     vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
     if vertices.shape[0] < 2:
         raise ValueError("polyline needs at least two vertices")
-    nseg = vertices.shape[0] - 1
-    pts_all, w_all, segments = [], [], []
-    total = 0
-    for i in range(nseg):
-        a, b = vertices[i], vertices[i + 1]
+    bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+    if bad.size:
+        raise ValueError(f"polyline vertex {bad[0]} is not finite: {vertices[bad[0]].tolist()}")
+    edges, total = [], 0
+    for i, (a, b) in enumerate(zip(vertices[:-1], vertices[1:])):
         seg = b - a
         length = float(np.linalg.norm(seg))
         if length <= 0:
@@ -802,15 +835,21 @@ def build_polyline(vertices, spacing: float) -> WeightedPointMeasure:
         n = max(1, math.ceil(min(length / spacing * (1.0 - 1e-12), POINT_BUDGET + 1)))
         total += n
         _check_budget(total, POINT_BUDGET, "polyline atoms")
+        edges.append((a, seg, length, n))
+    points, weights, segments = np.empty((total, vertices.shape[1])), np.empty(total), []
+    start = 0
+    for a, seg, length, n in edges:
         step = length / n
         arcs = (np.arange(n) + 0.5) * step
         direction = seg / length
-        pts_all.append(a[None, :] + arcs[:, None] * direction[None, :])
-        w_all.append(np.full(n, step))
+        at = slice(start, start + n)
+        np.multiply(arcs[:, None], direction, out=points[at])
+        points[at] += a
+        weights[at] = step
         segments.append(SegmentLattice(origin=a, direction=direction, arcs=arcs,
                                        weight=step))
-    return WeightedPointMeasure(np.concatenate(pts_all), np.concatenate(w_all),
-                                segments=segments)
+        start += n
+    return WeightedPointMeasure(points, weights, segments=segments)
 
 
 def build_gamma_curve(alpha: float, half_extent: float, spacing: float,

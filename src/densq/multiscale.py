@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import (WeightedPointMeasure, _exact_per_ball, _mass_blocks, _write_csv,
-                       ball_masses)
+from .measures import (POINT_BUDGET, WeightedPointMeasure, _check_budget, _exact_per_ball,
+                       _mass_blocks, _write_csv, ball_masses)
 
 DEFAULT_KAPPA = 4.0
 
@@ -69,7 +69,8 @@ def _floor_for(measure: WeightedPointMeasure, kappa: float, r_min: float) -> flo
 
 @dataclass(frozen=True)
 class ScaleGrid:
-    """Log-spaced radii r_j = r_min * q^j, j = 0..J, with r_J <= r_max."""
+    """Log-spaced radii r_j = r_min * q^j, j = 0..J, with r_J <= r_max; at
+    most POINT_BUDGET of them."""
 
     r_min: float
     r_max: float
@@ -84,12 +85,19 @@ class ScaleGrid:
             raise ValueError("q must lie in (1, 2]")
         if self.r_min * self.q > self.r_max * (1.0 + 1e-12):
             raise ValueError("grid must contain at least two radii (J >= 1)")
+        # J + 1 radii; an overflowing r_max / r_min gives an infinite J
+        top = self._top
+        _check_budget(math.floor(top) + 1 if top < math.inf else top, POINT_BUDGET,
+                      "scale grid radii")
+
+    @property
+    def _top(self) -> float:
+        """J, before rounding down."""
+        return math.log(self.r_max / self.r_min) / math.log(self.q) + 1e-12
 
     @property
     def radii(self) -> np.ndarray:
-        j = int(math.floor(math.log(self.r_max / self.r_min) / math.log(self.q)
-                           + 1e-12))
-        return self.r_min * self.q ** np.arange(j + 1)
+        return self.r_min * self.q ** np.arange(int(math.floor(self._top)) + 1)
 
     @property
     def samples(self) -> np.ndarray:
@@ -655,6 +663,11 @@ def ad_regularity_diagnostic(measure: WeightedPointMeasure, s: float,
     if radii.size == 0:
         raise ValueError("no grid radii inside the resolved range")
     centers = measure.points[as_atom_indices(eval_indices, measure.n_atoms)]
-    masses = ball_masses(measure, centers, radii)
-    theta = masses / radii[None, :] ** s
-    return float(theta.min()), float(theta.max())
+    if not len(centers):
+        raise ValueError("no evaluation atoms: theta has no min or max")
+    # a running min and max over the blocks of one pass
+    th_min, th_max, scale = math.inf, -math.inf, radii ** s
+    for _, (theta,) in _mass_blocks((measure,), centers, radii):
+        theta /= scale
+        th_min, th_max = min(th_min, float(theta.min())), max(th_max, float(theta.max()))
+    return th_min, th_max

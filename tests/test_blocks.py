@@ -12,8 +12,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
-from densq import (ScaleGrid, TruncationPair, WeightedPointMeasure, beta_energy,
-                   build_cantor, build_gamma_curve, riesz_energy, sup_riesz_energy)
+from densq import (ScaleGrid, TruncationPair, WeightedPointMeasure, ad_regularity_diagnostic,
+                   ball_masses, beta_energy, build_cantor, build_gamma_curve, build_polyline,
+                   riesz_energy, sup_riesz_energy, square_function_energy)
 from densq import betas as bt
 from densq import measures as ms
 from densq import multiscale as msc
@@ -150,3 +151,62 @@ def test_energies_hold_no_whole_profile_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * m.n_atoms * len(radii) * 8
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("edges", [4, 16, 64])
+def test_a_segment_pass_peak_does_not_grow_with_the_segment_count(edges):
+    # a half circle of 4, 16 or 64 chords, 3,064-3,200 atoms: counting each
+    # segment in temporaries of its own peaked at 6.4, 17.0 and 62.0 MB here
+    t = np.linspace(0.0, math.pi, edges + 1)
+    m = build_polyline(np.stack([np.cos(t), np.sin(t)], axis=1), 1e-3)
+    m.farthest_distances()
+    grid = ScaleGrid(0.05, 0.5, 1.1)
+    peak = traced_peak(lambda: square_function_energy(m, 1.0, grid, kappa=0.0))
+    # one scratch set of a segment block's 2^15 cells, its buffer and the
+    # energy's own block arrays: about 2.2 MB at any segment count
+    assert peak < 12 * (ms._BLOCK_CELLS // 2) * 8
+
+
+@pytest.mark.parametrize("dim, s", [(2, 1.2), (3, 1.5)])
+def test_a_beta2_profile_pass_holds_a_few_blocks(dim, s):
+    # radii to 1.0 on sets of diameter below 1.5: the blocks keep most atoms.
+    # With the six (ten in 3-d) moment arrays left out of the block size the
+    # pass peaked at 12.9 (13.9) blocks of _BLOCK_CELLS doubles here, now 4.5
+    m = build_cantor(dim, s, 5 if dim == 2 else 3)
+    radii = ScaleGrid(0.01, 1.0, 1.1).samples
+
+    def run():
+        for _ in bt._beta2_profile(m, m.points, radii):
+            pass
+    assert traced_peak(run) < 6 * ms._BLOCK_CELLS * 8
+
+
+def test_the_ad_regularity_diagnostic_streams_its_pass():
+    # the depth-6 Cantor set at s = 0.8: the whole mass matrix and theta beside
+    # it peaked at 6.69 MB here, now 3.44 MB
+    m = build_cantor(2, 0.8, 6)
+    grid = ScaleGrid.default_for(m)
+    m.farthest_distances()      # far-atom candidates cached, as in a second call
+    radii = grid.radii[grid.radii <= m.support_diameter]
+    whole = ball_masses(m, m.points, radii) / radii ** 0.8
+    expect = (float(whole.min()), float(whole.max()))
+    del whole
+    got = []
+    peak = traced_peak(lambda: got.append(ad_regularity_diagnostic(m, 0.8, grid)))
+    assert peak < m.n_atoms * len(radii) * 8
+    assert got == [expect]
+
+
+def test_the_ad_regularity_diagnostic_is_the_same_at_any_block_size():
+    m = build_cantor(2, 0.8, 3)
+    at_each_block_size(lambda: ad_regularity_diagnostic(m, 0.8, ScaleGrid(0.02, 1.0, 1.1),
+                                                        eval_indices=[0, 9, 17, 40, 63]))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from densq import (
+    PointBudgetError,
     RadialProfile,
     ScaleGrid,
     TruncationPair,
@@ -15,9 +16,11 @@ from densq import (
     ad_regularity_diagnostic,
     beta2,
     beta_energy,
+    ball_masses,
     beta_inf,
     build_cantor,
     build_gamma_curve,
+    build_polyline,
     density,
     density_difference,
     find_thin_boundary_radius,
@@ -62,6 +65,16 @@ GEN_CASES = [
     ({"kind": "polyline", "params": {"vertices": [[0.0, 0.0], [1.0, 0.0]],
                                      "spacing": 0.0}},
      "spacing must be positive"),
+    # checked before anything is allocated: nan once ended in an int() of nan
+    ({"kind": "polyline", "params": {"vertices": [[0.0, 0.0], [1.0, 0.0]],
+                                     "spacing": float("nan")}},
+     "spacing must be positive and finite; got nan"),
+    ({"kind": "polyline", "params": {"vertices": [[0.0, 0.0], [1.0, 0.0]],
+                                     "spacing": float("inf")}},
+     "spacing must be positive and finite; got inf"),
+    ({"kind": "polyline", "params": {"vertices": [[0.0, 0.0], [1.0, float("nan")]],
+                                     "spacing": 0.1}},
+     "polyline vertex 1 is not finite: [1.0, nan]"),
     ({"kind": "gamma_curve", "params": {"alpha": 0.4, "half_extent": 0.5,
                                         "spacing": 1 / 32}},
      "half_extent must be >= 1"),
@@ -124,6 +137,20 @@ EXP_CASES = [
     ("small-s", {"s": 1.5}, "small-s comparability requires 0 < s < 1"),
     ("identity", {"profiles": ["gaussian", "box"]}, "unknown profile 'box'"),
 ]
+
+
+@pytest.mark.parametrize("grid", [
+    # r_max / r_min overflows: once an OverflowError traceback (exit 1)
+    ["--r-min", "1e-300", "--r-max", "1e300", "--q", "1.0000001"],
+    # about 6.9e14 radii: once a failed allocation of 4.91 PiB (exit 1)
+    ["--r-min", "1e-150", "--r-max", "1e150", "--q", "1.000000000001", "--kappa", "0"],
+])
+def test_energy_rejects_a_grid_past_the_radius_budget(tmp_path, capsys, grid):
+    path = tmp_path / "m.csv"
+    path.write_text("x0,x1,w\n0.0,0.0,1.0\n1.0,0.5,1.0\n0.3,0.2,1.0\n")
+    _usage_error(capsys, ["energy", path, "--kind", "sf", "--s", "0.5", *grid,
+                          "--out", tmp_path / "o.json"], "scale grid radii: ")
+    assert not (tmp_path / "o.json").exists()
 
 
 @pytest.mark.parametrize("name, config, message", EXP_CASES)
@@ -223,6 +250,12 @@ API_CASES = [
     # every grid radius is past the support diameter (about 1.2)
     (lambda: ad_regularity_diagnostic(_M, 0.5, ScaleGrid(10.0, 20.0)),
      "no grid radii inside the resolved range"),
+    (lambda: ad_regularity_diagnostic(_M, 0.5, ScaleGrid(0.1, 1.0), eval_indices=[]),
+     "no evaluation atoms: theta has no min or max"),
+    (lambda: build_polyline([[0.0, 0.0], [INF, 1.0], [2.0, 0.0]], 0.1),
+     "polyline vertex 1 is not finite: [inf, 1.0]"),
+    (lambda: build_polyline([[0.0, 0.0], [1.0, 1.0]], -INF),
+     "spacing must be positive and finite; got -inf"),
     (lambda: beta_energy(_M, ScaleGrid(0.1, 1.0)).save_per_point_csv("unused.csv"),
      "report carries no per-point breakdown"),
     (lambda: run_identity_suite({"n_measures": 1, "n_atoms": 8, "n_queries": 1},
@@ -246,10 +279,32 @@ _CENTER_CALLS = [
 ]
 API_CASES += [(lambda f=f, x=x: f(x), "x must be a finite vector of length 2")
               for f in _CENTER_CALLS for x in ([0.1, NAN], [INF, 0.1], [0.1, 0.2, 0.3])]
+# and so does every ball-mass pass, on the radial-shell and the segment engine:
+# a nan center once gave mass 0.0 on the one and nan on the other
+_TENT = build_gamma_curve(0.4, 1.0, 1 / 32)
+API_CASES += [(lambda m=m, c=c: ball_masses(m, c, [0.1, 0.5]),
+               "centers must be finite vectors of length 2")
+              for m in (_M, _TENT)
+              for c in ([[0.1, NAN]], [_X, [INF, 0.1]], [[0.1, 0.2, 0.3]])]
 
 
 @pytest.mark.parametrize("call, message", API_CASES)
 def test_api_rejects_bad_inputs(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("r_min, r_max, q, count", [
+    (1e-300, 1e300, 1.0000001, "inf"),
+    (1e-150, 1e150, 1.000000000001, "690714123010793"),
+    (1.0, 1.0000001 ** 2_000_000 * (1.0 + 1e-13), 1.0000001, "2000001"),
+])
+def test_scale_grid_rejects_a_radius_count_past_the_budget(r_min, r_max, q, count):
+    with pytest.raises(PointBudgetError, match=f"scale grid radii: {count} > budget 2000000"):
+        ScaleGrid(r_min, r_max, q)
+
+
+def test_scale_grid_takes_a_radius_count_at_the_budget():
+    q = 1.0000001
+    assert len(ScaleGrid(1.0, q ** 1_999_999 * (1.0 + 1e-13), q).radii) == 2_000_000
 

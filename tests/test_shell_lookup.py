@@ -21,7 +21,7 @@ def lookup(r2s, d2):
     r2s, d2 = np.asarray(r2s, dtype=float), np.asarray(d2, dtype=float)
     n = len(d2)
     return ms._shell_lookup(r2s)(d2, np.empty(n, np.int64), np.empty(n, np.int64),
-                                 np.empty(n), np.empty(n, dtype=bool))
+                                 np.empty(n, dtype=bool))
 
 
 def around(values):
@@ -99,7 +99,7 @@ def binary_search_shell_sums(points, weights, centers, radii, values, n_values):
         pts, w = points, weights
         keep = ms._near_atoms(points, c, pad)
         if not keep.all():
-            pts, w = points[keep], weights[keep]
+            pts, w = points[keep], None if weights is None else weights[keep]
         diff = [pts[None, :, k] - c[:, k, None] for k in range(dim)]
         d2 = diff[0] ** 2
         for dk in diff[1:]:
@@ -107,7 +107,8 @@ def binary_search_shell_sums(points, weights, centers, radii, values, n_values):
         shell = np.searchsorted(r2s, d2, side="left")
         shell += (np.arange(rows) * (m + 1))[:, None]
         shell = shell.ravel()
-        for v, val in enumerate(values(diff, d2, w)):
+        # no values: sum the weights, or count the atoms if there are none
+        for v, val in enumerate([w] if values is None else values(diff, d2, w)):
             if val is not None:     # None counts the atoms
                 val = np.broadcast_to(val, d2.shape).ravel()
             bins = np.bincount(shell, weights=val,

@@ -211,13 +211,24 @@ def _beta2_profile(measure, centers, radii):
                                1 + d + len(lower)):
         s0 = sums[0]
         mean = sums[1:1 + d] / s0
-        scatter = np.empty(s0.shape + (d, d))
-        for k, (i, j) in enumerate(lower):
-            scatter[..., i, j] = scatter[..., j, i] = (sums[1 + d + k]
-                                                       - s0 * mean[i] * mean[j])
-        lam = np.linalg.eigvalsh(scatter)
-        moment = np.clip(lam[..., :-1].sum(axis=-1), 0.0, None)
-        yield a, moment / radii ** 3
+        cov = [sums[1 + d + k] - s0 * mean[i] * mean[j] for k, (i, j) in enumerate(lower)]
+        if d == 2:
+            moment = _least_eigenvalue_2x2(*cov)
+        else:
+            scatter = np.empty(s0.shape + (d, d))
+            for (i, j), c in zip(lower, cov):
+                scatter[..., i, j] = scatter[..., j, i] = c
+            moment = np.linalg.eigvalsh(scatter)[..., :-1].sum(axis=-1)
+        yield a, np.clip(moment, 0.0, None) / radii ** 3
+
+
+def _least_eigenvalue_2x2(a, b, c):
+    """The smaller eigenvalue of each symmetric [[a, b], [b, c]], elementwise:
+    det / lambda_max with lambda_max = (a + c)/2 + hypot((a - c)/2, b), which
+    cancels no digits when the matrix is nearly singular; 0 where lambda_max
+    <= 0, where the matrix is negative semidefinite and its moment clips to 0."""
+    lmax = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+    return np.divide(a * c - b * b, lmax, out=np.zeros_like(lmax), where=lmax > 0)
 
 
 def _beta_p_profile(measure, centers, radii, p):

@@ -645,13 +645,16 @@ def run_identity_suite(config: dict | None = None, threads: int = 1) -> SweepRes
     def one(job):
         mi, pts, w, s, queries = job
         m = ms.WeightedPointMeasure(pts, w)
+        xs, Rs = [x for x, _ in queries], [R for _, R in queries]
+        # (lhs, rhs) at every query, one call per profile
+        sides = {name: [v.tolist() for v in msc._identity_sides(
+            m, prof, xs, Rs, s, int(cfg["quad_points"]))] for name, prof in profiles}
         rows = []
-        for qi, (x, R) in enumerate(queries):
-            for name, prof in profiles:
-                resid = msc.verify_convolution_identity(
-                    m, prof, x, R, s, quad_points=int(cfg["quad_points"]))
+        for qi, R in enumerate(Rs):
+            for name, _ in profiles:
+                lhs, rhs = (v[qi] for v in sides[name])
                 rows.append({"measure": mi, "query": qi, "profile": name, "s": s,
-                             "R": R, "residual": resid})
+                             "R": R, "residual": msc._identity_residual(m, lhs, rhs, R, s)})
         return rows
 
     all_rows = [row for rows in _map_ordered(one, jobs, threads) for row in rows]

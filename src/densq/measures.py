@@ -407,7 +407,8 @@ def _shell_sums(points, weights, centers, radii, values, n_values):
     `diff[k]` holds the k-th coordinate of x_atom - center and `d2` the
     squared distances, each of shape (block, kept atoms), and `w` the kept
     atoms' weights; it returns `n_values` arrays of that shape (or
-    broadcastable to it), or None to count the atoms. `values` None sums the
+    broadcastable to it), or None to count the atoms, and may overwrite
+    diff's arrays (the Riesz kernel divides in place). `values` None sums the
     weights (counts the atoms if `weights` is None too), and the pass keeps
     no coordinate differences. Yields (a, sums), one per block of
     `_block_rows` centers: sums has shape (n_values, rows, n_radii), entry
@@ -536,6 +537,16 @@ def _sq_rows(v):
     for k in range(1, v.shape[1]):
         out += v[:, k] ** 2
     return out
+
+
+def _distinct(values):
+    """The distinct values of a 1-d array, ascending: np.unique's result from
+    a sort and a neighbour compare. A plain np.unique imports numpy.ma (to
+    ask whether its input is masked), which costs ~11 ms and ~1.2 MB."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _segment_foot(sg, centers):

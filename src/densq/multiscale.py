@@ -8,7 +8,7 @@ power-law tail once balls swallow the whole support.
 """
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
@@ -462,18 +462,23 @@ def smoothed_density_difference(measure: WeightedPointMeasure, phi: RadialProfil
     _check_scale("t", t)
     _check_s(s)
     d = np.sqrt(measure.ball_index().sq_dist(x))
-    return _smoothed_sum(phi, d, measure.weights, t, s)
+    return _smoothed_sums(phi, d[None], measure.weights, [t], s)[0]
 
 
-def _smoothed_sum(phi, d, w, t, s):
-    """The smoothed difference at scale t of atoms of weights w at distances d;
-    exactly rounded, so the atoms' order does not matter."""
-    v1, v2 = phi.value(np.stack([d / t, d / (2.0 * t)]))
-    vals = w * (v1 / t ** s - v2 / (2.0 * t) ** s)
-    return math.fsum(vals.tolist())
+def _smoothed_sums(phi, d, w, ts, s):
+    """The smoothed differences of atoms of weights w at distances d, row k
+    of d at scale ts[k], as a list; each exactly rounded, so the atoms' order
+    does not matter. The powers t^s are Python-float powers."""
+    tc = np.array(ts, dtype=float).reshape(-1, 1)
+    v1, v2 = phi.value(np.stack([d / tc, d / (2.0 * tc)]))
+    vals = w * (v1 / np.array([t ** s for t in ts]).reshape(-1, 1)
+                - v2 / np.array([(2.0 * t) ** s for t in ts]).reshape(-1, 1))
+    return [math.fsum(row) for row in vals.tolist()]
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_GL_PANELS = 512              # panels per block of Gauss-Legendre nodes: 32 kB arrays
+_IDENTITY_CELLS = 2 ** 13     # (query, edge) cells per group of identity queries
 
 
 def verify_convolution_identity(measure: WeightedPointMeasure, phi: RadialProfile,
@@ -491,57 +496,133 @@ def verify_convolution_identity(measure: WeightedPointMeasure, phi: RadialProfil
     the masses M(tR) and M(2tR) are constant on each panel and are read once,
     at its midpoint; and the powers cancel,
     t^s D(x, tR) = (M(tR) - 2^-s M(2tR)) / R^s, so each panel contributes its
-    constant times a Gauss-Legendre quadrature of phi' alone.
+    constant times a Gauss-Legendre quadrature of phi' alone. The one-query
+    case of `_identity_sides`.
     """
-    lhs, rhs = _identity_sides(measure, phi, x, R, s, quad_points)
+    lhs, rhs = _identity_sides(measure, phi, [x], [R], s, quad_points)
+    return _identity_residual(measure, lhs.item(), rhs.item(), R, s)
+
+
+def _identity_residual(measure, lhs, rhs, R, s):
+    """The relative residual of `verify_convolution_identity` from its sides."""
     denom = max(abs(lhs), abs(rhs),
                 IDENTITY_RESIDUAL_FLOOR * measure.total_mass / R ** s)
     return abs(lhs - rhs) / denom
 
 
-def _identity_sides(measure, phi, x, R, s, quad_points):
-    """(lhs, rhs) of the identity of `verify_convolution_identity`, both read
-    from one sort of the atoms by distance from x."""
+def _identity_sides(measure, phi, xs, Rs, s, quad_points):
+    """(lhs, rhs): arrays of the two sides of the identity of
+    `verify_convolution_identity` at the queries (xs[k], Rs[k]).
+
+    The queries are taken a group at a time, so that no array outgrows
+    _IDENTITY_CELLS (query, edge) cells whatever the number of queries. Row k
+    of a group's (queries, atoms) matrices holds query k's squared distances,
+    their stable sort and the cumulative weights in that order. A base panel
+    that no jump splits has the same Gauss-Legendre value for every query, so
+    those values are computed once; `_identity_rhs` evaluates phi' only on the
+    sub-panels the jumps cut. Each side of a query has the bits a one-query
+    call gives it.
+    """
     if quad_points < 16:
         raise ValueError("quad_points must be >= 16")
-    _check_scale("R", R)
+    for R in Rs:
+        _check_scale("R", R)
     _check_s(s)
-    d2s, w, cumw = _sorted_masses(measure.ball_index().sq_dist(x), measure.weights)
-    d = np.sqrt(d2s)
-
     lo, hi = phi.deriv_range()
     if not (0 < lo < hi):
         raise ValueError(f"profile {phi.name} has empty derivative range")
-    base = _log_nodes(lo, hi, quad_points)
-    jumps = np.concatenate([d / R, d / (2.0 * R)])
-    jumps = jumps[(jumps > lo) & (jumps < hi)]
-    edges = np.unique(np.concatenate([base, jumps]))
+    Rs = [float(R) for R in Rs]
+    index, w = measure.ball_index(), measure.weights
+    base = np.exp(np.linspace(math.log(lo), math.log(hi), quad_points))
+    base_quad = _gl_quad(phi, 0.5 * (base[:-1] + base[1:]), 0.5 * (base[1:] - base[:-1]))
+    rows = max(1, _IDENTITY_CELLS // (quad_points + 2 * len(w)))
+    lhs, rhs = [], []
+    for g in range(0, len(Rs), rows):
+        gR = Rs[g:g + rows]
+        d2 = np.array([index.sq_dist(x) for x in xs[g:g + rows]])
+        order = np.argsort(d2, axis=1, kind="stable")
+        d2s, ws = np.take_along_axis(d2, order, axis=1), w[order]
+        cumw = np.zeros((len(gR), len(w) + 1))
+        np.cumsum(ws, axis=1, out=cumw[:, 1:])
+        d = np.sqrt(d2s)
+        lhs += _smoothed_sums(phi, d, ws, gR, s)
+        rhs += _identity_rhs(phi, (lo, hi), base, base_quad, d, d2s, cumw, gR, s)
+    return np.array(lhs), np.array(rhs)
 
-    a, b = edges[:-1], edges[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    r2 = (mid * R) ** 2     # and (2 mid R)^2 = 4 r2 exactly
-    delta = _mass_within(d2s, cumw, r2) - 2.0 ** -s * _mass_within(d2s, cumw, 4.0 * r2)
-    tt = mid + half * _GL_NODES[:, None]     # (8, panels): row k holds node k
-    quad = (phi.derivative(tt) * _GL_WEIGHTS[:, None]).sum(axis=0) * half
-    return _smoothed_sum(phi, d, w, R, s), -float((delta * quad).sum()) / R ** s
+
+def _identity_rhs(phi, deriv_range, base, base_quad, d, d2s, cumw, Rs, s):
+    """The rhs of `_identity_sides` at a group of queries, as a list: the rows
+    of d, d2s and cumw are theirs, and base_quad holds the base panels'
+    quadratures of phi'."""
+    lo, hi = deriv_range
+    nb, n_q = len(base), len(Rs)
+    Rc = np.array(Rs).reshape(-1, 1)
+    jumps = np.concatenate([d / Rc, d / (2.0 * Rc)], axis=1)   # [d/R | d/(2R)]
+    # a query's panel edges are the distinct values of its row of [base nodes,
+    # jumps in (lo, hi)]; a stable sort puts a base node first among equal
+    # values, and `src` holds each sorted value's column
+    inside = (jumps > lo) & (jumps < hi)
+    row = np.empty((n_q, nb + jumps.shape[1]))
+    row[:, :nb] = base
+    row[:, nb:] = np.where(inside, jumps, np.inf)
+    src = np.argsort(row, axis=1, kind="stable")
+    row = row.ravel()[src + np.arange(0, row.size, row.shape[1])[:, None]]
+    first = np.arange(row.shape[1]) < nb + inside.sum(axis=1, keepdims=True)
+    first[:, 1:] &= row[:, 1:] != row[:, :-1]       # the first of each edge value
+    sizes = first.sum(axis=1).tolist()              # edges per query
+    keep = np.flatnonzero(first)
+    edges, k = row.ravel()[keep], src.ravel()[keep]
+    del row, src, first, keep       # before the quadrature's arrays are made
+    # panel p runs from edge p to edge p + 1, the queries' edges one after
+    # another: query q's panels are bounds[q] .. bounds[q + 1] - 2, and the
+    # pair of its last edge and the next query's first is no panel
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    spans = [(i, j - 1) for i, j in zip(bounds, bounds[1:])]
+    a, b, ka, kb = edges[:-1], edges[1:], k[:-1], k[1:]
+
+    # phi' quadrature per panel: the shared value on a base panel, whose edges
+    # are base nodes k and k + 1 (other panels read a placeholder there)
+    mid = 0.5 * (a + b)
+    quad = base_quad[np.minimum(ka, nb - 2)]
+    cut = np.flatnonzero((ka >= nb - 1) | (kb != ka + 1))
+    if cut.size:
+        quad[cut] = _gl_quad(phi, mid[cut], 0.5 * (b[cut] - a[cut]))
+
+    # the masses M(tR) and M(2tR) at each panel's midpoint. A query's
+    # r2 = (mid R)^2 and 4 r2 = (2 mid R)^2 rise with its panels, so its k-th
+    # nearest atom lies within them from the first panel searchsorted finds
+    # on. The mass cumw[q, k] of the k nearest atoms holds on the run of
+    # panels up to the (k + 1)-th atom's first, the last run taking the slot
+    # that ends the query
+    r2 = (mid * np.repeat(Rs, sizes)[:-1]) ** 2
+    r4 = 4.0 * r2
+    runs = np.empty((2, n_q, d2s.shape[1] + 2), dtype=np.intp)
+    runs[:, :, 0], runs[:, :, -1] = bounds[:-1], bounds[1:]
+    for q, (i, j) in enumerate(spans):
+        runs[0, q, 1:-1] = r2[i:j].searchsorted(d2s[q])
+        runs[1, q, 1:-1] = r4[i:j].searchsorted(d2s[q])
+    runs[:, :, 1:-1] += np.array(bounds[:-1])[:, None]
+    m1, m2 = (np.repeat(cumw.ravel(), (r[:, 1:] - r[:, :-1]).ravel())[:-1] for r in runs)
+    terms = (m1 - 2.0 ** -s * m2) * quad
+    return [-float(terms[i:j].sum()) / R ** s for (i, j), R in zip(spans, Rs)]
 
 
-@functools.lru_cache(maxsize=16)
-def _log_nodes(lo, hi, n):
-    """n nodes log-spaced from lo to hi, the identity's base grid; read-only,
-    as every call with these arguments shares it."""
-    nodes = np.exp(np.linspace(math.log(lo), math.log(hi), n))
-    nodes.setflags(write=False)
-    return nodes
+def _gl_quad(phi, mid, half):
+    """The 8-node Gauss-Legendre quadrature of phi' over each panel
+    [mid - half, mid + half], _GL_PANELS panels at a time."""
+    out = np.empty_like(mid)
+    for a in range(0, len(mid), _GL_PANELS):
+        m, h = mid[a:a + _GL_PANELS], half[a:a + _GL_PANELS]
+        tt = m + h * _GL_NODES[:, None]     # (8, panels): row k holds node k
+        out[a:a + _GL_PANELS] = (phi.derivative(tt) * _GL_WEIGHTS[:, None]).sum(axis=0) * h
+    return out
 
 
 def _sorted_masses(d2, weights):
-    """(d2s, ws, cumw): the atoms' squared distances d2 in ascending order, their
-    weights in that order, and cumw[k] = weight of the k nearest atoms
-    (cumw[0] = 0)."""
+    """(d2s, cumw): the atoms' squared distances d2 in ascending order, and
+    cumw[k] = weight of the k nearest atoms (cumw[0] = 0)."""
     order = np.argsort(d2, kind="stable")
-    ws = weights[order]
-    return d2[order], ws, np.concatenate([[0.0], np.cumsum(ws)])
+    return d2[order], np.concatenate([[0.0], np.cumsum(weights[order])])
 
 
 def _mass_within(d2s, cumw, r2):
@@ -586,7 +667,7 @@ def find_thin_boundary_radius(measure: WeightedPointMeasure, x, r: float,
     near = d2 <= (4.0 * r) * (4.0 * r)
     if not near.any():
         raise ValueError("mass(x, 4r) must be positive")
-    d2s, _, cumw = _sorted_masses(d2[near], measure.weights[near])
+    d2s, cumw = _sorted_masses(d2[near], measure.weights[near])
 
     n, k = THIN_BOUNDARY_CANDIDATES, len(lams)
     candidates = r + (r / (n - 1)) * np.arange(n)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import WeightedPointMeasure, _shell_sums
+from .measures import WeightedPointMeasure, _distinct, _shell_sums
 from .multiscale import (DEFAULT_KAPPA, ScaleGrid, _check_s, _floor_for,
                          as_atom_indices)
 
@@ -52,11 +52,15 @@ class RieszEnergyReport:
 
 
 def _kernel(diff, d2, s):
-    """K(v) = v / |v|^(1+s), one array per coordinate of v, from those
-    coordinates `diff` and d2 = |v|^2. K is 0 where d2 = 0: an atom exerts no
-    force on itself (or on an exact duplicate)."""
-    norm = np.where(d2 == 0.0, np.inf, d2 ** ((1.0 + s) / 2.0))
-    return [dk / norm for dk in diff]
+    """K(v) = v / |v|^(1+s), written over `diff`, the arrays of v's
+    coordinates (rows of one array, or a list of arrays), from d2 = |v|^2;
+    returns diff. K is 0 where d2 = 0: an atom exerts no force on itself (or
+    on an exact duplicate)."""
+    norm = d2 ** ((1.0 + s) / 2.0)
+    norm[d2 == 0.0] = np.inf
+    for dk in diff:
+        dk /= norm
+    return diff
 
 
 def riesz_kernel(v, s: float) -> np.ndarray:
@@ -65,7 +69,7 @@ def riesz_kernel(v, s: float) -> np.ndarray:
     n2 = (v ** 2).sum()
     if n2 == 0.0:
         raise ValueError("Riesz kernel is singular at the zero vector")
-    return np.array(_kernel(v, n2, s))
+    return v / n2 ** ((1.0 + s) / 2.0)
 
 
 def truncated_riesz(measure: WeightedPointMeasure, x, pair: TruncationPair,
@@ -77,7 +81,7 @@ def truncated_riesz(measure: WeightedPointMeasure, x, pair: TruncationPair,
     x = np.asarray(x, dtype=float)
     idx = measure.ball_index().annulus_atoms(x, pair.eps1, pair.eps2)
     diff = measure.points[idx] - x
-    k = np.stack(_kernel(diff.T, (diff ** 2).sum(axis=1), s), axis=1)
+    k = _kernel(diff.T, (diff ** 2).sum(axis=1), s).T
     return (measure.weights[idx][:, None] * k).sum(axis=0)
 
 
@@ -146,7 +150,7 @@ def sup_riesz_energy(measure: WeightedPointMeasure, s: float, scale_grid: ScaleG
             f"grid r_min {scale_grid.r_min:.3g} below the resolved floor "
             f"{floor:.3g} (= kappa*min_spacing); pass kappa=0 to override")
     if len(radii) > max_radii:
-        sel = np.unique(np.linspace(0, len(radii) - 1, max_radii).round().astype(int))
+        sel = _distinct(np.linspace(0, len(radii) - 1, max_radii).round().astype(int))
         radii = radii[sel]
     if len(radii) < 2:
         raise ValueError(f"need at least two usable radii; max_radii={max_radii}")

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .measures import _CHUNK_CELLS, _sq_rows
+from .measures import _CHUNK_CELLS, _distinct, _sq_rows
 
 # shifts the closest-pair sweep tries before the pairs it has left go to a cell grid
 _SWEEP_SHIFTS = 32
@@ -168,7 +168,7 @@ def _grid_pairs(p, side, count=False):
     cell = np.minimum(cell, 2.0 ** 52).astype(np.int64)
     order = np.lexsort(cell.T[::-1])
     p, cell = p[order], cell[order]
-    cols = [np.unique(c) for c in cell.T]
+    cols = [_distinct(c) for c in cell.T]
 
     def key(off):
         # the rank key of each atom's cell moved by `off`, and whether the

@@ -294,6 +294,40 @@ def test_beta2_profile_matches_beta2_at_tie_radii(rng):
             assert prof[i, j] == pytest.approx(val ** 2, rel=1e-9, abs=1e-15)
 
 
+def _scatter_entries(pts, w):
+    """(a, b, c) of the weighted scatter matrix [[a, b], [b, c]] of 2-d points."""
+    c = pts - (w[:, None] * pts).sum(axis=0) / w.sum()
+    return ((w * c[:, 0] ** 2).sum(), (w * c[:, 0] * c[:, 1]).sum(),
+            (w * c[:, 1] ** 2).sum())
+
+
+def test_least_eigenvalue_2x2_matches_eigvalsh(rng):
+    # random scatters, and near-collinear ones whose smaller eigenvalue is
+    # many orders below the larger: the closed form stays within 4 eps of
+    # lambda_max of the LAPACK value
+    cases = []
+    for k in range(300):
+        pts = rng.standard_normal((int(rng.integers(2, 30)), 2))
+        if k % 2:
+            t = rng.uniform(-1.0, 1.0, len(pts))
+            u = rng.standard_normal(2)
+            pts = np.outer(t, u) + 10.0 ** -rng.uniform(2, 9) * pts
+        cases.append(_scatter_entries(pts, rng.uniform(0.5, 1.5, len(pts))))
+    a, b, c = (np.array(v) for v in zip(*cases))
+    got = bt._least_eigenvalue_2x2(a, b, c)
+    lam = np.linalg.eigvalsh(np.stack([np.stack([a, b], -1), np.stack([b, c], -1)], -2))
+    assert np.all(np.abs(got - lam[:, 0]) <= 4 * np.finfo(float).eps * lam[:, 1])
+
+
+def test_beta2_profile_of_a_one_atom_ball_is_zero():
+    # the smallest ball about each atom holds that atom alone: a zero scatter,
+    # lambda_max = 0, so beta_2 is 0, with no division warning (an error here)
+    m = WeightedPointMeasure([[0.0, 0.0], [1.0, 0.25], [0.5, 2.0]], [1.0, 2.0, 3.0])
+    prof = whole(_beta2_profile(m, m.points, [1e-3, 0.1, 0.5, 3.0]))
+    assert np.all(prof[:, :3] == 0.0) and np.all(prof[:, 3] > 0.0)
+    assert beta_energy(m, ScaleGrid(0.1, 0.5, 1.1), kappa=0.0).total >= 0.0
+
+
 def test_beta_energy_flat_negligible():
     m = build_flat(2, 1, 2.0, 1 / 64)
     mask = np.flatnonzero(np.abs(m.points[:, 0]) <= 0.5)

@@ -801,6 +801,17 @@ def test_import_loads_no_scipy():
     assert lazy_loaded == "[]"
 
 
+def test_small_s_and_identity_import_no_numpy_ma():
+    # a plain np.unique imports numpy.ma (~11 ms, ~1.2 MB) to ask whether its
+    # input is masked; densq takes distinct values by a sort instead
+    code = ("import sys; from densq import experiments as ex; "
+            "ex.run_small_s_comparability({'depth': 4, 'drift_depth': 3}); "
+            "ex.run_identity_suite({'n_measures': 3, 'n_atoms': 25, 'n_queries': 3, "
+            "'quad_points': 64}); "
+            "print('numpy.ma' in sys.modules)")
+    assert _run_python(code).split() == ["False"]
+
+
 def test_suites_and_cli_run_without_scipy(tmp_path):
     # the suites, and densq on CSV-read measures: their spacing from the
     # closest-pair sweep, 3-d farthest atoms from the radius scan, beta_p's

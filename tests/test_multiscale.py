@@ -595,7 +595,7 @@ def test_identity_panel_rhs_matches_the_per_node_integral(rng, profile, quad_poi
     phi = profile()
     for m, x in _identity_cases(rng):
         for R, s in [(0.07, 0.4), (0.6, 1.0), (2.5, 1.7)]:
-            lhs, rhs = multiscale._identity_sides(m, phi, x, R, s, quad_points)
+            (lhs,), (rhs,) = multiscale._identity_sides(m, phi, [x], [R], s, quad_points)
             ref = _per_node_rhs(m, phi, x, R, s, quad_points)
             assert abs(rhs - ref) <= 1e-13 * max(abs(ref), m.total_mass / R ** s)
             assert lhs == smoothed_density_difference(m, phi, x, R, s)

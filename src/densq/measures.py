@@ -40,6 +40,9 @@ _BLOCK_CELLS = _SHELL_TABLE_CAP = 2 ** 16
 # relative and absolute slack of the smallest enclosing ball's containment test
 _ENCLOSING_TOL = 1e-12
 
+# weights per Python list of a streamed fsum (`_total_mass`): about 130 kB
+_FSUM_CHUNK = 2 ** 12
+
 class PointBudgetError(ValueError):
     """A call would pass a fixed work budget, on atoms, (center, atom) pairs or
     beta direction scans; raised before the work starts."""
@@ -112,8 +115,11 @@ class WeightedPointMeasure:
     """Finite atomic approximation of a Radon measure: N points with positive weights.
 
     Immutable after construction; duplicate points are merged (weights added).
-    Caches min_spacing, the smallest enclosing ball, and the atoms that can be
-    farthest from another (`geometry.far_atoms`) lazily.
+    `total_mass` is the fsum of the weights, bit for bit, read from a segment
+    layout's per-segment weights and counts when there is one (`_total_mass`).
+    Caches min_spacing, the atoms that can be farthest from another
+    (`geometry.far_atoms`) and the smallest enclosing ball, found from those
+    atoms and checked against every atom, lazily.
     """
 
     def __init__(self, points, weights, segments: list[SegmentLattice] | None = None):
@@ -134,9 +140,9 @@ class WeightedPointMeasure:
         self.weights = weights
         self.points.setflags(write=False)
         self.weights.setflags(write=False)
-        self.total_mass = math.fsum(weights.tolist())
         # merging invalidates the per-segment atom layout
         self.segments = None if merged else segments
+        self.total_mass = _total_mass(weights, self.segments)
         self._index: BallIndex | None = None
         self._min_spacing: float | None = None
 
@@ -165,12 +171,7 @@ class WeightedPointMeasure:
         if not np.all((out.weights > 0) & (out.weights < math.inf)):
             raise ValueError("reweighted weights must be positive and finite")
         out.weights.setflags(write=False)
-        # segment s holds n_s copies of w_s = p_s / 2^k_s: their exact sum over
-        # one power-of-two denominator, rounded once by the correctly rounded
-        # int / int, is the fsum over the atoms at O(segments) cost
-        ratios = [(len(sg.arcs), *sg.weight.as_integer_ratio()) for sg in out.segments]
-        den = max(d for _, _, d in ratios)
-        out.total_mass = sum(n * p * (den // d) for n, p, d in ratios) / den
+        out.total_mass = _total_mass(out.weights, out.segments)
         out._index = None       # it holds the weights
         return out
 
@@ -194,7 +195,16 @@ class WeightedPointMeasure:
 
     @functools.cached_property
     def _support(self) -> tuple[np.ndarray, float]:
-        return _min_enclosing_ball(self.points)
+        """The smallest enclosing ball of `_far_candidates`, kept when every
+        atom passes its containment test; else that of every atom. The
+        candidates need not hold every atom on the ball: in 3-d they can be a
+        prefix of the atoms by distance from the centroid."""
+        c, r = _min_enclosing_ball(self._far_candidates)
+        pts = self.points
+        step = max(1, _CHUNK_CELLS // self.dim)
+        if any(_outside(pts[a:a + step], c, r).any() for a in range(0, len(pts), step)):
+            return _min_enclosing_ball(pts)
+        return c, r
 
     @property
     def support_center(self) -> np.ndarray:
@@ -269,6 +279,20 @@ class WeightedPointMeasure:
             # any row left is one past the budget, read but not stored
             _check_budget(len(ws) + any(rows), POINT_BUDGET, f"{path}: atoms")
         return cls(np.array(pts), np.array(ws))
+
+
+def _total_mass(weights, segments):
+    """The fsum of the weights, bit for bit, without a Python float per atom
+    at once. Segment s of a layout holds n_s copies of w_s = p_s / 2^k_s:
+    their exact sum over one power-of-two denominator, rounded once by the
+    correctly rounded int / int, is that fsum at O(segments) cost. Other
+    measures stream one fsum over chunks of _FSUM_CHUNK weights."""
+    if segments is not None:
+        ratios = [(len(sg.arcs), *sg.weight.as_integer_ratio()) for sg in segments]
+        den = max(d for _, _, d in ratios)
+        return sum(n * p * (den // d) for n, p, d in ratios) / den
+    return math.fsum(itertools.chain.from_iterable(
+        weights[a:a + _FSUM_CHUNK].tolist() for a in range(0, len(weights), _FSUM_CHUNK)))
 
 
 def _merge_duplicates(points, weights):
@@ -703,6 +727,13 @@ def _circumsphere(support):
     return center, r
 
 
+def _outside(pts, c, r):
+    """Mask of the rows of pts outside the ball (c, r), by the containment
+    test of `_min_enclosing_ball` and its slack."""
+    d2 = ((pts - c) ** 2).sum(axis=1)
+    return d2 > (r * (1.0 + _ENCLOSING_TOL)) ** 2 + _ENCLOSING_TOL
+
+
 def _min_enclosing_ball(points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = pts.shape
@@ -720,8 +751,7 @@ def _min_enclosing_ball(points):
             return c, r
         i = 0
         while i < upto:
-            d2 = ((pts[i:upto] - c) ** 2).sum(axis=1)
-            viol = np.flatnonzero(d2 > (r * (1.0 + _ENCLOSING_TOL)) ** 2 + _ENCLOSING_TOL)
+            viol = np.flatnonzero(_outside(pts[i:upto], c, r))
             if viol.size == 0:
                 return c, r
             j = i + int(viol[0])

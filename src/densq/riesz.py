@@ -56,7 +56,9 @@ def _kernel(diff, d2, s):
     coordinates (rows of one array, or a list of arrays), from d2 = |v|^2;
     returns diff. K is 0 where d2 = 0: an atom exerts no force on itself (or
     on an exact duplicate)."""
-    norm = d2 ** ((1.0 + s) / 2.0)
+    e = (1.0 + s) / 2.0
+    # pow(x, 1) == x for every double, and numpy takes no shortcut for it
+    norm = d2.copy() if e == 1.0 else d2 ** e
     norm[d2 == 0.0] = np.inf
     for dk in diff:
         dk /= norm

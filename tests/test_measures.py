@@ -586,6 +586,51 @@ def test_min_enclosing_ball_vs_enumeration(rng):
         assert np.sqrt(((pts - c) ** 2).sum(1)).max() <= r * (1 + 1e-9)
 
 
+def test_support_ball_from_candidates_vs_enumeration(rng):
+    for trial in range(10):
+        m = WeightedPointMeasure(rng.uniform(-1, 1, size=(12, 2)), np.ones(12))
+        r_ref, _ = _brute_seb_2d(m.points)
+        assert m.support_radius == pytest.approx(r_ref, rel=1e-9)
+
+
+def _rotated(pts, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    return pts @ q.T + 0.5
+
+
+@pytest.mark.parametrize("pts", [
+    np.random.default_rng(1).normal(size=(300, 2)),
+    build_cantor(2, 0.7, 5).points,
+    build_gamma_curve(0.3, 2.0, 1 / 64).points,
+    _rotated(build_flat(3, 2, 1.0, 1 / 8).points, 2),
+    np.random.default_rng(3).normal(size=(400, 3)),
+    build_cantor(3, 1.2, 3).points,
+    _rotated(np.c_[np.linspace(-1, 1, 50), np.zeros((50, 2))], 4),
+    np.array([[0.25, -3.0, 7.0]]),
+    np.repeat(np.random.default_rng(5).uniform(size=(40, 3)), 3, axis=0),
+], ids=["cloud", "cantor", "tent", "plane", "cloud-3d", "cantor-3d", "line", "one atom",
+        "duplicates"])
+def test_support_ball_holds_every_atom(pts):
+    m = WeightedPointMeasure(pts, np.ones(len(pts)))
+    c, r = m.support_center, m.support_radius
+    assert not ms._outside(m.points, c, r).any()
+    c_all, r_all = _min_enclosing_ball(m.points)
+    assert r == pytest.approx(r_all, rel=1e-9, abs=1e-15)
+    np.testing.assert_allclose(c, c_all, rtol=0, atol=1e-9 * max(r_all, 1.0))
+
+
+def test_support_ball_falls_back_to_every_atom(monkeypatch):
+    # candidates without the far atom: their ball leaves it out, so the ball
+    # of every atom is taken instead
+    from densq import geometry
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [10.0, 0.5]])
+    monkeypatch.setattr(geometry, "far_atoms", lambda points: points[:-1])
+    m = WeightedPointMeasure(pts, np.ones(len(pts)))
+    c, r = _min_enclosing_ball(m.points)
+    assert m.support_radius == r > 5.0 > math.sqrt(0.5)
+    np.testing.assert_array_equal(m.support_center, c)
+
+
 def test_min_enclosing_ball_degenerate():
     pts = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
     c, r = _min_enclosing_ball(pts)

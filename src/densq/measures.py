@@ -185,12 +185,12 @@ class WeightedPointMeasure:
 
     @property
     def min_spacing(self) -> float:
-        """Smallest pairwise distance, exact from the stored coordinates
-        (`spacing.min_spacing`); 0.0 for a single atom (no pairs, all scales
-        count as resolved)."""
+        """Smallest pairwise distance: the exact closest pair of the stored
+        coordinates (`spacing.min_spacing`), layouts included; 0.0 for a
+        single atom (no pairs, all scales count as resolved)."""
         if self._min_spacing is None:
             from .spacing import min_spacing
-            self._min_spacing = min_spacing(self.points, self.segments)
+            self._min_spacing = min_spacing(self.points)
         return self._min_spacing
 
     @functools.cached_property
@@ -229,10 +229,13 @@ class WeightedPointMeasure:
         """Per atom i in `indices` (default: every atom), max_j |x_j - x_i|: the
         radius beyond which a ball at x_i contains the whole support.
 
-        Only the atoms that `geometry.far_atoms` cannot rule out are scanned:
+        A segment layout reads each segment's end atoms from its lattice
+        geometry (`_segment_farthest`), which can differ from the
+        stored-coordinate distance in the last bits, either way. Otherwise
+        only the atoms that `geometry.far_atoms` cannot rule out are scanned:
         the atoms near the hull's corners in 2-d and on planes, those far from
         the centroid of a full-dimensional 3-d set, and those near either end of
-        a line. Either way the stored-coordinate distances decide, so the result
+        a line. There the stored-coordinate distances decide, so the result
         is exact.
         """
         centers = self.points if indices is None else self.points[indices]

@@ -517,11 +517,11 @@ def _identity_sides(measure, phi, xs, Rs, s, quad_points):
     The queries are taken a group at a time, so that no array outgrows
     _IDENTITY_CELLS (query, edge) cells whatever the number of queries. Row k
     of a group's (queries, atoms) matrices holds query k's squared distances,
-    their stable sort and the cumulative weights in that order. A base panel
-    that no jump splits has the same Gauss-Legendre value for every query, so
-    those values are computed once; `_identity_rhs` evaluates phi' only on the
-    sub-panels the jumps cut. Each side of a query has the bits a one-query
-    call gives it.
+    their stable sort and the cumulative weights in that order
+    (`_sorted_masses`). A base panel that no jump splits has the same
+    Gauss-Legendre value for every query, so those values are computed once;
+    `_identity_rhs` evaluates phi' only on the sub-panels the jumps cut. Each
+    side of a query has the bits a one-query call gives it.
     """
     if quad_points < 16:
         raise ValueError("quad_points must be >= 16")
@@ -540,10 +540,7 @@ def _identity_sides(measure, phi, xs, Rs, s, quad_points):
     for g in range(0, len(Rs), rows):
         gR = Rs[g:g + rows]
         d2 = np.array([index.sq_dist(x) for x in xs[g:g + rows]])
-        order = np.argsort(d2, axis=1, kind="stable")
-        d2s, ws = np.take_along_axis(d2, order, axis=1), w[order]
-        cumw = np.zeros((len(gR), len(w) + 1))
-        np.cumsum(ws, axis=1, out=cumw[:, 1:])
+        d2s, ws, cumw = _sorted_masses(d2, w)
         d = np.sqrt(d2s)
         lhs += _smoothed_sums(phi, d, ws, gR, s)
         rhs += _identity_rhs(phi, (lo, hi), base, base_quad, d, d2s, cumw, gR, s)
@@ -619,15 +616,16 @@ def _gl_quad(phi, mid, half):
 
 
 def _sorted_masses(d2, weights):
-    """(d2s, cumw): the atoms' squared distances d2 in ascending order, and
-    cumw[k] = weight of the k nearest atoms (cumw[0] = 0)."""
-    order = np.argsort(d2, kind="stable")
-    return d2[order], np.concatenate([[0.0], np.cumsum(weights[order])])
-
-
-def _mass_within(d2s, cumw, r2):
-    """Weight of the atoms with d2 <= r2, from `_sorted_masses`."""
-    return cumw[np.searchsorted(d2s, r2, side="right")]
+    """(d2s, ws, cumw) along the last axis of d2, a row of the atoms' squared
+    distances per query: d2s in stable ascending order, ws the weights in
+    that order, and cumw[..., k] = weight of the k nearest atoms (cumw[..., 0]
+    = 0), so the atoms with d2 <= r2 weigh cumw[searchsorted(d2s, r2,
+    side="right")]."""
+    order = np.argsort(d2, axis=-1, kind="stable")
+    ws = weights[order]
+    cumw = np.zeros(d2.shape[:-1] + (d2.shape[-1] + 1,))
+    np.cumsum(ws, axis=-1, out=cumw[..., 1:])
+    return np.take_along_axis(d2, order, axis=-1), ws, cumw
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +665,7 @@ def find_thin_boundary_radius(measure: WeightedPointMeasure, x, r: float,
     near = d2 <= (4.0 * r) * (4.0 * r)
     if not near.any():
         raise ValueError("mass(x, 4r) must be positive")
-    d2s, cumw = _sorted_masses(d2[near], measure.weights[near])
+    d2s, _, cumw = _sorted_masses(d2[near], measure.weights[near])
 
     n, k = THIN_BOUNDARY_CANDIDATES, len(lams)
     candidates = r + (r / (n - 1)) * np.arange(n)
@@ -676,8 +674,8 @@ def find_thin_boundary_radius(measure: WeightedPointMeasure, x, r: float,
     # balls of radii (1 - lam) r' (d2 < R^2 is d2 <= the float below R^2)
     outer = np.concatenate([2.0 * rp, (1.0 + lams) * rp], axis=1)
     inner = (1.0 - lams) * rp
-    mass = _mass_within(d2s, cumw, np.concatenate(
-        [outer * outer, np.nextafter(inner * inner, -np.inf)], axis=1))
+    mass = cumw[np.searchsorted(d2s, np.concatenate(
+        [outer * outer, np.nextafter(inner * inner, -np.inf)], axis=1), side="right")]
     band = mass[:, 1:k + 1] - mass[:, k + 1:]
     bound = t_thin * lams * mass[:, :1]
     fails = band > bound

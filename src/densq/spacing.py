@@ -1,9 +1,9 @@
 """The smallest distance between two atoms, loaded on first use.
 
-`min_spacing` of a measure: from the segment layout where it shows the
-closest pair, else the exact closest pair of the stored coordinates, by a sweep
-with a cell-grid fallback, in numpy alone. `measures` imports this module
-inside the property, so `import densq` compiles and loads none of it.
+`min_spacing` of every measure, segment layouts included: the exact closest
+pair of the stored coordinates, by a sweep with a cell-grid fallback, in numpy
+alone. `measures` imports this module inside the property, so `import densq`
+compiles and loads none of it.
 """
 from __future__ import annotations
 
@@ -21,89 +21,11 @@ _SWEEP_SHIFTS = 32
 _GRID_PAIRS = 64
 
 
-def min_spacing(points, segments=None):
+def min_spacing(points):
     """The smallest distance between two atoms: the least
     sqrt(_sq_rows(x_i - x_j)) over all pairs, the value a brute-force scan
-    gives; 0.0 for a single atom. A segment layout gives it from consecutive
-    atoms where its geometry allows (`segment_min_spacing`); else
-    `closest_pair` finds it."""
-    if len(points) == 1:
-        return 0.0
-    d = segment_min_spacing(points, segments)
-    return closest_pair(points) if d is None else d
-
-
-def segment_min_spacing(points, segments):
-    """The smallest distance between two atoms of a segment layout, where the
-    layout shows that consecutive stored atoms attain it; else None (and for
-    no layout).
-
-    The candidate is the least sqrt(_sq_rows(...)) over consecutive stored
-    atoms, the value a brute-force scan computes for that pair. No other pair
-    is closer when each of these bounds, less a slack, exceeds it:
-    - within a segment, arcs[i + 2] - arcs[i], the distance of atoms two apart
-      on its lattice;
-    - for segments not adjacent, a lower bound on the distance between them
-      (`_piece_gap`);
-    - for adjacent segments, the same bound between all but the last atom of
-      the first segment and the second, and between that last atom and all
-      but the first atom of the second: every pair but the consecutive one.
-      This admits every turn of at most 90 degrees between lattices whose
-      end atoms sit half a step from the joint, as in polylines and tents.
-    The slack, 64 eps S (S bounds |x| over the atoms and the segment
-    origins), covers the distance of stored atoms from their exact lattice
-    positions and the rounding of the bounds and of the candidate.
-    """
-    if segments is None:
-        return None
-    cand = float(np.sqrt(_sq_rows(points[1:] - points[:-1])).min())
-    scale = float(np.sqrt(_sq_rows(points)).max()) + max(
-        math.sqrt((sg.origin ** 2).sum()) for sg in segments)
-    floor = cand + 64 * np.finfo(float).eps * scale
-    if any(len(sg.arcs) > 2 and (sg.arcs[2:] - sg.arcs[:-2]).min() <= floor
-           for sg in segments):
-        return None
-    o = np.array([sg.origin for sg in segments])
-    u = np.array([sg.direction for sg in segments])
-    lo, hi = np.array([[sg.arcs[0], sg.arcs[-1]] for sg in segments]).T
-    for a in range(len(segments) - 1):
-        first, second, b = segments[a].arcs, segments[a + 1].arcs, a + 1
-        # every later segment, then the next one without the consecutive pair
-        gaps = [_piece_gap(o[a], u[a], lo[a], hi[a], o[b + 1:], u[b + 1:], lo[b + 1:],
-                           hi[b + 1:])]
-        if len(first) > 1:
-            gaps.append(_piece_gap(o[a], u[a], first[0], first[-2], o[b], u[b], lo[b], hi[b]))
-        if len(second) > 1:
-            gaps.append(_piece_gap(o[a], u[a], hi[a], hi[a], o[b], u[b], second[1], hi[b]))
-        if min(float(np.min(g, initial=math.inf)) for g in gaps) <= floor:
-            return None
-    return cand
-
-
-def _piece_gap(o1, u1, a1, b1, o2, u2, a2, b2):
-    """A lower bound on the distance between the straight pieces
-    o1 + [a1, b1] u1 and o2 + [a2, b2] u2 (unit u1, u2; one piece against an
-    array of them): the larger, over either piece's frame, of the gap between
-    the two pieces' projections on its direction and the least distance of the
-    other piece from its line."""
-    return np.maximum(_piece_gap_from(o1, u1, a1, b1, o2, u2, a2, b2),
-                      _piece_gap_from(o2, u2, a2, b2, o1, u1, a1, b1))
-
-
-def _piece_gap_from(o1, u1, a1, b1, o2, u2, a2, b2):
-    """`_piece_gap` in the frame of the first piece. The least distance of the
-    second from the line is |w0 + tau w1| at the clipped minimiser tau: an
-    error in tau raises it only by a term of second order."""
-    o1, u1, o2, u2 = (np.atleast_2d(v) for v in (o1, u1, o2, u2))
-    rel = o2 - o1
-    along, cos = (rel * u1).sum(axis=1), (u2 * u1).sum(axis=1)
-    ends = np.stack([along + a2 * cos, along + b2 * cos])
-    gap = np.maximum(np.maximum(ends.min(axis=0) - b1, a1 - ends.max(axis=0)), 0.0)
-    w0, w1 = rel - along[:, None] * u1, u2 - cos[:, None] * u1
-    ww = (w1 * w1).sum(axis=1)
-    tau = np.divide(-(w0 * w1).sum(axis=1), ww, out=np.zeros_like(ww), where=ww > 0)
-    tau = np.clip(tau, a2, b2)
-    return np.maximum(gap, np.sqrt(_sq_rows(w0 + tau[:, None] * w1)))
+    gives (`closest_pair`); 0.0 for a single atom."""
+    return 0.0 if len(points) == 1 else closest_pair(points)
 
 
 def closest_pair(points):

@@ -1,6 +1,6 @@
 """The numpy 2-d hull against Qhull, the farthest-atom candidates (the 3-d
-radius scan included) against brute force, and min_spacing, from segment
-layouts and from the closest-pair sweep and grid, against brute force and a
+radius scan included) against brute force, and min_spacing, the closest-pair
+sweep and grid on segment layouts and on other sets, against brute force and a
 KD-tree. scipy serves only as the oracle here, imported inside the tests."""
 import math
 import time
@@ -202,10 +202,6 @@ def brute_min_spacing(points):
     return float(np.sqrt(d2.min()))
 
 
-def _no_sweep(points):
-    raise AssertionError("the general closest-pair path ran")
-
-
 SEGMENT_MEASURES = {
     "flat 2-d": lambda: build_flat(2, 1, 1.0, 0.002),
     "flat 3-d": lambda: build_flat(3, 1, 0.7, 1 / 64),
@@ -219,32 +215,20 @@ SEGMENT_MEASURES = {
     "one-atom edge": lambda: build_polyline([[0.0, 0.0], [1.0, 0.25], [1.01, 0.26]], 1 / 20),
     # a hairpin: the atoms nearest the turn are the closest pair
     "acute turn": lambda: build_polyline([[0, 0], [1, 0], [0.2, 0.1]], 0.01),
+    # legs 0.005 apart: the closest pair is not consecutive
+    "fold": lambda: build_polyline([[0, 0], [1, 0], [1, 0.005], [0, 0.005]], 0.01),
+    "acute turn onto the first leg": lambda: build_polyline(
+        [[0, 0], [1, 0], [0.5, 0.002], [0.5, 1]], 0.01),
+    # steps below the rounding of x
+    "sub-rounding lattice": lambda: build_polyline([[1e3, 0], [1e3 + 1e-10, 0]], 1e-12),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SEGMENT_MEASURES))
-def test_segment_min_spacing_is_brute_force_without_the_general_path(monkeypatch, name):
-    monkeypatch.setattr(sp, "closest_pair", _no_sweep)
+def test_layout_min_spacing_is_brute_force(name):
     m = SEGMENT_MEASURES[name]()
     assert m.segments is not None
     assert m.min_spacing == brute_min_spacing(m.points)
-
-
-@pytest.mark.parametrize("vertices, spacing", [
-    ([[0, 0], [1, 0], [1, 0.005], [0, 0.005]], 0.01),   # folded: legs 0.005 apart
-    ([[0, 0], [1, 0], [0.5, 0.002], [0.5, 1]], 0.01),   # acute turn onto the first leg
-    ([[1e3, 0], [1e3 + 1e-10, 0]], 1e-12)])             # steps below the rounding of x
-def test_segment_min_spacing_falls_back_to_the_general_path(monkeypatch, vertices, spacing):
-    calls = []
-    general = sp.closest_pair
-
-    def counted(points):
-        calls.append(1)
-        return general(points)
-    monkeypatch.setattr(sp, "closest_pair", counted)
-    m = build_polyline(vertices, spacing)
-    assert sp.segment_min_spacing(m.points, m.segments) is None
-    assert m.min_spacing == brute_min_spacing(m.points) and calls == [1]
 
 
 def tree_min_spacing(points):

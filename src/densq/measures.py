@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import bisect
 import functools
 import itertools
 import json
@@ -389,11 +390,21 @@ def _mass_blocks(family, centers, radii):
     each segment once for the whole family (`_segment_ball_masses`); others
     run a radial-shell pass each (`_shell_sums`) that sums the weights shell
     by shell, or for a measure of one weight w counts its atoms and rounds
-    each count n once to n * w. All use the |x-c|^2 <= r^2 predicate.
+    each count n once to n * w. All use the |x-c|^2 <= r^2 predicate, so a
+    center whose squared distance to the atoms' far box corner overflows is
+    refused.
     """
     dim = family[0].dim
     if centers.ndim != 2 or centers.shape[1] != dim or not np.isfinite(centers).all():
         raise ValueError(f"centers must be finite vectors of length {dim}")
+    pts = family[0].points
+    if family[0].segments is not None:      # the end atoms bound the rest on each axis
+        stops = np.cumsum([len(sg.arcs) for sg in family[0].segments])
+        pts = pts[np.concatenate([[0], stops[:-1], stops - 1])]
+    with np.errstate(over="ignore"):
+        far2 = sum(np.maximum(c - x.min(), x.max() - c) ** 2 for c, x in zip(centers.T, pts.T))
+    if not np.isfinite(far2).all():
+        raise ValueError("centers too far from the atoms: squared distances overflow")
     if not np.all(radii >= 0):
         raise ValueError("radii must be nonnegative (and not nan)")
     if family[0].segments is not None:
@@ -576,14 +587,6 @@ def _distinct(values):
     return values[keep]
 
 
-def _segment_foot(sg, centers):
-    """(t0, p2) per center: the arc offset of its foot on the segment's line,
-    and its squared distance from that line."""
-    rel = centers - sg.origin[None, :]
-    t0 = rel @ sg.direction
-    return t0, np.clip(_sq_rows(rel) - t0 ** 2, 0.0, None)
-
-
 def _segment_ball_masses(points, layouts, centers, radii):
     """Closed-ball masses on segment-lattice measures that share the atoms
     `points` and one segment geometry (a measure and its reweightings), given
@@ -595,111 +598,144 @@ def _segment_ball_masses(points, layouts, centers, radii):
     geometry alone, so each segment is counted once for every list, and its
     count is added to every list before the next segment counts.
 
-    Every segment counts into one scratch set of the pass, so the pass holds
-    the same memory whatever its segment count. A block holds 2^15 (center,
-    radius) cells, which keeps the scratch in cache; it is freed before the
-    last block is handed out.
+    The sums run radius-major, radii ascending, one (radii x centers) sum per
+    list, transposed once per block into the matrices handed out. Radii that
+    a block's box decides add w_s * n_s, or nothing (a zero term leaves a
+    nonnegative sum as it is). Every segment counts into one scratch set of
+    rows of 2^15 (center, radius) cells, in cache, so the pass holds the same
+    memory at any segment count: the sums, two bool and four float rows (the
+    float rows also hold the matrices handed out). The sums and the bool
+    rows are freed before the last block is handed out.
     """
     n, m = len(centers), len(radii)
-    r2 = radii * radii
+    order = np.argsort(radii, kind="stable")
+    r2 = np.square(radii[order])
     rows = _block_rows(n, 2 * m)    # half a shell block: the counting stays in cache
     reach = float(np.sqrt(_sq_rows(centers)).max(initial=0.0))
     ends = list(itertools.accumulate((len(sg.arcs) for sg in layouts[0]), initial=0))
-    # one counter per segment, set up once per pass
-    counters = [(_segment_counts(points[lo:hi], segs[0], reach, r2), segs)
+    # one counter per segment, set up once per pass, and each list's terms
+    counters = [(_segment_counts(points[lo:hi], segs[0], reach, r2),
+                 [(sg.weight, sg.weight * (hi - lo)) for sg in segs])
                 for lo, hi, segs in zip(ends, ends[1:], zip(*layouts))]
-    bufs = np.empty((len(layouts), rows, m))
-    scratch = np.empty((5, rows * m)), np.empty((2, rows * m), dtype=bool)
+    sums = np.empty((len(layouts), rows * m))
+    fbuf, bbuf = np.empty((max(4, len(layouts)), rows * m)), np.empty((2, rows * m), dtype=bool)
     for a in range(0, n, rows):
-        c = centers[a:a + rows]
-        outs = bufs[:, :len(c)]
-        outs.fill(0.0)
-        for count_at, segs in counters:
-            count, product = count_at(c, *scratch)
-            for out, sg in zip(outs, segs):
-                out += np.multiply(count, sg.weight, out=product)
+        c, size = centers[a:a + rows], min(rows, n - a) * m
+        accs = sums[:, :size].reshape(len(layouts), m, len(c))
+        accs.fill(0.0)
+        ct = np.ascontiguousarray(c.T)
+        box = ct.min(axis=1).tolist(), ct.max(axis=1).tolist()
+        for count_at, terms in counters:
+            j0, j1, count, product = count_at(c, ct, *box, fbuf, bbuf)
+            for acc, (w, full) in zip(accs, terms):
+                if j0 < j1:
+                    acc[j0:j1] += np.multiply(count, w, out=product)
+                acc[j1:] += full
+        outs = fbuf[:len(layouts), :size].reshape(len(layouts), len(c), m)
+        outs[:, :, order] = accs.transpose(0, 2, 1)
         if a + rows >= n:
-            del scratch     # the last block's reader gets its memory
+            del sums, accs, bbuf    # the last block's reader gets their memory
         yield a, list(outs)
 
 
 def _segment_counts(pts, sg, reach, r2):
     """A counter of the atoms `pts` of segment `sg` in the closed balls of
-    squared radii `r2`, at centers whose |c| `reach` bounds: count_at(c,
-    fbuf, bbuf) returns (count, free), count[i, j] the atoms in the ball
-    (c[i], sqrt(r2[j])) as a float, and free a scratch matrix of its shape
-    that count_at no longer needs. Both are views of the float scratch fbuf
-    (five rows of at least len(c) * len(r2) cells; bbuf holds two bool rows),
-    valid until its next call. The lattice step, the slack and the capped
-    radii are set up once, for every call.
+    ascending squared radii `r2`, at centers whose |c| `reach` bounds:
+    count_at(c, ct, lo, hi, fbuf, bbuf), for centers c (ct = c.T) in the box
+    [lo, hi], returns (j0, j1, count, free). Radii j < j0 hold none of the
+    atoms, radii j >= j1 all, and count[j - j0, i] counts those in the ball
+    (c[i], sqrt(r2[j])) as a float; free is scratch of its shape. Both are
+    views of fbuf's four float rows (bbuf holds two bool rows), valid until
+    the next call, and None if j0 == j1.
 
-    A ball meets the segment's line in the arcs [t0 - u, t0 + u],
-    u = sqrt(r^2 - p2). Atom k sits near arcs[0] + k * step, so the atoms more
-    than a slack tau inside either end are counted by index arithmetic, those
-    more than tau outside are not, and only the few within tau of an end are
-    re-decided with the stored-coordinate predicate |x_i - c|^2 <= r^2. The
-    count thus equals a brute-force scan, ties included.
-
-    tau, in arc units, covers the largest deviation of `arcs` from the
-    lattice, the rounding of t0, p2, the lattice index and the stored
-    coordinates (16 eps S), and that of u where the ball grazes the line
-    (sqrt(16 eps) S); S bounds |x_i - c| over the segment's atoms and the
-    centers.
+    j0 and j1 come from the squared gap and span between the centers' box
+    and the atoms', which the end atoms give (stored coordinates along a
+    lattice segment are monotone on each axis). Rounding is monotone too, so
+    every computed |x_i - c|^2 lies between them; a margin of 1e-9 of each,
+    as in `_shell_sums`, is kept besides. The radii between are counted
+    radius-major, on (radii x centers) scratch, in units of the step. A ball
+    meets the segment's line in the arcs [t0 - u, t0 + u], u = sqrt(r^2 - p2).
+    Atom k sits near arcs[0] + k * step, so the atoms more than a slack tau
+    inside either end are counted by index arithmetic, those more than tau
+    outside are not, and only the few within tau of an end are re-decided
+    with the stored-coordinate predicate |x_i - c|^2 <= r^2: the count equals
+    a brute-force scan, ties included. tau is the largest deviation of `arcs`
+    from the lattice, plus (dim + 14) eps S for the rounding of t0, the index
+    arithmetic and the stored coordinates, plus sqrt((3 dim + 10) eps) S for
+    that of u where the ball grazes the line, whose radicand R2 - P2 (R2 =
+    r^2 / step^2, P2 = p2 / step^2) rounds by at most (2 dim + 2 sqrt(dim) +
+    5.5) eps S^2 with the predicate's d2; S bounds |x_i - c| over the
+    segment's atoms and the centers. The counter refuses centers for which
+    (2 S / step)^2 or 4 S^2 overflows: its squares in steps must stay finite.
     """
-    arcs, k = sg.arcs, len(sg.arcs)
-    c_eps = 16 * np.finfo(float).eps
+    arcs, (k, dim) = sg.arcs, pts.shape
+    eps = float(np.finfo(float).eps)
     step = (arcs[-1] - arcs[0]) / (k - 1) if k > 1 else 1.0
     scale = reach + float(np.sqrt((sg.origin ** 2).sum())) + max(-arcs[0], arcs[-1])
     tau = (float(np.abs(arcs - (arcs[0] + np.arange(k) * step)).max())
-           + c_eps * scale + math.sqrt(c_eps) * scale)
+           + (dim + 14) * eps * scale + math.sqrt((3 * dim + 10) * eps) * scale)
+    if not 2.0 * scale * max(1.0, 1.0 / step) < 2.0 ** 510:
+        raise ValueError("centers too far out for the lattice step: "
+                         "squared distances in steps overflow")
     d = tau / step
     # past 2 * scale a ball holds the whole segment; the cap keeps u finite
-    r2_cap = np.minimum(r2, 4.0 * scale * scale)
+    R2 = (np.minimum(r2, 4.0 * scale * scale) / step / step)[:, None]
+    box = list(zip(np.minimum(pts[0], pts[-1]).tolist(), np.maximum(pts[0], pts[-1]).tolist()))
+    radii2 = r2.tolist()
 
-    def count_at(c, fbuf, bbuf):
-        size, shape = len(c) * len(r2), (len(c), len(r2))
-        uq, lo, hi, first, stop = (b[:size].reshape(shape) for b in fbuf)
+    def count_at(c, ct, lo, hi, fbuf, bbuf):
+        gap2 = span2 = 0.0
+        for c_lo, c_hi, (x_lo, x_hi) in zip(lo, hi, box):
+            g, s = max(x_lo - c_hi, c_lo - x_hi, 0.0), max(x_hi - c_lo, c_hi - x_lo)
+            gap2, span2 = gap2 + g * g, span2 + s * s
+        j0 = bisect.bisect_left(radii2, gap2 * (1.0 - 1e-9))
+        j1 = bisect.bisect_left(radii2, span2 * (1.0 + 1e-9), j0)
+        if j0 == j1:
+            return j0, j1, None, None
+        size, shape = (j1 - j0) * len(c), (j1 - j0, len(c))
+        uq, first, stop, tmp = (b[:size].reshape(shape) for b in fbuf[:4])
         lower, upper = (b[:size].reshape(shape) for b in bbuf)
-        t0, p2 = _segment_foot(sg, c)
-        tq = (t0[:, None] - arcs[0]) / step
-        np.subtract(r2_cap, p2[:, None], out=uq)
-        np.maximum(uq, 0.0, out=uq)
-        np.sqrt(uq, out=uq)
-        uq /= step
-        np.subtract(tq, uq, out=lo)
-        np.add(tq, uq, out=hi)
+        # each center's foot t0 and squared distance p2 from the line, in steps
+        rel = ct - sg.origin[:, None]
+        t0 = sg.direction @ rel
+        tq = (t0 - arcs[0]) / step
+        tq_lo, tq_hi = tq + d, tq + (1.0 - d)
+        np.subtract(R2[j0:j1], np.maximum(_sq_rows(rel.T) - t0 * t0, 0.0) / step / step,
+                    out=uq)
+        np.sqrt(np.maximum(uq, 0.0, out=uq), out=uq)
         # atoms first <= i < stop lie more than tau inside [t0 - u, t0 + u]
-        np.ceil(np.add(lo, d, out=first), out=first)
-        np.floor(np.add(hi, 1.0 - d, out=stop), out=stop)
-        # cells with an atom within tau of an end: first - 1 >= lo - d or
-        # stop <= hi + d
-        np.greater_equal(np.subtract(first, lo, out=uq), 1.0 - d, out=lower)
-        np.less_equal(np.subtract(stop, hi, out=uq), d, out=upper)
+        np.ceil(np.subtract(tq_lo, uq, out=first), out=first)
+        np.floor(np.add(tq_hi, uq, out=stop), out=stop)
+        # cells with an atom within tau of an end: first - 1 >= tq - u - d or
+        # stop <= tq + u + d
+        np.greater_equal(np.add(first, uq, out=tmp), tq_hi, out=lower)
+        np.less_equal(np.subtract(stop, uq, out=tmp), tq_lo, out=upper)
         near = np.flatnonzero(np.logical_or(lower, upper, out=lower))
-        np.clip(first, 0, k, out=first)
-        np.clip(stop, 0, k, out=stop)
-        count = np.maximum(np.subtract(stop, first, out=uq), 0.0, out=uq)
+        np.maximum(first, 0.0, out=first)
+        np.minimum(stop, k, out=stop)
+        count = np.maximum(np.subtract(stop, first, out=tmp), 0.0, out=tmp)
         if near.size:
-            lo_n, hi_n, first_n, stop_n = (b.reshape(-1)[near] for b in (lo, hi, first, stop))
+            t_n = tq[near % len(c)]
+            u_n, first_n, stop_n = (b.reshape(-1)[near] for b in (uq, first, stop))
             # the atoms within tau below first, and above stop (or first)
-            _redecide(count, near, np.ceil(lo_n - d), first_n, pts, c, r2)
-            _redecide(count, near, np.maximum(stop_n, first_n), np.floor(hi_n + d) + 1.0,
-                      pts, c, r2)
-        return count, lo
+            _redecide(count, near, np.ceil(t_n - u_n - d), first_n, pts, c, r2[j0:j1])
+            _redecide(count, near, np.maximum(stop_n, first_n), np.floor(t_n + u_n + d) + 1.0,
+                      pts, c, r2[j0:j1])
+        return j0, j1, count, uq
     return count_at
 
 
 def _redecide(count, cell, start, end, pts, centers, r2):
-    """Add to `count` (centers x radii) the atoms start <= i < end of `pts`
+    """Add to `count` (radii x centers) the atoms start <= i < end of `pts`
     that pass the stored-coordinate predicate |x_i - c|^2 <= r^2, per
-    row-major cell index in `cell`; the ranges are clipped to the atoms."""
-    m, flat = len(r2), count.reshape(-1)
+    radius-major cell index in `cell`; the ranges are clipped to the atoms."""
+    n, flat = len(centers), count.reshape(-1)
     start = np.clip(start, 0, len(pts)).astype(np.intp)
     end = np.clip(end, 0, len(pts)).astype(np.intp)
     while cell.size:
         more = start < end
         cell, start, end = cell[more], start[more], end[more]
-        flat[cell] += _sq_rows(pts[start] - centers[cell // m]) <= r2[cell % m]
+        flat[cell] += _sq_rows(pts[start] - centers[cell % n]) <= r2[cell // n]
         start += 1
 
 
@@ -708,7 +744,9 @@ def _segment_farthest(segments, centers):
     first or last one."""
     best = np.zeros(centers.shape[0])
     for sg in segments:
-        t0, p2 = _segment_foot(sg, centers)
+        rel = centers - sg.origin[None, :]
+        t0 = rel @ sg.direction
+        p2 = np.clip(_sq_rows(rel) - t0 ** 2, 0.0, None)
         for t_end in (sg.arcs[0], sg.arcs[-1]):
             d2 = (t_end - t0) ** 2 + p2
             np.maximum(best, d2, out=best)

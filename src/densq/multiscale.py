@@ -231,10 +231,10 @@ def _check_p(p: float) -> None:
 def _density_and_gap(masses, sample, s):
     """theta(x, r) and theta(x, r) - theta(x, 2r) at each center and sample
     radius, from its ball-mass profile at the radii and their doubles; both
-    are views of `masses`, overwritten in place."""
+    are views of `masses`, overwritten in place: one division by [r^s,
+    (2r)^s], then one subtraction."""
+    masses /= np.concatenate([sample ** s, (2.0 * sample) ** s])
     th_r, gap = masses[:, :len(sample)], masses[:, len(sample):]
-    th_r /= sample ** s
-    gap /= (2.0 * sample) ** s
     np.subtract(th_r, gap, out=gap)
     return th_r, gap
 

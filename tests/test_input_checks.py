@@ -19,6 +19,7 @@ from densq import (
     ball_masses,
     beta_inf,
     build_cantor,
+    build_flat,
     build_gamma_curve,
     build_polyline,
     density,
@@ -286,6 +287,17 @@ API_CASES += [(lambda m=m, c=c: ball_masses(m, c, [0.1, 0.5]),
                "centers must be finite vectors of length 2")
               for m in (_M, _TENT)
               for c in ([[0.1, NAN]], [_X, [INF, 0.1]], [[0.1, 0.2, 0.3]])]
+# a finite center whose squared distances from the atoms overflow: the segment
+# engine once gave nan there, and the radial-shell engine 2.25 with warnings
+_FLAT = build_flat(2, 1, 1.0, 0.25)
+API_CASES += [(lambda m=m: ball_masses(m, [[1e160, 0.0]], [1e160, 2e160]),
+               "centers too far from the atoms: squared distances overflow")
+              for m in (_FLAT, WeightedPointMeasure(_FLAT.points, _FLAT.weights), _M, _TENT)]
+# finite squared distances that overflow in units of the lattice step (0.25):
+# the segment engine once gave nan off the line and warned on it
+API_CASES += [(lambda c=c: ball_masses(_FLAT, c, [5e153]),
+               "centers too far out for the lattice step: squared distances in steps overflow")
+              for c in ([[0.0, 5e153]], [[5e153, 0.0]])]
 
 
 @pytest.mark.parametrize("call, message", API_CASES)

@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from densq import (ScaleGrid, ball_masses, build_cantor, build_gamma_curve, build_polyline,
-                   square_function_and_wolff_energy)
+from densq import (ScaleGrid, ball_masses, build_cantor, build_flat, build_gamma_curve,
+                   build_polyline, square_function_and_wolff_energy)
 from densq import experiments as ex
 from densq import measures as ms
 from densq import multiscale as msc
@@ -189,18 +189,39 @@ def test_energies_reject_measures_that_do_not_share_their_atoms():
 
 def test_the_tent_suite_counts_each_fine_segment_once_per_alpha_and_l(monkeypatch):
     calls, count = [], ms._segment_counts
+    cells = collections.Counter()
 
-    def counted(pts, *args):
+    def counted(pts, sg, reach, r2):
         calls.append(pts)       # keeps the curve's points, so ids stay unique
-        return count(pts, *args)
+        count_at = count(pts, sg, reach, r2)
+
+        def cells_counted(c, *args):
+            j0, j1, *rest = count_at(c, *args)
+            cells["offered"] += len(c) * len(r2)
+            cells["counted"] += len(c) * (j1 - j0)
+            return (j0, j1, *rest)
+        return cells_counted
 
     monkeypatch.setattr(ms, "_segment_counts", counted)
     alphas = [math.pi / 4 * 2.0 ** -k for k in range(4)]
-    ex.run_tent_counterexample({"alpha_list": alphas, "sf_spacing": 1e-3})
+    # at this spacing a block of 2,048 centers spans about 0.4 of the curve
+    ex.run_tent_counterexample({"alpha_list": alphas, "sf_spacing": 2e-4})
     # one fine tent per (alpha, L), two half extents: its four segments once each
     per_curve = collections.Counter(id(pts.base) for pts in calls)
     assert len(per_curve) == 2 * len(alphas)
     assert set(per_curve.values()) == {4}
+    # the blocks' boxes decide over 30% of the (center, radius, segment) cells
+    assert 0 < cells["counted"] < 0.7 * cells["offered"]
+
+
+def test_far_centers_within_the_step_bound_match_the_shell_engine():
+    # 2 |c| / step stays below 2^510 here; ties at the center's distances
+    flat = build_flat(2, 1, 1.0, 0.25)
+    centers = np.array([[0.0, 1e152], [1e152, 0.0], [-4e152, 0.0], [0.0, 4e152]])
+    d = np.sqrt(((centers[:, None] - flat.points[None]) ** 2).sum(-1)).ravel()
+    radii = np.concatenate([d, np.nextafter(d, 0.0), np.nextafter(d, np.inf), [0.0, np.inf]])
+    expect = ball_masses(ms.WeightedPointMeasure(flat.points, flat.weights), centers, radii)
+    np.testing.assert_array_equal(ball_masses(flat, centers, radii), expect)
 
 
 def test_concurrent_queries_on_one_layout_match_the_single_thread_ones():

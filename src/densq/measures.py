@@ -371,12 +371,12 @@ def mass_in_ball(index: BallIndex, center, r: float) -> float:
 def ball_masses(measure: WeightedPointMeasure, centers: np.ndarray,
                 radii: np.ndarray) -> np.ndarray:
     """(n_centers, n_radii) matrix of closed-ball masses: the blocks of
-    `_mass_blocks`, written one after another."""
+    `_mass_blocks`, each written transposed into its rows."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     radii = np.asarray(radii, dtype=float)
     out = np.empty((len(centers), len(radii)))
     for a, (mass,) in _mass_blocks((measure,), centers, radii):
-        out[a:a + len(mass)] = mass
+        out[a:a + mass.shape[1]] = mass.T
     return out
 
 
@@ -384,15 +384,15 @@ def _mass_blocks(family, centers, radii):
     """Closed-ball masses of each measure of `family` (a measure and its
     reweightings: they share their atoms), a block of centers at a time.
 
-    Returns an iterator of (a, masses): masses[k] is the (rows, n_radii)
-    matrix of family[k] at centers[a:a + rows], valid until the next block is
-    asked for. Segment-lattice measures are counted by interval arithmetic,
-    each segment once for the whole family (`_segment_ball_masses`); others
-    run a radial-shell pass each (`_shell_sums`) that sums the weights shell
-    by shell, or for a measure of one weight w counts its atoms and rounds
-    each count n once to n * w. All use the |x-c|^2 <= r^2 predicate, so a
-    center whose squared distance to the atoms' far box corner overflows is
-    refused.
+    Returns an iterator of (a, masses): masses[k] is the radius-major
+    (n_radii, rows) matrix of family[k] at centers[a:a + rows], valid until
+    the next block is asked for. Segment-lattice measures are counted by
+    interval arithmetic, each segment once for the whole family
+    (`_segment_ball_masses`); others run a radial-shell pass each
+    (`_shell_sums`) that sums the weights shell by shell, or for a measure of
+    one weight w counts its atoms and rounds each count n once to n * w. All
+    use the |x-c|^2 <= r^2 predicate, so a center whose squared distance to
+    the atoms' far box corner overflows is refused.
     """
     dim = family[0].dim
     if centers.ndim != 2 or centers.shape[1] != dim or not np.isfinite(centers).all():
@@ -415,12 +415,12 @@ def _mass_blocks(family, centers, radii):
 
 
 def _shell_masses(measure, centers, radii):
-    """(a, masses) blocks of one measure's radial-shell pass."""
+    """(a, masses) blocks of one measure's radial-shell pass, transposed views."""
     # a measure of one weight w counts its atoms (no weights) and scales by w
     w = measure.weights[0] if _exact_per_ball(measure) else None
     sums = _shell_sums(measure.points, measure.weights if w is None else None, centers,
                        radii, None, 1)
-    return ((a, out[0] if w is None else np.multiply(out[0], w, out=out[0]))
+    return ((a, (out[0] if w is None else np.multiply(out[0], w, out=out[0])).T)
             for a, out in sums)
 
 
@@ -469,7 +469,8 @@ def _shell_sums(points, weights, centers, radii, values, n_values):
     is handed out; `values` must not keep them past its call.
     """
     radii = np.asarray(radii, dtype=float)
-    r2 = radii * radii
+    with np.errstate(over="ignore"):    # past about 1.34e154, r^2 = inf holds every atom
+        r2 = radii * radii
     order = np.argsort(r2, kind="stable")
     m, (n, dim) = len(radii), centers.shape
     step = _pair_step(n, len(points) * n_values, "radial-shell (center, atom, value) cells")
@@ -562,10 +563,11 @@ def _shell_lookup(r2s):
 def _near_atoms(points, centers, pad):
     """Mask of the atoms inside the centers' bounding box grown by `pad`;
     every atom when pad is infinite or its square underflows."""
-    if not 0.0 < pad * pad < math.inf:
-        return np.ones(len(points), dtype=bool)
-    return ((points >= centers.min(axis=0) - pad)
-            & (points <= centers.max(axis=0) + pad)).all(axis=1)
+    pad, keep = float(pad), np.ones(len(points), dtype=bool)
+    if 0.0 < pad * pad < math.inf:      # a coordinate column at a time
+        for x, c in zip(points.T, centers.T):
+            keep &= (x >= c.min() - pad) & (x <= c.max() + pad)
+    return keep
 
 
 def _sq_rows(v):
@@ -591,7 +593,7 @@ def _segment_ball_masses(points, layouts, centers, radii):
     """Closed-ball masses on segment-lattice measures that share the atoms
     `points` and one segment geometry (a measure and its reweightings), given
     by their segment lists, a block of centers at a time: yields (a, masses),
-    masses[k] the (rows, n_radii) matrix of list k at
+    masses[k] the (n_radii, rows) matrix of list k at
     centers[a:a + rows], sum_s w_s * count_s in segment order, from zeros,
     where count_s[i, j] is the number of segment s's atoms in the ball
     (centers[a + i], radii[j]) (`_segment_counts`). The counts depend on the
@@ -599,7 +601,8 @@ def _segment_ball_masses(points, layouts, centers, radii):
     count is added to every list before the next segment counts.
 
     The sums run radius-major, radii ascending, one (radii x centers) sum per
-    list, transposed once per block into the matrices handed out. Radii that
+    list, whose rows are permuted once per block into the matrices handed
+    out, radii in the order asked for. Radii that
     a block's box decides add w_s * n_s, or nothing (a zero term leaves a
     nonnegative sum as it is). Every segment counts into one scratch set of
     rows of 2^15 (center, radius) cells, in cache, so the pass holds the same
@@ -609,7 +612,8 @@ def _segment_ball_masses(points, layouts, centers, radii):
     """
     n, m = len(centers), len(radii)
     order = np.argsort(radii, kind="stable")
-    r2 = np.square(radii[order])
+    with np.errstate(over="ignore"):    # as in `_shell_sums`
+        r2 = np.square(radii[order])
     rows = _block_rows(n, 2 * m)    # half a shell block: the counting stays in cache
     reach = float(np.sqrt(_sq_rows(centers)).max(initial=0.0))
     ends = list(itertools.accumulate((len(sg.arcs) for sg in layouts[0]), initial=0))
@@ -631,8 +635,8 @@ def _segment_ball_masses(points, layouts, centers, radii):
                 if j0 < j1:
                     acc[j0:j1] += np.multiply(count, w, out=product)
                 acc[j1:] += full
-        outs = fbuf[:len(layouts), :size].reshape(len(layouts), len(c), m)
-        outs[:, :, order] = accs.transpose(0, 2, 1)
+        outs = fbuf[:len(layouts), :size].reshape(len(layouts), m, len(c))
+        outs[:, order] = accs
         if a + rows >= n:
             del sums, accs, bbuf    # the last block's reader gets their memory
         yield a, list(outs)
@@ -743,8 +747,10 @@ def _segment_farthest(segments, centers):
     """Farthest atom distance per center; the farthest atom of a segment is its
     first or last one."""
     best = np.zeros(centers.shape[0])
+    rel = np.empty(centers.shape)   # centers - origin, one column at a time
     for sg in segments:
-        rel = centers - sg.origin[None, :]
+        for k, o in enumerate(sg.origin.tolist()):
+            np.subtract(centers[:, k], o, out=rel[:, k])
         t0 = rel @ sg.direction
         p2 = np.clip(_sq_rows(rel) - t0 ** 2, 0.0, None)
         for t_end in (sg.arcs[0], sg.arcs[-1]):
@@ -925,8 +931,10 @@ def build_polyline(vertices, spacing: float) -> WeightedPointMeasure:
         arcs = (np.arange(n) + 0.5) * step
         direction = seg / length
         at = slice(start, start + n)
-        np.multiply(arcs[:, None], direction, out=points[at])
-        points[at] += a
+        # one coordinate column at a time, rounded as a + arcs[:, None] * direction
+        for k, (dk, ak) in enumerate(zip(direction.tolist(), a.tolist())):
+            np.multiply(arcs, dk, out=points[at, k])
+            points[at, k] += ak
         weights[at] = step
         segments.append(SegmentLattice(origin=a, direction=direction, arcs=arcs,
                                        weight=step))

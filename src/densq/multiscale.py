@@ -229,12 +229,12 @@ def _check_p(p: float) -> None:
 
 
 def _density_and_gap(masses, sample, s):
-    """theta(x, r) and theta(x, r) - theta(x, 2r) at each center and sample
-    radius, from its ball-mass profile at the radii and their doubles; both
-    are views of `masses`, overwritten in place: one division by [r^s,
-    (2r)^s], then one subtraction."""
-    masses /= np.concatenate([sample ** s, (2.0 * sample) ** s])
-    th_r, gap = masses[:, :len(sample)], masses[:, len(sample):]
+    """theta(x, r) and theta(x, r) - theta(x, 2r) at each sample radius and
+    center, from the (radii x centers) ball masses at the radii and their
+    doubles; both are views of `masses`, overwritten in place: one division
+    by the column [r^s, (2r)^s], then one subtraction."""
+    masses /= np.concatenate([sample ** s, (2.0 * sample) ** s])[:, None]
+    th_r, gap = masses[:len(sample)], masses[len(sample):]
     np.subtract(th_r, gap, out=gap)
     return th_r, gap
 
@@ -247,12 +247,14 @@ def _energies(family, s, grids, p, kinds, eval_indices, kappa):
     are asked for with it: a measure whose weighted sums round by the radii
     they share a pass with (`_exact_per_ball`) gets one pass per window.
 
-    The pass comes a block of centers at a time, and no (center, radius)
-    matrix outlives its block: each block writes its rows of the per-point
-    sums and adds its column sums to each report's running per-scale sums.
-    The running sums go into the block's first row before its column sum, so
-    the rows are added one after another, as a whole matrix's column sum
-    (of two or more columns) adds them.
+    The pass comes a block of centers at a time, radius-major, and no
+    matrix outlives its block: each kind copies the theta or gap rows it
+    reads, transposed, into a (centers x radii) C-ordered matrix, where it
+    takes its contributions; each block writes its rows of
+    the per-point sums and adds its column sums to each report's running
+    per-scale sums. The running sums go into the block's first row before
+    its column sum, so the rows are added one after another, as a whole
+    matrix's column sum (of two or more columns) adds them.
     """
     _check_s(s)
     _check_p(p)
@@ -277,18 +279,17 @@ def _energies(family, s, grids, p, kinds, eval_indices, kappa):
     sums = [(np.zeros(len(sample)), np.empty(len(centers)))
             for sample in samples for _ in family for _ in kinds]
     for a, masses in _mass_blocks(family, centers, radii):
-        rows, acc = slice(a, a + len(masses[0])), iter(sums)
+        rows, acc = slice(a, a + masses[0].shape[1]), iter(sums)
         for grid, sample, col, floor, T in zip(grids, samples, cols, floors, tops):
             width = grid.cell_widths(floor, T[rows, None])
             for wc, mass in zip(wcs, masses):
-                # a view, or a C-ordered copy (mass[:, col] would be F-ordered),
-                # so the row and column sums below add as on the whole matrix
                 th_r, gap = _density_and_gap(
-                    mass[:, col] if isinstance(col, slice) else mass.take(col, axis=1),
-                    sample, s)
-                contrib = np.empty_like(th_r)
+                    mass[col] if isinstance(col, slice) else mass.take(col, axis=0), sample, s)
+                contrib = np.empty_like(width)
                 for kind, (per_scale, per_point) in zip(kinds, acc):
-                    np.abs(gap if kind == "square_function" else th_r, out=contrib)
+                    # the rows it reads, copied (centers x radii): one transposition
+                    contrib[...] = (gap if kind == "square_function" else th_r).T
+                    np.abs(contrib, out=contrib)
                     contrib **= p
                     contrib *= width
                     contrib *= wc[rows, None]
@@ -717,8 +718,8 @@ def local_energy_ratio(measure: WeightedPointMeasure, ball_center, r0: float,
     sample = grid.samples
     widths = grid.cell_widths(0.0, hi_r)
     masses = ball_masses(measure, measure.points[idx], np.concatenate([sample, 2.0 * sample]))
-    _, gap = _density_and_gap(masses, sample, s)
-    lhs = float((gap ** 2 * widths[None, :] * measure.weights[idx][:, None]).sum())
+    _, gap = _density_and_gap(masses.T, sample, s)
+    lhs = float((gap.T ** 2 * widths * measure.weights[idx][:, None]).sum())
     rhs = (m0 / r0 ** s) ** 2 * m0
     return lhs / rhs
 
@@ -745,7 +746,7 @@ def ad_regularity_diagnostic(measure: WeightedPointMeasure, s: float,
     if not len(centers):
         raise ValueError("no evaluation atoms: theta has no min or max")
     # a running min and max over the blocks of one pass
-    th_min, th_max, scale = math.inf, -math.inf, radii ** s
+    th_min, th_max, scale = math.inf, -math.inf, (radii ** s)[:, None]
     for _, (theta,) in _mass_blocks((measure,), centers, radii):
         theta /= scale
         th_min, th_max = min(th_min, float(theta.min())), max(th_max, float(theta.max()))

@@ -5,15 +5,17 @@ from densq import WeightedPointMeasure
 from densq import measures as ms
 
 
-def whole(blocks):
+def whole(blocks, axis=0):
     """The matrices of a blocked pass's (a, block) pairs, each block copied as
-    it comes (the engines reuse their buffers) and stacked in order: one
-    matrix for an array block, one per entry for a list of them."""
+    it comes (the engines reuse their buffers) and stacked in order along
+    `axis`, the blocks' centers axis: 0 for a (rows, n_radii) profile block,
+    1 for the (n_radii, rows) mass blocks of `_mass_blocks`. One matrix for an
+    array block, one per entry for a list of them."""
     parts = [[b.copy() for b in block] if isinstance(block, list) else block.copy()
              for _, block in blocks]
     if parts and isinstance(parts[0], list):
-        return [np.concatenate(col) for col in zip(*parts)]
-    return np.concatenate(parts)
+        return [np.concatenate(col, axis=axis) for col in zip(*parts)]
+    return np.concatenate(parts, axis=axis)
 
 
 def brute_ball_atoms(measure, center, r):

@@ -206,6 +206,20 @@ def test_polyline_mass_conservation():
     assert m.total_mass == pytest.approx(1 + 2 + 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_polyline_atoms_round_as_the_broadcast_formula(dim):
+    # each atom is origin + arc * direction, one rounding per product and sum,
+    # whichever way the columns are written
+    rng = np.random.default_rng(dim)
+    for _ in range(5):
+        verts = rng.uniform(-3.0, 3.0, size=(rng.integers(2, 6), dim))
+        m = build_polyline(verts, rng.uniform(0.003, 0.05))
+        assert m.segments is not None
+        expect = np.concatenate([np.multiply(sg.arcs[:, None], sg.direction) + sg.origin
+                                 for sg in m.segments])
+        assert m.points.tobytes() == expect.tobytes()
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         WeightedPointMeasure(np.zeros((1, 2)), np.array([0.0]))
@@ -548,6 +562,20 @@ def test_shell_pruning_moves_no_bit(monkeypatch, rng):
     assert run() == pruned
     # an infinite radius keeps every atom
     assert near(m.points, m.points[:2], math.inf).all()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_near_atoms_is_the_broadcast_box_mask(rng, dim):
+    # the mask built one coordinate column at a time equals the whole-array
+    # box test; an infinite pad, or one whose square underflows, keeps all
+    pts = rng.uniform(-1.0, 1.0, size=(400, dim))
+    for pad in (0.0, 1e-170, 0.05, 0.3, 2.0, math.inf):
+        for centers in (pts[:1], pts[5:40], rng.uniform(-2.0, 2.0, size=(7, dim))):
+            expect = ((pts >= centers.min(axis=0) - pad)
+                      & (pts <= centers.max(axis=0) + pad)).all(axis=1)
+            if not 0.0 < pad * pad < math.inf:
+                expect[:] = True
+            np.testing.assert_array_equal(ms._near_atoms(pts, centers, pad), expect)
 
 # ---------------------------------------------------------------------------
 # smallest enclosing ball

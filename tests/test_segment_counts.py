@@ -158,7 +158,9 @@ def test_one_query_for_two_weightings_gives_the_bytes_of_single_queries(seed):
     g, fresh, factors = _tent_case(seed) if seed < 4 else _long_polyline_case()
     centers, radii = _tie_query(g, seed)
     m = g.reweighted(factors)
-    both = whole(ms._segment_ball_masses(g.points, [g.segments, m.segments], centers, radii))
+    # radius-major blocks, stacked along their centers axis, then transposed
+    both = [b.T for b in whole(ms._segment_ball_masses(g.points, [g.segments, m.segments],
+                                                      centers, radii), axis=1)]
     assert len(both) == 2
     assert both[0].tobytes() == ball_masses(g, centers, radii).tobytes()
     assert both[1].tobytes() == ball_masses(fresh, centers, radii).tobytes()

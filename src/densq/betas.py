@@ -141,16 +141,18 @@ def _min_width_strip_2d(pts: np.ndarray):
     """(width, direction, centerline point): thinnest strip containing pts.
 
     The optimal strip is flush with a hull edge, so it suffices to score the
-    edges. A set without a 2-d hull (collinear, or fewer than three distinct
-    points) has width 0 along the line through its two extreme points.
+    edges. A set without a 2-d hull (flat by the stated rule of
+    `geometry.hull_2d`, or fewer than three distinct points) has width 0 along
+    the line through its two extreme points.
     """
-    from .geometry import hull_vertices
-    hull = hull_vertices(pts)
+    from .geometry import hull_2d
+    hull = hull_2d(pts)
     if hull is None:
         a = pts[np.argmax(((pts - pts[0]) ** 2).sum(axis=1))]
         d = pts[np.argmax(((pts - a) ** 2).sum(axis=1))] - a
         n = np.linalg.norm(d)
         return 0.0, (d / n if n > 0 else np.array([1.0, 0.0])), a
+    hull = pts[hull]
     # dot products as matmuls, which round as np.linalg.norm and `@` do on
     # one edge at a time
     e = np.roll(hull, -1, axis=0) - hull

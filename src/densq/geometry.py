@@ -1,9 +1,9 @@
 """Hull and farthest-atom geometry of point sets, loaded on first use.
 
-The 2-d convex hull (a monotone chain that follows Qhull's rounding) and the
-atoms that can be farthest from another. `measures` and `betas` import this
-module inside the calls that need it, so `import densq` compiles and loads
-none of it.
+The 2-d convex hull (a monotone chain, with one stated rule for flat sets and
+for vertices within rounding of a chord) and the atoms that can be farthest
+from another. `measures` and `betas` import this module inside the calls that
+need it, so `import densq` compiles and loads none of it.
 """
 from __future__ import annotations
 
@@ -17,49 +17,29 @@ from .measures import _BLOCK_CELLS, _CHUNK_CELLS, _sq_rows
 _SCAN_BLOCK = 64
 
 
-def hull_vertices(points):
-    """Convex-hull vertices of a 2-d set, counterclockwise (`hull_2d`); None
-    when the hull is degenerate (collinear, too few points)."""
-    hull = hull_2d(points)
-    return None if hull is None else points[hull]
-
-
 def hull_2d(points):
-    """Indices of the convex-hull vertices of 2-d points, counterclockwise: the
-    vertex set, in the same cyclic order, that Qhull's
-    `ConvexHull(points).vertices` gives; None where Qhull finds the set flat
-    (fewer than three distinct points, or collinear within rounding).
-
-    Qhull merges what its roundoff R (`_qhull_roundoff`) cannot tell apart,
-    and this follows it:
-    - Qhull starts from a simplex, the x-extremes and the atom of largest
-      determinant with them, and stops if it is flat (`_qhull_flat`). So
-      does this, in O(N) numpy, before anything else.
-    - The exact hull comes from Andrew's monotone chain, which pops every
-      turn with cross <= 0.
-    - Then the vertex nearest the chord of its two neighbours is merged away
-      while it lies within 4R of it, the distance rounded as Qhull rounds it
-      (`_qhull_dist`): Qhull counts a point within 4R of a facet as coplanar.
-    - A hull merged down to three vertices is Qhull's simplex.
-    Where several hull vertices lie within a few R of such chords, Qhull's
-    merges depend on its insertion order, and the two can keep different
-    ones.
+    """Indices of the convex-hull vertices of 2-d points, counterclockwise, or
+    None where the set is flat. With R the rounding of a distance at these
+    coordinates (`_roundoff`):
+    - the set is flat when no atom lies more than 3R from the chord of its two
+      x-extremes (so also with fewer than three distinct points);
+    - otherwise the hull is Andrew's monotone chain, which pops every turn
+      with cross <= 0, and then the vertex nearest the chord of its two
+      neighbours is merged away while its signed distance from that chord
+      (`_dist`) is at most 4R and more than three vertices are left.
 
     The chain runs only on the atoms that the octagon of extreme atoms along
     x, y, x + y and x - y (Akl and Toussaint) does not hold more than
     8R + 32 eps E inside (E the extent of the set). Those lie inside the hull
-    by more than rounding moves a turn, and more than 4R, so neither the chain
-    nor Qhull makes them vertices.
+    by more than rounding moves a turn, and more than 4R, so the chain would
+    not make them vertices.
     """
     x, y = np.ascontiguousarray(points.T)
     i, j, low, high = int(x.argmin()), int(x.argmax()), int(y.argmin()), int(y.argmax())
     (x0, y0), (x1, y1) = points[i].tolist(), points[j].tolist()
     y0_min, y1_max = float(y[low]), float(y[high])
-    r = _qhull_roundoff([max(-x0, x1), max(-y0_min, y1_max)])
-    # the determinant as qh_detsimplex rounds it; 0 unless the three differ
-    det = (x0 - x) * (y1 - y) - (y0 - y) * (x1 - x)
-    k = int(np.abs(det).argmax())
-    if det[k] == 0.0 or _qhull_flat(points[[k, j, i]].tolist(), r):
+    r = _roundoff([max(-x0, x1), max(-y0_min, y1_max)])
+    if x0 == x1 or np.abs(_dist((x0, y0), (x1, y1), (x, y))).max() <= 3 * r:
         return None
     plus, minus = x + y, x - y
     extreme = [j, int(plus.argmax()), high, int(minus.argmin()),
@@ -99,55 +79,33 @@ def hull_2d(points):
 
     chain = half(atoms) + half(atoms[::-1])
     hull, v = [a[2] for a in chain], [a[:2] for a in chain]
-    merged = False
     if len(hull) > 3:
-        height = [_qhull_dist(v[n - 1], v[(n + 1) % len(v)], v[n]) for n in range(len(v))]
+        height = [_dist(v[n - 1], v[(n + 1) % len(v)], v[n]) for n in range(len(v))]
     while len(hull) > 3:
         n = min(range(len(hull)), key=height.__getitem__)
         if height[n] > 4 * r:
-            return np.array(hull)
+            break
         del hull[n], v[n], height[n]
-        merged = True
         for n in (n - 1, n % len(v)):      # the two neighbours of the merged vertex
-            height[n] = _qhull_dist(v[n - 1], v[(n + 1) % len(v)], v[n])
-    if merged or len(hull) < 3 or set(hull) == {i, j, k}:
-        return np.array([i, j, k] if det[k] > 0 else [i, k, j])
-    # a triangle with an x-extreme inside an edge: Qhull adds its third vertex
-    (ax, ay), (bx, by), (cx, cy) = v
-    longest = max(math.hypot(bx - ax, by - ay), math.hypot(cx - bx, cy - by),
-                  math.hypot(ax - cx, ay - cy))
-    area = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    return np.array(hull) if area > 3 * r * longest else None
+            height[n] = _dist(v[n - 1], v[(n + 1) % len(v)], v[n])
+    return np.array(hull) if len(hull) > 2 else None
 
 
-def _qhull_roundoff(top):
-    """Qhull's roundoff of a point-to-hyperplane distance (qh_distround), from
-    the largest |coordinate k| per k: eps (d min(sqrt(d) M, sum_k top_k) 1.01
-    + M), M the largest of those."""
+def _roundoff(top):
+    """The rounding of a point-to-line distance, from the largest
+    |coordinate k| per k, as Qhull bounds it (qh_distround): eps (d min(sqrt(d)
+    M, sum_k top_k) 1.01 + M), M the largest of those."""
     d, big = len(top), max(top)
     return np.finfo(float).eps * (d * min(math.sqrt(d) * big, sum(top)) * 1.01 + big)
 
 
-def _qhull_dist(p0, p1, q):
-    """The distance of q from the line through p0 and p1 (pairs of floats),
-    positive to the right of p0 -> p1, rounded as Qhull rounds it: the unit
-    normal from the coordinate differences and an offset at p0
-    (qh_sethyperplane_det, qh_distplane). The offset costs about eps |p0|,
-    which is why Qhull's roundoff scales with the coordinates."""
-    nx, ny = p1[1] - p0[1], p0[0] - p1[0]
-    norm = math.sqrt(nx * nx + ny * ny)
-    nx, ny = nx / norm, ny / norm
-    return -(p0[0] * nx + p0[1] * ny) + q[0] * nx + q[1] * ny
-
-
-def _qhull_flat(rows, roundoff):
-    """Whether Qhull finds its initial 2-d simplex `rows` flat: the vertices
-    in Qhull's order (the third, the largest x, the smallest x), and an edge
-    line within `roundoff` of their centroid (qh_getcenter) as `_qhull_dist`
-    computes it, from each edge's vertices in that order."""
-    a, b, c = rows
-    centroid = ((a[0] + b[0] + c[0]) / 3, (a[1] + b[1] + c[1]) / 3)
-    return any(abs(_qhull_dist(p, q, centroid)) <= roundoff for p, q in ((b, c), (a, c), (a, b)))
+def _dist(p0, p1, q):
+    """The signed distance of q from the line through p0 and p1 (pairs of
+    floats; q's may be arrays), positive to the right of p0 -> p1: the
+    determinant of p0 - q and p1 - q over |p1 - p0|, which swapping p0 and p1
+    negates exactly."""
+    return (((p0[1] - q[1]) * (p1[0] - q[0]) - (p0[0] - q[0]) * (p1[1] - q[1]))
+            / math.hypot(p1[0] - p0[0], p1[1] - p0[1]))
 
 
 def far_atoms(points):

@@ -659,8 +659,10 @@ def find_thin_boundary_radius(measure: WeightedPointMeasure, x, r: float,
         t_thin = 32.0 * measure.dim
     if lambda_grid is None:
         lambda_grid = [2.0 ** (-j) for j in range(11)]
+    if not 0 <= t_thin < math.inf:
+        raise ValueError(f"t_thin must be nonnegative and finite; got {t_thin}")
     lams = np.asarray(sorted(lambda_grid, reverse=True), dtype=float)
-    if lams.size == 0 or np.any(lams <= 0) or np.any(lams > 1):
+    if lams.size == 0 or not np.all((lams > 0) & (lams <= 1)):
         raise ValueError("lambda_grid must be a nonempty subset of (0, 1]")
     d2 = measure.ball_index().sq_dist(x)
     near = d2 <= (4.0 * r) * (4.0 * r)

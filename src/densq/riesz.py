@@ -67,6 +67,7 @@ def _kernel(diff, d2, s):
 
 def riesz_kernel(v, s: float) -> np.ndarray:
     """K(v) = v / |v|^(1+s); odd, singular at the origin."""
+    _check_s(s)
     v = np.asarray(v, dtype=float)
     n2 = (v ** 2).sum()
     if n2 == 0.0:
@@ -80,6 +81,7 @@ def truncated_riesz(measure: WeightedPointMeasure, x, pair: TruncationPair,
 
     An atom exactly at x sits at distance 0 <= eps1 and is always excluded.
     """
+    _check_s(s)
     x = np.asarray(x, dtype=float)
     idx = measure.ball_index().annulus_atoms(x, pair.eps1, pair.eps2)
     diff = measure.points[idx] - x

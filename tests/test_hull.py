@@ -30,8 +30,14 @@ def qhull_vertices(points):
 
 def assert_same_hull(points):
     """`hull_2d` gives Qhull's vertices, counterclockwise from any start, and
-    None exactly where Qhull raises."""
-    got, want = geo.hull_2d(points), qhull_vertices(points)
+    None exactly where Qhull raises; where one of its decisions lies within 1%
+    of the rule's 3R or 4R boundary (`near_a_boundary`), it keeps the stated
+    rule instead (`assert_stated_rule`)."""
+    got = geo.hull_2d(points)
+    if near_a_boundary(points):
+        assert_stated_rule(points, got)
+        return
+    want = qhull_vertices(points)
     assert (got is None) == (want is None)
     if got is None:
         return
@@ -40,6 +46,38 @@ def assert_same_hull(points):
     start = np.flatnonzero((got == want[0]).all(axis=1))
     assert len(start) == 1
     np.testing.assert_array_equal(np.roll(got, -start[0], axis=0), want)
+
+
+def near_a_boundary(points):
+    """Whether `hull_2d` changes when its roundoff R moves by 1% either way, so
+    that one of its decisions lies within 1% of the 3R flat or the 4R merge
+    boundary: there the rounding of a distance decides, and Qhull's, which
+    differs from the rule's, can decide otherwise."""
+    roundoff, got = geo._roundoff, geo.hull_2d(points)
+    for scale in (0.99, 1.01):
+        geo._roundoff = lambda top, scale=scale: roundoff(top) * scale
+        try:
+            moved = geo.hull_2d(points)
+        finally:
+            geo._roundoff = roundoff
+        if (moved is None) != (got is None) or not np.array_equal(moved, got):
+            return True
+    return False
+
+
+def assert_stated_rule(points, hull):
+    """`hull` is None exactly when no atom lies more than 3R from the chord of
+    the x-extremes; otherwise its atoms turn counterclockwise, each more than
+    4R from the chord of its neighbours unless only three are left."""
+    x, y = points.T
+    i, j = x.argmin(), x.argmax()
+    r = geo._roundoff([np.abs(x).max(), np.abs(y).max()])
+    flat = x[i] == x[j] or np.abs(geo._dist(points[i], points[j], (x, y))).max() <= 3 * r
+    assert (hull is None) == flat
+    if hull is not None:
+        v = points[hull].tolist()
+        height = [geo._dist(v[n - 1], v[(n + 1) % len(v)], v[n]) for n in range(len(v))]
+        assert min(height) > (4 * r if len(v) > 3 else 0.0)
 
 
 def _rotation(seed):
@@ -89,14 +127,16 @@ def test_hull_2d_equals_qhull(points):
 
 
 def test_hull_2d_when_an_x_extreme_lies_inside_an_edge():
-    # Qhull's simplex holds (4, 1), which the atom (4, 3) then hides
+    # the largest x is 4.0, and the chord's end (4, 1) lies inside the edge
+    # from (4, 0) to (4, 3)
     assert_same_hull(np.array([[4.0, 1.0], [4.0, 3.0], [4.0, 0.0], [3.0, 4.0]]))
 
 
 @pytest.mark.parametrize("height, vertices", [(3.5, 4), (4.5, 5)])
 def test_hull_2d_merges_a_vertex_within_four_roundoffs_of_its_chord(height, vertices):
-    # Qhull counts a point within 4R of a facet as coplanar (R its roundoff)
-    r = geo._qhull_roundoff([1.0, 1.0])
+    # a vertex within 4R of the chord of its neighbours is merged away (R the
+    # roundoff), as Qhull counts a point within 4R of a facet as coplanar
+    r = geo._roundoff([1.0, 1.0])
     square = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.3, -height * r]])
     assert_same_hull(square)
     assert len(geo.hull_2d(square)) == vertices
@@ -119,14 +159,38 @@ def test_beta_inf_on_tent_and_cantor_balls_is_the_qhull_result(monkeypatch):
             queries.append((m, m.points[rng.integers(m.n_atoms)],
                             math.exp(rng.uniform(math.log(1e-3), math.log(2.0)))))
     got = [bt.beta_inf(m, x, r)[0] for m, x, r in queries]
-
-    def qhull_hull(points):
-        v = qhull_vertices(points)
-        return None if v is None else points[v]
-    monkeypatch.setattr(geo, "hull_vertices", qhull_hull)
+    near = [q for q, (m, x, r) in enumerate(queries)
+            if near_a_boundary(bt._ball(m, x, r)[1])]
+    monkeypatch.setattr(geo, "hull_2d", qhull_vertices)
     want = [bt.beta_inf(m, x, r)[0] for m, x, r in queries]
+    # one ball lies at the flat boundary (`_FLAT_BALL`): flat by the rule,
+    # a triangle by Qhull's rounding
+    assert near == [256] and (got[256], want[256]) == (0.0, 9.883174014032358e-16)
+    del got[256], want[256]
     assert np.array(got).tobytes() == np.array(want).tobytes()
     assert 0 < sum(v == 0.0 for v in want) < len(want)
+
+
+# the byte test's ball 256, a tent ball of three atoms: the middle one lies
+# 2.97R from the chord of the other two
+_FLAT_BALL = np.array([[-0.007142857142857173, 0.0029586683026649463], [0.0, 0.0],
+                       [0.007142857142857145, -0.002958668302664974]])
+
+
+def test_hull_2d_is_flat_within_three_roundoffs_of_the_chord():
+    a, b, c = _FLAT_BALL
+    r = geo._roundoff(np.abs(_FLAT_BALL).max(axis=0).tolist())
+    d = geo._dist(a, c, b)
+    assert 2.96 < abs(d) / r < 3.0 and geo.hull_2d(_FLAT_BALL) is None
+    assert near_a_boundary(_FLAT_BALL)
+    assert_same_hull(_FLAT_BALL)
+    # the middle atom moved out along the chord's normal to 3.1R
+    moved = _FLAT_BALL.copy()
+    moved[1] = b + np.array([c[1] - a[1], a[0] - c[0]]) / math.hypot(*(c - a)) * (
+        math.copysign(3.1 * r, d) - d)
+    assert 3.05 < abs(geo._dist(a, c, moved[1])) / r < 3.15
+    assert len(geo.hull_2d(moved)) == 3
+    assert_same_hull(moved)
 
 
 def brute_farthest(points):
@@ -142,7 +206,7 @@ def far_sets(draw):
     if kind == "cloud":
         return rng.uniform(size=(n, 2)) * [1.0, draw(st.sampled_from([1.0, 1e-6]))]
     if kind == "noisy line":
-        # noise a few Qhull roundoffs wide, where the hull's merges are close calls
+        # noise a few roundoffs wide, where the hull's merges are close calls
         t = rng.uniform(size=n)
         return (np.c_[t, 0.1 * t + rng.uniform(-1, 1, n) * draw(st.sampled_from(
             [1e-14, 1e-12, 1e-10]))] + draw(st.sampled_from([0.0, 1e3])))
@@ -162,7 +226,7 @@ def test_farthest_distances_equal_brute_force(points):
 
 
 def test_farthest_distances_keep_a_merged_atom_near_a_corner():
-    # the last atom lies 2e-12 outside the bottom edge, within Qhull's 4R
+    # the last atom lies 2e-12 outside the bottom edge, within the hull's 4R
     # (R about 8.6e-13 at these coordinates), so the hull merges it away; yet
     # it is the farthest atom from (o + 0.5, o + 1), by 1.1e-12 in squared
     # distance. The 3 |s| E term of the candidate test keeps it.

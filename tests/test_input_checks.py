@@ -26,6 +26,7 @@ from densq import (
     density_difference,
     find_thin_boundary_radius,
     local_energy_ratio,
+    riesz_kernel,
     run_identity_suite,
     run_small_s_comparability,
     smoothed_density_difference,
@@ -230,6 +231,17 @@ API_CASES = [
      "lambda_grid must be a nonempty subset of (0, 1]"),
     (lambda: find_thin_boundary_radius(_M, _X, 0.1, lambda_grid=[0.5, 2.0]),
      "lambda_grid must be a nonempty subset of (0, 1]"),
+    # a nan grid value once passed the (0, 1] test and counted as thin, and a
+    # nan or infinite t_thin passed every candidate (t_thin = 0 asks for an
+    # empty band)
+    (lambda: find_thin_boundary_radius(_M, _X, 0.1, lambda_grid=[0.5, NAN]),
+     "lambda_grid must be a nonempty subset of (0, 1]"),
+    (lambda: find_thin_boundary_radius(_M, _X, 0.1, t_thin=NAN),
+     "t_thin must be nonnegative and finite; got nan"),
+    (lambda: find_thin_boundary_radius(_M, _X, 0.1, t_thin=INF),
+     "t_thin must be nonnegative and finite; got inf"),
+    (lambda: find_thin_boundary_radius(_M, _X, 0.1, t_thin=-1.0),
+     "t_thin must be nonnegative and finite; got -1.0"),
     (lambda: local_energy_ratio(_M, _X, 0.1, 0.5, delta_param=1.0),
      "delta_param must lie in (0, 1)"),
     (lambda: local_energy_ratio(_M, _X, 0.0, 0.5, delta_param=0.5),
@@ -248,6 +260,12 @@ API_CASES = [
      "s must be positive and finite; got inf"),
     (lambda: ad_regularity_diagnostic(_M, -1.0, ScaleGrid(0.1, 1.0)),
      "s must be positive and finite; got -1.0"),
+    # the Riesz kernel once gave nan at s = nan, finite values at s < 0 and a
+    # divide-by-zero warning at s = inf
+    *[(lambda f=f, s=s: f(s), f"s must be positive and finite; got {s}")
+      for f in (lambda s: riesz_kernel([0.3, 0.4], s),
+                lambda s: truncated_riesz(_M, _X, TruncationPair(0.01, 0.5), s))
+      for s in (NAN, INF, -1.0)],
     # every grid radius is past the support diameter (about 1.2)
     (lambda: ad_regularity_diagnostic(_M, 0.5, ScaleGrid(10.0, 20.0)),
      "no grid radii inside the resolved range"),
